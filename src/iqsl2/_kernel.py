@@ -1,31 +1,6 @@
-"""Select the coefficient kernel backend at import time.
+"""The Laurent term-dict kernel used by the coefficient layer.
 
-Preference order: the compiled Cython kernel if it built, else the
-pure-Python twin. IQSL2_KERNEL=py or IQSL2_KERNEL=c forces the choice;
-forcing c without a built extension raises immediately rather than
-silently degrading.
+A re-export of ``_kernel_py``; ``BACKEND`` names it for run records.
 """
 
-import os
-
-_choice = os.environ.get("IQSL2_KERNEL", "").strip().lower()
-
-if _choice in ("py", "python", "pure"):
-    from . import _kernel_py as _impl
-elif _choice in ("c", "cy", "cython", "compiled"):
-    from . import _kernel_cy as _impl  # type: ignore[no-redef]
-elif _choice == "":
-    try:
-        from . import _kernel_cy as _impl  # type: ignore[no-redef]
-    except ImportError:
-        from . import _kernel_py as _impl
-else:
-    raise ValueError(f"IQSL2_KERNEL must be 'py' or 'c', got {_choice!r}")
-
-BACKEND = _impl.BACKEND
-kadd = _impl.kadd
-ksub = _impl.ksub
-kneg = _impl.kneg
-kscale = _impl.kscale
-kshift = _impl.kshift
-kmul = _impl.kmul
+from ._kernel_py import BACKEND, kadd, kmul, kneg, kscale, kshift, ksub  # noqa: F401

@@ -1,8 +1,7 @@
 """Pure-Python kernels for sparse Laurent term dicts.
 
 A term dict maps (q-exponent, varsigma-exponent) pairs to nonzero ints.
-These functions are the hot loops behind every coefficient operation;
-a compiled twin lives in _kernel_cy.pyx with the same signatures.
+These functions are the hot loops behind every coefficient operation.
 All functions return fresh dicts and never mutate their arguments.
 """
 

@@ -116,22 +116,28 @@ def _print_report(report, out=None):
     print("PASS" if report.passed else "FAIL", file=out)
 
 
+def _write_file(path, text, newline=None):
+    """Write ``text`` to ``path``; an unwritable path is a usage error."""
+    try:
+        with open(path, "w", encoding="utf-8", newline=newline) as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ValueError(f"cannot write {path}: {exc.strerror or exc}") from exc
+
+
 def _cmd_verify(args):
     mode = "specialized" if args.varsigma == "q-inverse" else "generic"
     report = run_suite(args.suite, args.max, mode)
     _print_report(report)
     if args.json:
-        with open(args.json, "w", encoding="utf-8") as fh:
-            fh.write(report.to_json())
-            fh.write("\n")
+        _write_file(args.json, report.to_json() + "\n")
     return 0 if report.passed else 1
 
 
 def _cmd_table(args):
     text = emit_table(args.family, args.max, args.format)
     if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        _write_file(args.out, text, newline="")
     else:
         sys.stdout.write(text)
     return 0

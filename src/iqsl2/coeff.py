@@ -4,7 +4,7 @@ Two layers:
 
 * LaurentPoly: an element of Z[q^{+-1}, varsigma^{+-1}], stored as a sparse
   dict mapping (q-exponent, varsigma-exponent) to nonzero int. The dict
-  kernels live in the backend module selected by _kernel.
+  kernels live in _kernel_py.
 * Scalar: a fraction num/den of LaurentPolys with den != 0. Equality is by
   cross-multiplication, so it never depends on how far a representative was
   reduced. Construction still normalizes: the denominator is shifted to touch

@@ -36,8 +36,9 @@ from collections import Counter
 
 from .coeff import LaurentPoly, Scalar
 from .errors import DivisionByZero, NegativeInput
-from .pbw import UElement, _coerce_scalar, divided_power, u_h_binom
+from .pbw import UElement, divided_power, u_h_binom
 from .qcomb import qbinom, qfact, qint
+from .sparse import Sparse, _acc, _coerce_scalar
 from .tensor import TensorElement, delta
 
 EV = "ev"
@@ -55,10 +56,10 @@ def _check_parity(p):
         raise ValueError(f"unknown family {p!r}; expected 'ev' or 'odd'")
 
 
-class BPolynomial:
+class BPolynomial(Sparse):
     """Polynomial in the commuting symbol B with Scalar coefficients."""
 
-    __slots__ = ("_c",)
+    __slots__ = ()
 
     def __init__(self, coeffs=None):
         c = {}
@@ -69,17 +70,7 @@ class BPolynomial:
                 s = _coerce_scalar(s)
                 if not s.is_zero():
                     c[d] = s
-        self._c = c
-
-    @classmethod
-    def _raw(cls, c):
-        self = cls.__new__(cls)
-        self._c = c
-        return self
-
-    @classmethod
-    def zero(cls):
-        return cls._raw({})
+        self._t = c
 
     @classmethod
     def one(cls):
@@ -100,71 +91,15 @@ class BPolynomial:
 
     def coeffs(self):
         """Iterate (degree, Scalar) in ascending degree."""
-        for d in sorted(self._c):
-            yield d, self._c[d]
+        for d in sorted(self._t):
+            yield d, self._t[d]
 
     def coeff(self, d):
-        return self._c.get(d, _SC_ZERO)
+        return self._t.get(d, _SC_ZERO)
 
     def degree(self):
         """Largest degree with a nonzero coefficient; -1 for the zero polynomial."""
-        return max(self._c) if self._c else -1
-
-    def is_zero(self):
-        return not self._c
-
-    def __bool__(self):
-        return bool(self._c)
-
-    def __len__(self):
-        return len(self._c)
-
-    def __eq__(self, other):
-        if not isinstance(other, BPolynomial):
-            return NotImplemented
-        a, b = self._c, other._c
-        if a.keys() != b.keys():
-            return False
-        return all(a[d] == b[d] for d in a)
-
-    __hash__ = None
-
-    def __add__(self, other):
-        if not isinstance(other, BPolynomial):
-            return NotImplemented
-        out = dict(self._c)
-        for d, s in other._c.items():
-            t = out.get(d)
-            t = s if t is None else t + s
-            if t.is_zero():
-                out.pop(d, None)
-            else:
-                out[d] = t
-        return BPolynomial._raw(out)
-
-    def __sub__(self, other):
-        if not isinstance(other, BPolynomial):
-            return NotImplemented
-        out = dict(self._c)
-        for d, s in other._c.items():
-            t = out.get(d)
-            t = -s if t is None else t - s
-            if t.is_zero():
-                out.pop(d, None)
-            else:
-                out[d] = t
-        return BPolynomial._raw(out)
-
-    def __neg__(self):
-        return BPolynomial._raw({d: -s for d, s in self._c.items()})
-
-    def scale(self, s):
-        s = _coerce_scalar(s)
-        if s is None:
-            raise TypeError("scale takes a Scalar, LaurentPoly, or int")
-        if s.is_zero():
-            return BPolynomial.zero()
-        return BPolynomial._raw({d: v * s for d, v in self._c.items()})
+        return max(self._t) if self._t else -1
 
     def __mul__(self, other):
         s = _coerce_scalar(other)
@@ -173,46 +108,17 @@ class BPolynomial:
         if not isinstance(other, BPolynomial):
             return NotImplemented
         out = {}
-        for d1, s1 in self._c.items():
-            for d2, s2 in other._c.items():
-                d = d1 + d2
-                w = s1 * s2
-                t = out.get(d)
-                t = w if t is None else t + w
-                if t.is_zero():
-                    out.pop(d, None)
-                else:
-                    out[d] = t
-        return BPolynomial._raw(out)
-
-    def __rmul__(self, other):
-        s = _coerce_scalar(other)
-        if s is not None:
-            return self.scale(s)
-        return NotImplemented
-
-    def __pow__(self, n):
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("BPolynomial powers take a nonnegative int")
-        out = BPolynomial.one()
-        for _ in range(n):
-            out = out * self
-        return out
-
-    def specialize_varsigma(self):
-        out = {}
-        for d, s in self._c.items():
-            v = s.specialize_varsigma()
-            if not v.is_zero():
-                out[d] = v
+        for d1, s1 in self._t.items():
+            for d2, s2 in other._t.items():
+                _acc(out, d1 + d2, s1 * s2)
         return BPolynomial._raw(out)
 
     def __str__(self):
-        if not self._c:
+        if not self._t:
             return "0"
         parts = []
-        for d in sorted(self._c):
-            head = f"({self._c[d]})"
+        for d in sorted(self._t):
+            head = f"({self._t[d]})"
             if d == 0:
                 parts.append(head)
             elif d == 1:
@@ -220,9 +126,6 @@ class BPolynomial:
             else:
                 parts.append(f"{head}*B^{d}")
         return " + ".join(parts)
-
-    def __repr__(self):
-        return f"BPolynomial({self})"
 
 
 def qratio(nums, dens):
@@ -352,141 +255,60 @@ def idp_basis_expand(x, p):
     return out
 
 
-def _prefixed(pref, ratio, l):
-    return pref * ratio * (_QVS ** l)
+# (family, m % 2, n % 2) -> offsets (dn, dm, dd) of the closed product: term
+# l carries the ratio over i = 1..l of [n+dn-2i][m+dm-2i] / [m+n+dd-2i][2i]
+_MULT_OFFSETS = {
+    (EV, 1, 1): (1, 1, 1),
+    (EV, 1, 0): (2, 3, 2),
+    (EV, 0, 1): (3, 2, 2),
+    (EV, 0, 0): (2, 2, 1),
+    (ODD, 1, 1): (1, 3, 1),
+    (ODD, 1, 0): (2, 1, 2),
+    (ODD, 0, 1): (1, 2, 2),
+    (ODD, 0, 0): (2, 2, 1),
+}
 
 
 def mult_closed(p, m, n):
     """Closed-form coefficients of B^{(m)} B^{(n)} on divided powers.
 
     Returns a mapping degree -> Scalar with only nonzero entries; the
-    product equals sum_d coeff[d] * B^{(d)} in family ``p``. Each of the
-    eight (family, parity of m, parity of n) cases is a binomial prefactor
-    times a sum of ratios of quantum integers; sums are evaluated over
-    their full stated range, with out-of-range terms vanishing through
-    zero quantum integers.
+    product equals sum_d coeff[d] * B^{(d)} in family ``p``. In all eight
+    (family, parity of m, parity of n) cases the top term is qbinom(m+n, m)
+    at degree m+n, and term l = 1..floor((m+dm-1)/2) is that prefactor
+    times (qvs)^l times
+
+        prod_{i=1..l} [n+dn-2i] [m+dm-2i] / ([m+n+dd-2i] [2i])
+
+    at degree m+n-2l, with the offsets of ``_MULT_OFFSETS``. Two cases
+    carry one more factor: [m+n-2l]/[m+n] for "ev" with m, n even, and for
+    "odd" with m, n odd a sum of two ratios. Out-of-range terms vanish
+    through zero quantum integers.
     """
     _check_parity(p)
     if m < 0 or n < 0:
         raise NegativeInput("divided power of negative order")
-    out = {}
-
-    def put(deg, s):
-        if not s.is_zero():
-            t = out.get(deg)
-            t = s if t is None else t + s
-            if t.is_zero():
-                out.pop(deg, None)
-            else:
-                out[deg] = t
-
-    if p == EV:
-        if m % 2 and n % 2:
-            # both odd: m = 2k-1, n = 2a-1
-            k, a = (m + 1) // 2, (n + 1) // 2
-            pref = Scalar(qbinom(2 * k + 2 * a - 2, 2 * k - 1))
-            for l in range(1, k + 1):
-                nums, dens = [], []
-                for i in range(2, l + 1):
-                    nums += [2 * a - 2 * i + 2, 2 * k - 2 * i + 2]
-                    dens += [2 * k + 2 * a - 2 * i + 1, 2 * i - 2]
-                put(2 * k + 2 * a - 2 * l,
-                    _prefixed(pref, qratio(nums, dens), l - 1))
-        elif m % 2:
-            # m = 2k-1 odd, n = 2a even
-            k, a = (m + 1) // 2, n // 2
-            pref = Scalar(qbinom(2 * k + 2 * a - 1, 2 * k - 1))
-            put(2 * k + 2 * a - 1, pref)
-            for l in range(1, k + 1):
-                nums, dens = [], []
-                for i in range(1, l + 1):
-                    nums += [2 * a - 2 * i + 2, 2 * k - 2 * i + 2]
-                    dens += [2 * k + 2 * a - 2 * i + 1, 2 * i]
-                put(2 * k + 2 * a - 2 * l - 1,
-                    _prefixed(pref, qratio(nums, dens), l))
-        elif n % 2:
-            # m = 2k even, n = 2a-1 odd
-            k, a = m // 2, (n + 1) // 2
-            pref = Scalar(qbinom(2 * k + 2 * a - 1, 2 * k))
-            put(2 * k + 2 * a - 1, pref)
-            for l in range(1, k + 1):
-                nums, dens = [], []
-                for i in range(1, l + 1):
-                    nums += [2 * a - 2 * i + 2, 2 * k - 2 * i + 2]
-                    dens += [2 * k + 2 * a - 2 * i + 1, 2 * i]
-                put(2 * k + 2 * a - 2 * l - 1,
-                    _prefixed(pref, qratio(nums, dens), l))
+    s = m + n
+    dn, dm, dd = _MULT_OFFSETS[p, m % 2, n % 2]
+    pref = Scalar(qbinom(s, m))
+    out = {s: pref}
+    nums, dens = [], []
+    for l in range(1, (m + dm - 1) // 2 + 1):
+        nums += [n + dn - 2 * l, m + dm - 2 * l]
+        dens += [s + dd - 2 * l, 2 * l]
+        if p == EV and not m % 2 and not n % 2:
+            ratio = qratio(nums + [s - 2 * l], dens + [s])
+        elif p == ODD and m % 2 and n % 2:
+            ratio = (
+                qratio(nums + [s - 2 * l, m + 1 - 2 * l], dens + [s, m + 1])
+                + qratio(nums + [s + 1 - 2 * l, s + 1 - 2 * l, 2 * l],
+                         dens + [s, n + 1 - 2 * l, m + 1])
+            )
         else:
-            # both even: m = 2k, n = 2a
-            k, a = m // 2, n // 2
-            pref = Scalar(qbinom(2 * k + 2 * a, 2 * k))
-            put(2 * k + 2 * a, pref)
-            for l in range(1, k + 1):
-                nums = [2 * k + 2 * a - 2 * l]
-                dens = [2 * k + 2 * a]
-                for i in range(1, l + 1):
-                    nums += [2 * a - 2 * i + 2, 2 * k - 2 * i + 2]
-                    dens += [2 * k + 2 * a - 2 * i + 1, 2 * i]
-                put(2 * k + 2 * a - 2 * l,
-                    _prefixed(pref, qratio(nums, dens), l))
-    else:
-        if not m % 2 and not n % 2:
-            # both even: m = 2k, n = 2a
-            k, a = m // 2, n // 2
-            pref = Scalar(qbinom(2 * k + 2 * a, 2 * k))
-            put(2 * k + 2 * a, pref)
-            for l in range(1, k + 1):
-                nums, dens = [], []
-                for i in range(1, l + 1):
-                    nums += [2 * a - 2 * i + 2, 2 * k - 2 * i + 2]
-                    dens += [2 * k + 2 * a - 2 * i + 1, 2 * i]
-                put(2 * k + 2 * a - 2 * l,
-                    _prefixed(pref, qratio(nums, dens), l))
-        elif not m % 2:
-            # m = 2k even, n = 2a+1 odd
-            k, a = m // 2, (n - 1) // 2
-            pref = Scalar(qbinom(2 * k + 2 * a + 1, 2 * k))
-            put(2 * k + 2 * a + 1, pref)
-            for l in range(1, k + 1):
-                nums, dens = [], []
-                for i in range(1, l + 1):
-                    nums += [2 * a - 2 * i + 2, 2 * k - 2 * i + 2]
-                    dens += [2 * k + 2 * a - 2 * i + 3, 2 * i]
-                put(2 * k + 2 * a - 2 * l + 1,
-                    _prefixed(pref, qratio(nums, dens), l))
-        elif not n % 2:
-            # m = 2k+1 odd, n = 2a even
-            k, a = (m - 1) // 2, n // 2
-            pref = Scalar(qbinom(2 * k + 2 * a + 1, 2 * k + 1))
-            put(2 * k + 2 * a + 1, pref)
-            for l in range(1, k + 1):
-                nums, dens = [], []
-                for i in range(1, l + 1):
-                    nums += [2 * a - 2 * i + 2, 2 * k - 2 * i + 2]
-                    dens += [2 * k + 2 * a - 2 * i + 3, 2 * i]
-                put(2 * k + 2 * a - 2 * l + 1,
-                    _prefixed(pref, qratio(nums, dens), l))
-        else:
-            # both odd: m = 2k+1, n = 2a+1
-            k, a = (m - 1) // 2, (n - 1) // 2
-            pref = Scalar(qbinom(2 * k + 2 * a + 2, 2 * k + 1))
-            put(2 * k + 2 * a + 2, pref)
-            for l in range(1, k + 2):
-                nums, dens = [], []
-                for i in range(1, l + 1):
-                    nums += [2 * a - 2 * i + 2, 2 * k - 2 * i + 4]
-                    dens += [2 * k + 2 * a - 2 * i + 3, 2 * i]
-                first = qratio(
-                    nums + [2 * k + 2 * a - 2 * l + 2, 2 * k - 2 * l + 2],
-                    dens + [2 * k + 2 * a + 2, 2 * k + 2],
-                )
-                second = qratio(
-                    nums + [2 * k + 2 * a - 2 * l + 3,
-                            2 * k + 2 * a - 2 * l + 3, 2 * l],
-                    dens + [2 * k + 2 * a + 2, 2 * a - 2 * l + 2, 2 * k + 2],
-                )
-                put(2 * k + 2 * a - 2 * l + 2,
-                    _prefixed(pref, first + second, l))
+            ratio = qratio(nums, dens)
+        t = pref * ratio * (_QVS ** l)
+        if not t.is_zero():
+            out[s - 2 * l] = t
     return out
 
 

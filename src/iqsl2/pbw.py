@@ -20,6 +20,7 @@ weight vector (K acts by q^m, E and F keep their symbols).
 from .coeff import LaurentPoly, Scalar
 from .errors import RequiresSpecialized
 from .qcomb import qfact, qint
+from .sparse import Sparse, _acc, _coerce_scalar
 
 _SC_ONE = Scalar.one()
 _UNIT = (0, 0, 0)
@@ -44,19 +45,6 @@ def _cdiv(c):
         s = Scalar(qint(c), LaurentPoly.q(1) - LaurentPoly.q(-1))
         _CDIV_CACHE[c] = s
     return s
-
-
-def _acc(out, m, s):
-    v = out.get(m)
-    if v is None:
-        if not s.is_zero():
-            out[m] = s
-        return
-    v = v + s
-    if v.is_zero():
-        del out[m]
-    else:
-        out[m] = v
 
 
 def _rmul_E(t):
@@ -105,18 +93,22 @@ def _mono_mul(m1, m2):
     return r
 
 
-def _coerce_scalar(x):
-    if isinstance(x, Scalar):
-        return x
-    if isinstance(x, (int, LaurentPoly)):
-        return Scalar(x)
-    return None
+def _format_monomial(m):
+    """E^a K^b F^c as ``E^a*K^b*F^c``, omitting zero powers and writing a
+    power of one bare; the unit monomial is the empty string."""
+    factors = []
+    for sym, e in zip("EKF", m):
+        if e == 1:
+            factors.append(sym)
+        elif e:
+            factors.append(f"{sym}^{e}")
+    return "*".join(factors)
 
 
-class UElement:
+class UElement(Sparse):
     """Finite Scalar combination of PBW monomials."""
 
-    __slots__ = ("_t",)
+    __slots__ = ()
 
     def __init__(self, terms=None):
         t = {}
@@ -129,16 +121,6 @@ class UElement:
                 if not s.is_zero():
                     t[(a, b, c)] = s
         self._t = t
-
-    @classmethod
-    def _raw(cls, t):
-        self = cls.__new__(cls)
-        self._t = t
-        return self
-
-    @classmethod
-    def zero(cls):
-        return cls._raw({})
 
     @classmethod
     def one(cls):
@@ -174,53 +156,6 @@ class UElement:
     def support(self):
         return sorted(self._t)
 
-    def is_zero(self):
-        return not self._t
-
-    def __bool__(self):
-        return bool(self._t)
-
-    def __len__(self):
-        return len(self._t)
-
-    def __eq__(self, other):
-        if not isinstance(other, UElement):
-            return NotImplemented
-        a, b = self._t, other._t
-        # stored coefficients are never zero, so supports must match
-        if a.keys() != b.keys():
-            return False
-        return all(a[m] == b[m] for m in a)
-
-    __hash__ = None
-
-    def __add__(self, other):
-        if not isinstance(other, UElement):
-            return NotImplemented
-        out = dict(self._t)
-        for m, s in other._t.items():
-            _acc(out, m, s)
-        return UElement._raw(out)
-
-    def __sub__(self, other):
-        if not isinstance(other, UElement):
-            return NotImplemented
-        out = dict(self._t)
-        for m, s in other._t.items():
-            _acc(out, m, -s)
-        return UElement._raw(out)
-
-    def __neg__(self):
-        return UElement._raw({m: -s for m, s in self._t.items()})
-
-    def scale(self, s):
-        s = _coerce_scalar(s)
-        if s is None:
-            raise TypeError("scale takes a Scalar, LaurentPoly, or int")
-        if s.is_zero():
-            return UElement.zero()
-        return UElement._raw({m: v * s for m, v in self._t.items()})
-
     def __mul__(self, other):
         s = _coerce_scalar(other)
         if s is not None:
@@ -235,51 +170,15 @@ class UElement:
                     _acc(out, m, w * f)
         return UElement._raw(out)
 
-    def __rmul__(self, other):
-        s = _coerce_scalar(other)
-        if s is not None:
-            return self.scale(s)
-        return NotImplemented
-
-    def __pow__(self, n):
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("UElement powers take a nonnegative int")
-        out = UElement.one()
-        for _ in range(n):
-            out = out * self
-        return out
-
-    def specialize_varsigma(self):
-        out = {}
-        for m, s in self._t.items():
-            _acc(out, m, s.specialize_varsigma())
-        return UElement._raw(out)
-
     def __str__(self):
         if not self._t:
             return "0"
         parts = []
         for m in sorted(self._t):
-            a, b, c = m
-            factors = []
-            if a == 1:
-                factors.append("E")
-            elif a:
-                factors.append(f"E^{a}")
-            if b == 1:
-                factors.append("K")
-            elif b:
-                factors.append(f"K^{b}")
-            if c == 1:
-                factors.append("F")
-            elif c:
-                factors.append(f"F^{c}")
             head = f"({self._t[m]})"
-            parts.append("*".join([head] + factors) if factors else head)
+            mono = _format_monomial(m)
+            parts.append(f"{head}*{mono}" if mono else head)
         return " + ".join(parts)
-
-    def __repr__(self):
-        return f"UElement({self})"
 
 
 def u_gen(name):

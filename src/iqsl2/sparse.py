@@ -1,0 +1,128 @@
+"""Sparse Scalar-coefficient combinations, the arithmetic the element types share.
+
+``BPolynomial`` (keyed by degree in B), ``UElement`` (keyed by PBW monomial)
+and ``TensorElement`` (keyed by pairs of PBW monomials) are all finite
+combinations of basis keys with nonzero Scalar coefficients. ``Sparse`` holds
+the arithmetic that depends only on that shape; each subclass adds its
+constructor validation, accessors, product and printing.
+"""
+
+from .coeff import LaurentPoly, Scalar
+
+
+def _coerce_scalar(x):
+    """``x`` as a Scalar when it is a Scalar, LaurentPoly or int, else None."""
+    if isinstance(x, Scalar):
+        return x
+    if isinstance(x, (int, LaurentPoly)):
+        return Scalar(x)
+    return None
+
+
+def _acc(out, k, s):
+    """Add ``s`` to ``out[k]``, keeping only nonzero coefficients."""
+    v = out.get(k)
+    if v is None:
+        if not s.is_zero():
+            out[k] = s
+        return
+    v = v + s
+    if v.is_zero():
+        del out[k]
+    else:
+        out[k] = v
+
+
+class Sparse:
+    """Finite combination {key: nonzero Scalar}; subclasses define ``one``."""
+
+    __slots__ = ("_t",)
+
+    @classmethod
+    def _raw(cls, t):
+        self = cls.__new__(cls)
+        self._t = t
+        return self
+
+    @classmethod
+    def zero(cls):
+        return cls._raw({})
+
+    def is_zero(self):
+        return not self._t
+
+    def __bool__(self):
+        return bool(self._t)
+
+    def __len__(self):
+        return len(self._t)
+
+    def __eq__(self, other):
+        # type-strict: elements of different algebras never compare equal
+        if type(other) is not type(self):
+            return NotImplemented
+        a, b = self._t, other._t
+        # stored coefficients are never zero, so supports must match
+        if a.keys() != b.keys():
+            return False
+        return all(a[k] == b[k] for k in a)
+
+    __hash__ = None
+
+    def __add__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        out = dict(self._t)
+        for k, s in other._t.items():
+            _acc(out, k, s)
+        return self._raw(out)
+
+    def __sub__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        out = dict(self._t)
+        for k, s in other._t.items():
+            v = out.get(k)
+            v = -s if v is None else v - s
+            if v.is_zero():
+                out.pop(k, None)
+            else:
+                out[k] = v
+        return self._raw(out)
+
+    def __neg__(self):
+        return self._raw({k: -s for k, s in self._t.items()})
+
+    def scale(self, s):
+        s = _coerce_scalar(s)
+        if s is None:
+            raise TypeError("scale takes a Scalar, LaurentPoly, or int")
+        if s.is_zero():
+            return self.zero()
+        return self._raw({k: v * s for k, v in self._t.items()})
+
+    def __rmul__(self, other):
+        s = _coerce_scalar(other)
+        if s is not None:
+            return self.scale(s)
+        return NotImplemented
+
+    def __pow__(self, n):
+        if not isinstance(n, int) or n < 0:
+            raise ValueError(
+                f"{type(self).__name__} powers take a nonnegative int")
+        out = self.one()
+        for _ in range(n):
+            out = out * self
+        return out
+
+    def specialize_varsigma(self):
+        out = {}
+        for k, s in self._t.items():
+            v = s.specialize_varsigma()
+            if not v.is_zero():
+                out[k] = v
+        return self._raw(out)
+
+    def __repr__(self):
+        return f"{type(self).__name__}({self})"

@@ -12,16 +12,17 @@ coassociativity checks without a full three-fold element type.
 """
 
 from .coeff import LaurentPoly, Scalar
-from .pbw import UElement, _acc, _coerce_scalar, _mono_mul
+from .pbw import UElement, _format_monomial, _mono_mul
+from .sparse import Sparse, _acc, _coerce_scalar
 
 _SC_ONE = Scalar.one()
 _UNIT = (0, 0, 0)
 
 
-class TensorElement:
+class TensorElement(Sparse):
     """Finite Scalar combination of pairs of PBW monomials."""
 
-    __slots__ = ("_t",)
+    __slots__ = ()
 
     def __init__(self, terms=None):
         t = {}
@@ -32,16 +33,6 @@ class TensorElement:
                 if not s.is_zero():
                     t[(tuple(m1), tuple(m2))] = s
         self._t = t
-
-    @classmethod
-    def _raw(cls, t):
-        self = cls.__new__(cls)
-        self._t = t
-        return self
-
-    @classmethod
-    def zero(cls):
-        return cls._raw({})
 
     @classmethod
     def one(cls):
@@ -65,50 +56,6 @@ class TensorElement:
     def coeff(self, m1, m2):
         return self._t.get((tuple(m1), tuple(m2)), Scalar.zero())
 
-    def is_zero(self):
-        return not self._t
-
-    def __bool__(self):
-        return bool(self._t)
-
-    def __len__(self):
-        return len(self._t)
-
-    def __eq__(self, other):
-        if not isinstance(other, TensorElement):
-            return NotImplemented
-        a, b = self._t, other._t
-        if a.keys() != b.keys():
-            return False
-        return all(a[k] == b[k] for k in a)
-
-    __hash__ = None
-
-    def __add__(self, other):
-        if not isinstance(other, TensorElement):
-            return NotImplemented
-        out = dict(self._t)
-        for k, s in other._t.items():
-            _acc(out, k, s)
-        return TensorElement._raw(out)
-
-    def __sub__(self, other):
-        if not isinstance(other, TensorElement):
-            return NotImplemented
-        out = dict(self._t)
-        for k, s in other._t.items():
-            _acc(out, k, -s)
-        return TensorElement._raw(out)
-
-    def __neg__(self):
-        return TensorElement._raw({k: -s for k, s in self._t.items()})
-
-    def scale(self, s):
-        s = _coerce_scalar(s)
-        if s.is_zero():
-            return TensorElement.zero()
-        return TensorElement._raw({k: v * s for k, v in self._t.items()})
-
     def __mul__(self, other):
         s = _coerce_scalar(other)
         if s is not None:
@@ -127,47 +74,16 @@ class TensorElement:
                         _acc(out, (mx, my), wf * fy)
         return TensorElement._raw(out)
 
-    def __rmul__(self, other):
-        s = _coerce_scalar(other)
-        if s is not None:
-            return self.scale(s)
-        return NotImplemented
-
-    def specialize_varsigma(self):
-        out = {}
-        for k, s in self._t.items():
-            _acc(out, k, s.specialize_varsigma())
-        return TensorElement._raw(out)
-
     def __str__(self):
         if not self._t:
             return "0"
-
-        def side(m):
-            a, b, c = m
-            factors = []
-            if a == 1:
-                factors.append("E")
-            elif a:
-                factors.append(f"E^{a}")
-            if b == 1:
-                factors.append("K")
-            elif b:
-                factors.append(f"K^{b}")
-            if c == 1:
-                factors.append("F")
-            elif c:
-                factors.append(f"F^{c}")
-            return "*".join(factors) if factors else "1"
-
         parts = []
         for m1, m2 in sorted(self._t):
             s = self._t[(m1, m2)]
-            parts.append(f"({s})*({side(m1)})⊗({side(m2)})")
+            left = _format_monomial(m1) or "1"
+            right = _format_monomial(m2) or "1"
+            parts.append(f"({s})*({left})⊗({right})")
         return " + ".join(parts)
-
-    def __repr__(self):
-        return f"TensorElement({self})"
 
 
 _DELTA_GEN = {

@@ -40,7 +40,8 @@ Reports are deterministic: identical invocations produce identical check
 lists (the wall-time field is the only exception).  Every failing check
 carries a serialized witness (the difference element) sufficient to
 reproduce the failure independently.  The resource ceiling for element
-suites and tables is the ``IQSL2_MAX_N`` environment variable (default 24).
+suites, tables and expansion is the ``IQSL2_MAX_N`` environment variable
+(default 24).
 """
 
 from __future__ import annotations
@@ -94,12 +95,23 @@ _RNG_SEED = 264221
 
 
 def resource_ceiling():
-    """Maximum order accepted by element suites and the table generator."""
-    raw = os.environ.get("IQSL2_MAX_N", "")
-    try:
-        return int(raw)
-    except ValueError:
+    """Maximum order accepted by element suites, tables and expansion:
+    ``IQSL2_MAX_N`` when set, else 24."""
+    raw = os.environ.get("IQSL2_MAX_N", "").strip()
+    if not raw:
         return _DEFAULT_CEILING
+    if not raw.isdecimal() or int(raw) < 1:
+        raise ValueError(f"IQSL2_MAX_N must be a positive integer, got {raw!r}")
+    return int(raw)
+
+
+def _check_ceiling(what, value):
+    ceiling = resource_ceiling()
+    if value > ceiling:
+        raise ResourceLimit(
+            f"{what} {value} exceeds the resource ceiling {ceiling} "
+            "(set IQSL2_MAX_N to raise it)"
+        )
 
 
 @dataclass(frozen=True)
@@ -164,18 +176,18 @@ def _eq_check(checks, cid, params, lhs, rhs):
         checks.append(CheckResult(cid, tuple(params), False, str(diff)))
 
 
-def _map_check(checks, cid, params, lhs, rhs):
-    """Equality of degree -> Scalar maps, missing entries counting as zero."""
+def _map_check(checks, cid, params, lhs, rhs, key_prefix):
+    """Record an equality check of key -> Scalar maps, missing entries
+    counting as zero; the witness lists each mismatched key after
+    ``key_prefix``."""
     bad = []
-    for d in sorted(set(lhs) | set(rhs)):
-        a = lhs.get(d, _SC_ZERO)
-        b = rhs.get(d, _SC_ZERO)
+    for k in sorted(set(lhs) | set(rhs)):
+        a = lhs.get(k, _SC_ZERO)
+        b = rhs.get(k, _SC_ZERO)
         if not (a == b):
-            bad.append(f"degree {d}: {a} != {b}")
-    if bad:
-        checks.append(CheckResult(cid, tuple(params), False, "; ".join(bad)))
-    else:
-        checks.append(CheckResult(cid, tuple(params), True))
+            bad.append(f"{key_prefix}{k}: {a} != {b}")
+    checks.append(CheckResult(cid, tuple(params), not bad,
+                              "; ".join(bad) if bad else None))
 
 
 def _specialize_map(m):
@@ -352,16 +364,6 @@ def _random_uelement(rng, *, varsigma_free=False, terms=3, span=2):
     return x
 
 
-def _triple_maps_equal(lhs, rhs):
-    bad = []
-    for key in sorted(set(lhs) | set(rhs)):
-        a = lhs.get(key, _SC_ZERO)
-        b = rhs.get(key, _SC_ZERO)
-        if not (a == b):
-            bad.append(f"{key}: {a} != {b}")
-    return bad
-
-
 def _suite_pbw_core(bound, mode):
     checks = []
     rng = random.Random(_RNG_SEED)
@@ -444,11 +446,8 @@ def _suite_pbw_core(bound, mode):
     # coassociativity on generators
     for name in ("E", "F", "K", "Kinv"):
         d = delta_gen(name)
-        bad = _triple_maps_equal(expand_left(d), expand_right(d))
-        checks.append(
-            CheckResult("coassociativity", (name,), not bad,
-                        "; ".join(bad) if bad else None)
-        )
+        _map_check(checks, "coassociativity", (name,),
+                   expand_left(d), expand_right(d), "")
 
     # coproduct of divided F-powers
     for n in range(comf_bound + 1):
@@ -493,13 +492,14 @@ def _suite_mult(parity, bound, mode):
             if mode == "specialized":
                 lhs = _specialize_map(lhs)
                 rhs = _specialize_map(rhs)
-            _map_check(checks, "mult-closed", (m, n), lhs, rhs)
+            _map_check(checks, "mult-closed", (m, n), lhs, rhs, "degree ")
 
     for m in range(bound + 1):
         for n in range(m, bound + 1 - m):
             _map_check(
                 checks, "mult-symmetry", (m, n),
                 mult_closed(parity, m, n), mult_closed(parity, n, m),
+                "degree ",
             )
 
     parameters = {"bound": bound, "family": parity, "varsigma": mode}
@@ -794,12 +794,7 @@ def run_suite(name, bound=None, varsigma_mode="generic"):
             bound = _ELEMENT_DEFAULTS[name][varsigma_mode]
         if bound < 1:
             raise ValueError("bound must be >= 1")
-        ceiling = resource_ceiling()
-        if bound > ceiling:
-            raise ResourceLimit(
-                f"bound {bound} exceeds the resource ceiling {ceiling} "
-                "(set IQSL2_MAX_N to raise it)"
-            )
+        _check_ceiling("bound", bound)
     start = time.perf_counter()
     parameters, checks = _SUITE_FUNCS[name](bound, varsigma_mode)
     wall = time.perf_counter() - start
@@ -827,12 +822,7 @@ def table_rows(family, max_total_degree):
         raise ValueError(f"unknown family {family!r}")
     if max_total_degree < 0:
         raise NegativeInput("max_total_degree must be >= 0")
-    ceiling = resource_ceiling()
-    if max_total_degree > ceiling:
-        raise ResourceLimit(
-            f"max_total_degree {max_total_degree} exceeds the resource "
-            f"ceiling {ceiling} (set IQSL2_MAX_N to raise it)"
-        )
+    _check_ceiling("max_total_degree", max_total_degree)
     rows = []
     for m in range(max_total_degree + 1):
         for n in range(max_total_degree + 1 - m):
@@ -893,6 +883,7 @@ def emit_table(family, max_total_degree, fmt="csv"):
 
 def expand_idp(parity, n, basis="B"):
     """Serialize a divided power, either as a polynomial in B or in PBW form."""
+    _check_ceiling("n", n)
     x = idp_closed(parity, n)
     if basis == "B":
         return str(x)
@@ -908,6 +899,7 @@ def expand_comult(parity, n, form="theorem"):
     closed formula, ``direct`` computes the coproduct of the PBW image; all
     three serialize canonically, so equal presentations are byte-identical.
     """
+    _check_ceiling("n", n)
     if form == "theorem":
         return str(comult_theorem(parity, n))
     if form == "fhy":

@@ -86,6 +86,24 @@ class TestVerifyCommand:
         assert rc == 2
         assert "IQSL2_MAX_N" in err
 
+    @pytest.mark.parametrize("value", ["abc", "0", "-3", "2.5"])
+    def test_invalid_ceiling_exits_two(self, monkeypatch, capsys, value):
+        monkeypatch.setenv("IQSL2_MAX_N", value)
+        rc = cli.main(["verify", "chi", "--max", "2"])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error: IQSL2_MAX_N must be a positive integer")
+        assert err.count("\n") == 1
+
+    def test_unwritable_json_exits_two(self, tmp_path, capsys):
+        target = tmp_path / "missing" / "report.json"
+        rc = cli.main(["verify", "qidentities", "--max", "1",
+                       "--json", str(target)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith(f"error: cannot write {target}")
+        assert err.count("\n") == 1
+
 
 class TestTableCommand:
     def test_stdout_csv(self, capsys):
@@ -125,6 +143,15 @@ class TestTableCommand:
         with pytest.raises(SystemExit) as exc:
             cli.main(["table", "--family", "both", "--max", "2"])
         assert exc.value.code == 2
+
+    def test_unwritable_out_exits_two(self, tmp_path, capsys):
+        target = tmp_path / "missing" / "table.csv"
+        rc = cli.main(["table", "--family", "ev", "--max", "2",
+                       "--out", str(target)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith(f"error: cannot write {target}")
+        assert err.count("\n") == 1
 
 
 class TestExpandCommand:
@@ -168,3 +195,13 @@ class TestExpandCommand:
             cli.main(["expand", "comult", "--family", "ev", "--n", "2",
                       "--basis", "pbw"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("kind", ["idp", "comult"])
+    def test_ceiling_exits_two(self, monkeypatch, capsys, kind):
+        monkeypatch.setenv("IQSL2_MAX_N", "4")
+        rc = cli.main(["expand", kind, "--family", "odd", "--n", "5"])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert "exceeds the resource ceiling 4" in err
+        rc = cli.main(["expand", kind, "--family", "odd", "--n", "4"])
+        assert rc == 0

@@ -8,9 +8,36 @@ Two layers:
 * Scalar: a fraction num/den of LaurentPolys with den != 0. Equality is by
   cross-multiplication, so it never depends on how far a representative was
   reduced. Construction still normalizes: the denominator is shifted to touch
-  exponent zero in both variables, joint integer content is removed, a
-  primitive-PRS gcd in Z[q] is divided out when the denominator is
+  exponent zero in both variables, joint integer content is removed, the
+  primitive gcd in Z[q] is divided out when the denominator is
   varsigma-free, and the denominator's leading sign is fixed positive.
+
+Both helpers of that reduction turn dict loops into a few big-integer
+operations.
+
+* Exact division (_div_exact_raw) is by Kronecker substitution (Harvey,
+  J. Symbolic Comput. 2009). After the shift to ordinary polynomials the
+  term c*q^i*v^j goes to slot j*w + i with w = deg_q(a) + 1, and a
+  polynomial is evaluated at q = 2^k, i.e. v = 2^(k*w). Evaluation is a ring
+  map, so if b | a then B | A: a nonzero remainder of one divmod proves
+  that b does not divide a. Otherwise the quotient is read back in balanced
+  base-2^k digits as c, and accepted when deg_q(b) + deg_q(c) < w,
+  max|b| * max|c| * min(len b, len c) < 2^(k-1) and max|a| < 2^(k-1): then
+  b*c and a are packed injectively to the same integer, so b*c == a. When
+  that bound fails the slot is widened, up to a final width at which the
+  true quotient would pass it. That width comes from Mignotte's bound: a
+  factor of a has coefficients at most 2^(its q-degree + its v-degree) times
+  ||a||_2 (the Mahler measure is multiplicative, at least 1 on nonzero
+  integer polynomials and at most the 2-norm). A failed bound at the final
+  width therefore proves that b does not divide a, and the division is
+  always decided.
+* The gcd (_uni_gcd) is the heuristic GCDHEU (Char, Geddes & Gonnet,
+  J. Symbolic Comput. 1989): the integer gcd of both primitive inputs at
+  q = 2^k > 2*min(max|a|, max|b|) + 29, read back in balanced digits; its
+  primitive part is the gcd once a Kronecker division proves that it
+  divides both inputs. After a few wider points it falls back to the
+  primitive PRS. Either way the result is the unique primitive gcd with a
+  positive leading coefficient.
 
 The canonical text form (shared by parse/str round-trips, tables and golden
 files) writes a polynomial as terms ascending by (q-exponent, v-exponent),
@@ -39,47 +66,117 @@ def _min_exps(t):
     return mi, mj
 
 
+# A polynomial that the Kronecker helpers pack is a slot dict {j*w + i: c}
+# for its terms c * q^i * v^j with 0 <= i < w; univariate ones use {i: c}.
+
+
+def _pack(t, k):
+    """Value of the slot dict t at q = 2^k."""
+    return sum([c << (k * s) for s, c in t.items()])
+
+
+def _unpack(x, n, k):
+    """The balanced base-2^k digits of the int x, each in [-2^(k-1), 2^(k-1)),
+    as a slot dict; None when x needs more than n digits."""
+    half = 1 << (k - 1)
+    mask = (1 << k) - 1
+    out = {}
+    for s in range(n):
+        c = x & mask
+        x >>= k
+        if c >= half:
+            c -= mask + 1
+            x += 1
+        if c:
+            out[s] = c
+    return None if x else out
+
+
+_WIDER = object()  # _kron_div could not decide at this slot width
+
+
+def _kron_div(a, b, w, k, dq):
+    """One Kronecker attempt at a/b for slot dicts at slot width k bits.
+
+    Returns the quotient's slot dict, None when b does not divide a, or
+    _WIDER when this width cannot decide. dq is the largest q-exponent the
+    quotient may have; max|a| and max|b| must be below 2^(k-1).
+    """
+    qa, r = divmod(_pack(a, k), _pack(b, k))
+    if r:
+        return None
+    c = _unpack(qa, max(a) - max(b) + 1, k)
+    if c is None or any(s % w > dq for s in c):
+        return _WIDER
+    mb = max(map(abs, b.values()))
+    mc = max(map(abs, c.values()))
+    if mb * mc * min(len(b), len(c)) >> (k - 1):
+        return _WIDER
+    return c
+
+
+def _kron_quotient(a, b, w):
+    """Exact quotient of slot dicts a/b, or None when b does not divide a.
+
+    a and b are polynomials (no negative exponents), a has q-degree w - 1,
+    b has q-degree below w and is nonzero. Always decided: see the module
+    docstring.
+    """
+    if max(a) // w < max(b) // w:
+        return None
+    dq = w - 1 - max(s % w for s in b)
+    mb = max(map(abs, b.values()))
+    lb = len(b).bit_length()
+    # first width: room for quotient coefficients up to about 2^8 * max|a|
+    k = max(map(abs, a.values())).bit_length() + mb.bit_length() + lb + 9
+    final = None
+    while True:
+        c = _kron_div(a, b, w, k, dq)
+        if c is not _WIDER:
+            return c
+        if final is None:
+            # Mignotte: a factor of a has coefficients below
+            # 2^(its q-degree + its v-degree) * ||a||_2
+            dv = max(a) // w - max(b) // w
+            norm = math.isqrt(sum(x * x for x in a.values())) + 1
+            final = mb.bit_length() + dq + dv + norm.bit_length() + lb + 1
+        if k >= final:
+            return None
+        k = min(2 * k, final)
+
+
 def _div_exact_raw(a, b):
     """Exact quotient of term dicts a/b, or None when b does not divide a.
 
-    b must be nonzero. Works for Laurent supports by shifting both operands
-    to ordinary polynomials first; ordinary exact division then proceeds by
-    cancelling lex-leading terms, which must terminate because the leading
-    monomial strictly decreases in the well-ordered lex order on N x N.
+    b must be nonzero. Both operands are shifted to ordinary polynomials
+    and divided by Kronecker substitution (_kron_quotient); a one-term
+    divisor divides coefficient by coefficient.
     """
     if not a:
         return {}
     ai, aj = _min_exps(a)
     bi, bj = _min_exps(b)
-    rem = {(i - ai, j - aj): c for (i, j), c in a.items()}
-    div = {(i - bi, j - bj): c for (i, j), c in b.items()}
-    if len(div) == 1:
-        ((di, dj), dc), = div.items()
+    if len(b) == 1:
+        bc, = b.values()
         out = {}
-        for (i, j), c in rem.items():
-            qc, r = divmod(c, dc)
+        for (i, j), c in a.items():
+            qc, r = divmod(c, bc)
             if r:
                 return None
-            out[(i - di + ai - bi, j - dj + aj - bj)] = qc
+            out[(i - bi, j - bj)] = qc
         return out
-    lead_d = max(div)
-    cd = div[lead_d]
-    quot = {}
-    while rem:
-        lr = max(rem)
-        di = lr[0] - lead_d[0]
-        dj = lr[1] - lead_d[1]
-        if di < 0 or dj < 0:
-            return None
-        qc, r = divmod(rem[lr], cd)
-        if r:
-            return None
-        quot[(di, dj)] = qc
-        rem = _k.ksub(rem, _k.kshift(div, di, dj, qc))
+    w = max(i for i, _ in a) - ai + 1
+    if max(i for i, _ in b) - bi >= w:
+        return None
+    quot = _kron_quotient(
+        {(j - aj) * w + i - ai: c for (i, j), c in a.items()},
+        {(j - bj) * w + i - bi: c for (i, j), c in b.items()},
+        w,
+    )
+    if quot is None:
+        return None
     si, sj = ai - bi, aj - bj
-    if si or sj:
-        quot = _k.kshift(quot, si, sj, 1)
-    return quot
+    return {(s % w + si, s // w + sj): c for s, c in quot.items()}
 
 
 def _uni_primitive(p):
@@ -120,9 +217,34 @@ def _uni_prem(a, b):
     return r
 
 
+def _gcdheu(a, b):
+    """Heuristic gcd of primitive nonzero {exp: int} dicts with a nonzero
+    constant term, or None when it gives up.
+
+    Evaluates both at 2^k > 2*min(max|a|, max|b|) + 29, takes the integer
+    gcd and reads its balanced digits back as a polynomial. The primitive
+    part of that is the gcd as soon as it divides both inputs (Char, Geddes
+    & Gonnet 1989).
+    """
+    bound = 2 * min(max(map(abs, a.values())), max(map(abs, b.values()))) + 29
+    k = bound.bit_length()
+    for _ in range(4):
+        h = math.gcd(_pack(a, k), _pack(b, k))
+        g = _uni_primitive(_unpack(h, h.bit_length() // k + 2, k))
+        if max(g) == 0:
+            return g
+        if max(g) <= min(max(a), max(b)) and all(
+            _kron_quotient(p, g, max(p) + 1) is not None for p in (a, b)
+        ):
+            return g
+        k *= 2
+    return None
+
+
 def _uni_gcd(a, b):
-    """Primitive gcd in Z[q] of two {exp: int} dicts via primitive PRS."""
-    # monomial content first so the PRS sees true polynomials
+    """Primitive gcd in Z[q] of two {exp: int} dicts, positive leading
+    coefficient: GCDHEU, with the primitive PRS as the fallback."""
+    # monomial content first so both see true polynomials
     if a:
         ma = min(a)
         if ma:
@@ -137,6 +259,9 @@ def _uni_gcd(a, b):
         return b
     if not b:
         return a
+    g = _gcdheu(a, b)
+    if g is not None:
+        return g
     if max(a) < max(b):
         a, b = b, a
     while b:

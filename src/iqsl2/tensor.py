@@ -11,7 +11,7 @@ the generator powers memoized. A small triple-tensor helper supports the
 coassociativity checks without a full three-fold element type.
 """
 
-from .coeff import LaurentPoly, Scalar
+from .coeff import Scalar
 from .pbw import UElement, _format_monomial, _mono_mul
 from .sparse import Sparse, _acc, _coerce_scalar
 

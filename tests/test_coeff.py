@@ -1,8 +1,12 @@
 """Laurent polynomial and scalar arithmetic: frozen oracles plus field laws."""
 
+from unittest import mock
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from iqsl2 import coeff
+from iqsl2._kernel import kadd, kmul
 from iqsl2.coeff import LaurentPoly, Scalar
 from iqsl2.errors import (
     DenominatorVanishes,
@@ -66,6 +70,11 @@ def test_exact_div():
     c = mono(0, 2) + q(1)
     assert (b * c).exact_div(b) == c
     assert (b * c).exact_div(c) == b
+    # q^5 would land in the slot of q^2*v when slots are deg_q(a) + 1 wide
+    assert (1 + mono(2, 1)).exact_div(1 + q(5)) is None
+    # packs to (1 + X) * X^2, but the digit X^2 read as q^2 times 1 + q
+    # reaches q^3, past the slot row: no quotient
+    assert (q(2) + vs(1)).exact_div(1 + q(1)) is None
 
 
 def test_str_canonical_grammar():
@@ -222,3 +231,154 @@ def test_reduction_preserves_value(a, b):
         return
     quot = a / b
     assert quot * b == a
+
+
+# --- the reduction helpers: Kronecker exact division and the gcd ---
+
+_BIG = st.dictionaries(
+    st.tuples(st.integers(-3, 4), st.integers(-2, 2)),
+    st.integers(-10**12, 10**12).filter(bool),
+    min_size=1,
+    max_size=6,
+)
+
+
+@given(_BIG, _BIG)
+@settings(deadline=None, max_examples=150)
+def test_div_exact_raw_recovers_cofactor(b, c):
+    assert coeff._div_exact_raw(kmul(b, c), b) == c
+
+
+@given(_BIG, _BIG, st.dictionaries(
+    st.tuples(st.integers(-3, 6), st.integers(-2, 3)),
+    st.integers(-3, 3).filter(bool),
+    max_size=2,
+))
+@settings(deadline=None, max_examples=150)
+def test_div_exact_raw_quotient_is_exact(b, c, noise):
+    # a product, perturbed or not: any quotient returned multiplies back
+    a = kadd(kmul(b, c), noise)
+    quot = coeff._div_exact_raw(a, b)
+    if quot is not None:
+        assert kmul(quot, b) == a
+    if not noise:
+        assert quot == c
+
+
+def _prs_gcd(a, b):
+    """_uni_gcd with the heuristic giving up: the primitive PRS alone."""
+    with mock.patch.object(coeff, "_gcdheu", lambda a, b: None):
+        return coeff._uni_gcd(a, b)
+
+
+def _uni_mul(a, b):
+    return {i: c for (i, _), c in kmul(
+        {(e, 0): c for e, c in a.items()}, {(e, 0): c for e, c in b.items()}
+    ).items()}
+
+
+_UNI = st.dictionaries(
+    st.integers(-3, 5), st.integers(-20, 20).filter(bool), min_size=1, max_size=5
+)
+
+
+@given(_UNI, _UNI, _UNI)
+@settings(deadline=None, max_examples=150)
+def test_uni_gcd_divides_both_and_equals_prs(g, x, y):
+    a, b = _uni_mul(g, x), _uni_mul(g, y)
+    got = coeff._uni_gcd(a, b)
+    assert got == _prs_gcd(a, b)
+    assert got[max(got)] > 0
+    for p in (a, b):
+        assert coeff._div_exact_raw(
+            {(e, 0): c for e, c in p.items()}, {(e, 0): c for e, c in got.items()}
+        ) is not None
+
+
+def _record_kron_div(monkeypatch):
+    """Log (slot width, outcome) of every single-width Kronecker attempt."""
+    log = []
+    real = coeff._kron_div
+
+    def kron_div(a, b, w, k, dq):
+        out = real(a, b, w, k, dq)
+        log.append((k, "wider" if out is coeff._WIDER else out is not None))
+        return out
+
+    monkeypatch.setattr(coeff, "_kron_div", kron_div)
+    return log
+
+
+def test_div_exact_widens_slot_for_large_quotient(monkeypatch):
+    # a = prod_{i<8} (1 - q^(2^i)) has coefficients +-1 (Thue-Morse signs);
+    # a / (1 - q)^8 = prod_{i<8} [2^i]_q has coefficients above 2^20, far
+    # past max|a| * max|b| * 2^8, so the first slot is too narrow
+    a = LaurentPoly.one()
+    cof = LaurentPoly.one()
+    for i in range(8):
+        a = a * (1 - q(2 ** i))
+        cof = cof * sum((q(e) for e in range(2 ** i)), LaurentPoly.zero())
+    b = (1 - q(1)) ** 8
+    log = _record_kron_div(monkeypatch)
+    assert a.exact_div(b) == cof
+    assert max(abs(c) for *_, c in cof.terms()) > 2 ** 20
+    assert [out for _, out in log] == ["wider", True]
+    assert log[0][0] < log[1][0]
+
+
+def test_div_exact_final_width_proves_non_division(monkeypatch):
+    # At the first width 2^15, q^15 - 2 evaluates to a multiple of
+    # 2^15 + 2 although q + 2 does not divide it (its value at -2 is not 0);
+    # the bound rejects the digits, and the final Mignotte width
+    # 2 + 14 + 0 + 2 + 2 + 1 = 21 (bits of max|b|, q- and v-degree of a
+    # quotient, bits of ||a||_2 + 1 and of len(b), sign) decides
+    log = _record_kron_div(monkeypatch)
+    assert (q(15) - 2).exact_div(q(1) + 2) is None
+    assert log == [(15, "wider"), (21, False)]
+
+
+def test_div_exact_undecided_up_to_final_width_is_none(monkeypatch):
+    # if no width could decide, the last one is the Mignotte width, at which
+    # a true quotient always passes: the answer is "does not divide"
+    widths = []
+    monkeypatch.setattr(
+        coeff, "_kron_div", lambda a, b, w, k, dq: widths.append(k) or coeff._WIDER
+    )
+    b = q(1) + 2
+    assert (b * (q(30) - 5)).exact_div(b) is None
+    # first width 4 + 2 + 2 + 9 bits (max|a|, max|b|, len(b), slack), then
+    # double, capped at the Mignotte width 2 + 30 + 0 + 4 + 2 + 1
+    assert widths == [17, 34, 39]
+
+
+def test_gcdheu_retries_at_a_wider_point(monkeypatch):
+    # at 2^6 > 2*3 + 29 the integer gcd of a and b carries a spurious
+    # factor whose digits are no common divisor; the next point finds gcd 1
+    a = {0: 3, 1: 2, 2: 3, 3: 2}
+    b = {0: 2, 1: 1, 2: -3, 3: 3}
+    widths = []
+    real = coeff._pack
+    monkeypatch.setattr(coeff, "_pack", lambda t, k: widths.append(k) or real(t, k))
+    assert coeff._gcdheu(a, b) == {0: 1}
+    assert widths[:2] == [6, 6] and widths[-2:] == [12, 12]
+    assert _prs_gcd(a, b) == {0: 1}
+
+
+def test_uni_gcd_falls_back_to_prs(monkeypatch):
+    cases = [
+        ({0: 1, 2: -1}, {0: -1, 1: 1}),
+        ({1: 3, 2: 6, 3: 3}, {0: 2, 1: 2}),
+        ({0: 3, 1: 2, 2: 3, 3: 2}, {0: 2, 1: 1, 2: -3, 3: 3}),
+        ({-2: 4, 0: -4}, {5: 7}),
+        ({}, {0: -6, 1: 3}),
+    ]
+    expected = [coeff._uni_gcd(a, b) for a, b in cases]
+    assert expected == [{0: -1, 1: 1}, {0: 1, 1: 1}, {0: 1}, {0: 1}, {0: -2, 1: 1}]
+    prem_calls = []
+    real = coeff._uni_prem
+    monkeypatch.setattr(coeff, "_gcdheu", lambda a, b: None)
+    monkeypatch.setattr(
+        coeff, "_uni_prem", lambda a, b: prem_calls.append(1) or real(a, b)
+    )
+    assert [coeff._uni_gcd(a, b) for a, b in cases] == expected
+    assert prem_calls

@@ -13,7 +13,6 @@ from iqsl2.idp import (
     PARITIES,
     BPolynomial,
     comult_closed,
-    comult_closed_reversed,
     comult_direct,
     comult_theorem,
     comult_theorem_reversed,

@@ -1,7 +1,6 @@
 """PBW rewriting: pinned relations, normal form laws, chi, h-binomials."""
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from iqsl2.coeff import LaurentPoly, Scalar
 from iqsl2.errors import RequiresSpecialized

@@ -20,11 +20,11 @@ coefficients = st.integers(min_value=-9, max_value=9)
 
 
 @st.composite
-def laurent_polys(draw, max_terms=5):
+def laurent_polys(draw, max_terms=5, v_exponents=exponents):
     n = draw(st.integers(min_value=0, max_value=max_terms))
     terms = {}
     for _ in range(n):
-        key = (draw(exponents), draw(exponents))
+        key = (draw(exponents), draw(v_exponents))
         terms[key] = draw(coefficients)
     return LaurentPoly(terms)
 
@@ -129,6 +129,56 @@ class TestScalarField:
             return
         assert s_sum == sa + sb
         assert s_prod == sa * sb
+
+
+def _divide(p, m):
+    """Quotient of ascending integer coefficient lists p / m, m monic."""
+    p = list(p)
+    out = [0] * (len(p) - len(m) + 1)
+    for i in reversed(range(len(out))):
+        out[i] = c = p[i + len(m) - 1]
+        for j, mc in enumerate(m):
+            p[i + j] -= c * mc
+    assert not any(p)
+    return out
+
+
+def _cyclotomic_lists(top):
+    """Phi_d for d <= top: q^d - 1 divided by Phi_e for each proper divisor e."""
+    out = {}
+    for d in range(1, top + 1):
+        p = [-1] + [0] * (d - 1) + [1]
+        for e in range(1, d):
+            if d % e == 0:
+                p = _divide(p, out[e])
+        out[d] = p
+    return out
+
+
+CYCLOTOMIC = {
+    d: LaurentPoly({(i, 0): c for i, c in enumerate(p)})
+    for d, p in _cyclotomic_lists(20).items()
+}
+
+
+class TestCanonicalReduction:
+    """A common cyclotomic factor cancels to the same text, not just an
+    equal value: the reduced form is canonical."""
+
+    def test_cyclotomic_table(self):
+        assert str(CYCLOTOMIC[12]) == "1 - q^2 + q^4"
+        assert str(CYCLOTOMIC[20]) == "1 - q^2 + q^4 - q^6 + q^8"
+
+    @given(laurent_polys(),
+           laurent_polys(v_exponents=st.just(0)).filter(bool),
+           st.sampled_from(sorted(CYCLOTOMIC)),
+           st.sampled_from(sorted(CYCLOTOMIC)))
+    def test_common_factor_cancels_to_same_text(self, a, b, d, e):
+        c = CYCLOTOMIC[d] * CYCLOTOMIC[e]
+        assert str(Scalar(a * c, b * c)) == str(Scalar(a, b))
+        assert str(Scalar(a * c, b * CYCLOTOMIC[d])) == str(
+            Scalar(a * CYCLOTOMIC[e], b)
+        )
 
 
 class TestUElementAlgebra:

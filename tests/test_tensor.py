@@ -1,6 +1,6 @@
 """Coproduct: algebra map, coassociativity, divided-power law."""
 
-from iqsl2.coeff import LaurentPoly, Scalar
+from iqsl2.coeff import Scalar
 from iqsl2.pbw import UElement, divided_power, u_gen
 from iqsl2.tensor import (
     TensorElement,

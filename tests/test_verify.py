@@ -1,7 +1,6 @@
 """Tests for the verification suites, table emitter, and expansion helpers."""
 
 import json
-import os
 import pathlib
 
 import pytest

@@ -7,6 +7,7 @@ exact Laurent-polynomial arithmetic. The verify module exposes the check
 suites; the cli module exposes them as the `iqsl2` command.
 """
 
+from . import coeff, idp, pbw, qcomb, tensor
 from ._kernel import BACKEND as KERNEL_BACKEND
 from .coeff import LaurentPoly, Scalar
 from .errors import (
@@ -50,6 +51,7 @@ from .verify import (
 
 __all__ = [
     "KERNEL_BACKEND",
+    "clear_caches",
     "LaurentPoly",
     "Scalar",
     "IqslError",
@@ -96,3 +98,31 @@ __all__ = [
 ]
 
 __version__ = "0.1.0"
+
+
+def clear_caches():
+    """Empty every memo cache of the package, in place.
+
+    The caches hold normal-form products, coproducts of monomials, closed
+    and recursive divided powers, powers of B and of the coproducts of E
+    and F, q-powers and quantum integers, factorials and binomials. They
+    only grow, by the orders a process has asked for; clearing them frees
+    that memory and changes no result.
+    """
+    for cache in (
+        pbw._MONO_CACHE,
+        pbw._CDIV_CACHE,
+        pbw._HBINOM_CACHE,
+        tensor._DELTA_MONO_CACHE,
+        idp._CLOSED_CACHE,
+        idp._REC_CACHE,
+        coeff._QPOW,
+    ):
+        cache.clear()
+    # power tables keep their zeroth power, the seed of their recursion
+    for powers in (idp._B_PBW_POW, tensor._DELTA_E_POW, tensor._DELTA_F_POW):
+        one = powers[0]
+        powers.clear()
+        powers[0] = one
+    for fn in (qcomb.qint, qcomb.qfact, qcomb.qbinom):
+        fn.cache_clear()

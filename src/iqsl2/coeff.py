@@ -4,7 +4,8 @@ Two layers:
 
 * LaurentPoly: an element of Z[q^{+-1}, varsigma^{+-1}], stored as a sparse
   dict mapping (q-exponent, varsigma-exponent) to nonzero int. The dict
-  kernels live in _kernel_py.
+  kernels live in _kernel_py; its kmul multiplies large operands by
+  Kronecker substitution.
 * Scalar: a fraction num/den of LaurentPolys with den != 0. Equality is by
   cross-multiplication, so it never depends on how far a representative was
   reduced. Construction still normalizes: the denominator is shifted to touch
@@ -13,15 +14,19 @@ Two layers:
   varsigma-free, and the denominator's leading sign is fixed positive.
 
 Both helpers of that reduction turn dict loops into a few big-integer
-operations.
+operations. They share the slot layout (_to_slots, _from_slots) and the
+pack/unpack pair (_pack: evaluate at q = 2^k; _unpack: balanced base-2^k
+digits) with kmul in _kernel_py.
 
 * Exact division (_div_exact_raw) is by Kronecker substitution (Harvey,
   J. Symbolic Comput. 2009). After the shift to ordinary polynomials the
   term c*q^i*v^j goes to slot j*w + i with w = deg_q(a) + 1, and a
-  polynomial is evaluated at q = 2^k, i.e. v = 2^(k*w). Evaluation is a ring
-  map, so if b | a then B | A: a nonzero remainder of one divmod proves
-  that b does not divide a. Otherwise the quotient is read back in balanced
-  base-2^k digits as c, and accepted when deg_q(b) + deg_q(c) < w,
+  polynomial is evaluated at q = 2^k, i.e. v = 2^(k*w). Unlike a product's,
+  a quotient's coefficients have no bound known in advance, so each width
+  is checked. Evaluation is a ring map, so if b | a then B | A: a nonzero
+  remainder of one divmod proves that b does not divide a. Otherwise the
+  quotient is read back in balanced base-2^k digits as c, and accepted
+  when deg_q(b) + deg_q(c) < w,
   max|b| * max|c| * min(len b, len c) < 2^(k-1) and max|a| < 2^(k-1): then
   b*c and a are packed injectively to the same integer, so b*c == a. When
   that bound fails the slot is widened, up to a final width at which the
@@ -50,6 +55,7 @@ bare, exponent 0 factors dropped, terms joined by ` + ` / ` - `. Examples:
 import math
 
 from . import _kernel as _k
+from ._kernel_py import _from_slots, _pack, _to_slots, _unpack
 from .errors import (
     DenominatorVanishes,
     DivisionByZero,
@@ -64,32 +70,6 @@ def _min_exps(t):
     mi = min(i for i, _ in t)
     mj = min(j for _, j in t)
     return mi, mj
-
-
-# A polynomial that the Kronecker helpers pack is a slot dict {j*w + i: c}
-# for its terms c * q^i * v^j with 0 <= i < w; univariate ones use {i: c}.
-
-
-def _pack(t, k):
-    """Value of the slot dict t at q = 2^k."""
-    return sum([c << (k * s) for s, c in t.items()])
-
-
-def _unpack(x, n, k):
-    """The balanced base-2^k digits of the int x, each in [-2^(k-1), 2^(k-1)),
-    as a slot dict; None when x needs more than n digits."""
-    half = 1 << (k - 1)
-    mask = (1 << k) - 1
-    out = {}
-    for s in range(n):
-        c = x & mask
-        x >>= k
-        if c >= half:
-            c -= mask + 1
-            x += 1
-        if c:
-            out[s] = c
-    return None if x else out
 
 
 _WIDER = object()  # _kron_div could not decide at this slot width
@@ -168,15 +148,10 @@ def _div_exact_raw(a, b):
     w = max(i for i, _ in a) - ai + 1
     if max(i for i, _ in b) - bi >= w:
         return None
-    quot = _kron_quotient(
-        {(j - aj) * w + i - ai: c for (i, j), c in a.items()},
-        {(j - bj) * w + i - bi: c for (i, j), c in b.items()},
-        w,
-    )
+    quot = _kron_quotient(_to_slots(a, ai, aj, w), _to_slots(b, bi, bj, w), w)
     if quot is None:
         return None
-    si, sj = ai - bi, aj - bj
-    return {(s % w + si, s // w + sj): c for s, c in quot.items()}
+    return _from_slots(quot, w, ai - bi, aj - bj)
 
 
 def _uni_primitive(p):

@@ -233,6 +233,83 @@ def test_reduction_preserves_value(a, b):
     assert quot * b == a
 
 
+# --- kmul: dict convolution for small operands, Kronecker substitution above ---
+
+
+def _schoolbook(a, b):
+    """Reference product of term dicts, independent of the kernel."""
+    out = {}
+    for (i1, j1), c1 in a.items():
+        for (i2, j2), c2 in b.items():
+            k = (i1 + i2, j1 + j2)
+            out[k] = out.get(k, 0) + c1 * c2
+    return {k: c for k, c in out.items() if c}
+
+
+_TERMS = st.dictionaries(
+    st.tuples(st.integers(-12, 12), st.integers(-3, 3)),
+    st.one_of(st.integers(-2, 2), st.integers(-10**30, 10**30)).filter(bool),
+    min_size=1,
+    max_size=40,
+)
+
+
+@given(_TERMS, _TERMS)
+@settings(deadline=None, max_examples=100)
+def test_kmul_equals_schoolbook(a, b):
+    assert kmul(a, b) == _schoolbook(a, b)
+
+
+def _row(n, c=1, j=0, i0=0):
+    """c * (q^i0 + q^(i0+1) + ... + q^(i0+n-1)) * v^j as a term dict."""
+    return {(i0 + i, j): c for i in range(n)}
+
+
+def test_kmul_cancellation_leaves_no_zero_terms():
+    # a product of nonzero polynomials is never zero, but its terms may
+    # cancel: (1 + q + ... + q^64)(1 - q) = 1 - q^65, 130 term pairs
+    a = _row(65)
+    assert kmul(a, {(0, 0): 1, (1, 0): -1}) == {(0, 0): 1, (65, 0): -1}
+    # P(q)(1 + v) * Q(q)(1 - v) = PQ(1 - v^2): the whole v^1 row cancels
+    p = {**_row(12, 3, 0, -5), **_row(12, 3, 1, -5)}
+    r = {**_row(12, 1, 0, 2), **_row(12, -1, 1, 2)}
+    got = kmul(p, r)
+    assert got == _schoolbook(p, r)
+    assert {j for _, j in got} == {0, 2}
+    assert all(got.values())
+
+
+def test_kmul_empty_and_one_term_operands():
+    big = _row(40, 7, -2, -9)
+    assert kmul({}, big) == kmul(big, {}) == kmul({}, {}) == {}
+    one = {(3, -2): -5}
+    shifted = {(i + 3, j - 2): -5 * c for (i, j), c in big.items()}
+    assert kmul(one, big) == kmul(big, one) == shifted
+    assert kmul(one, one) == {(6, -4): 25}
+
+
+def test_kmul_bivariate_slots_wrap_across_v_rows():
+    # q-span 10 in each operand, 20 in the product: with slot rows only as
+    # wide as one operand, q^20 would land in the next v row
+    a = {(i, j): i - 3 * j + 1 or 7 for i in range(-4, 7) for j in range(-1, 2)}
+    b = {(i, j): 2 * j - i or -1 for i in range(3, 14) for j in range(2, 5)}
+    assert len(a) * len(b) > 128
+    got = kmul(a, b)
+    assert got == _schoolbook(a, b)
+    assert max(i for i, _ in got) - min(i for i, _ in got) == 20
+
+
+@pytest.mark.parametrize("ca, cb", [(1, 1), (5, -3), (-(2**40) - 1, 2**40 + 3)])
+def test_kmul_coefficients_at_the_bound(ca, cb):
+    # the middle coefficient of (ca * row)(cb * row) is
+    # max|a| * max|b| * min(len a, len b), the bound the slot width is cut to
+    a, b = _row(16, ca, 1, -8), _row(16, cb, -1)
+    got = kmul(a, b)
+    assert got == _schoolbook(a, b)
+    assert got[(7, 0)] == ca * cb * 16
+    assert max(map(abs, got.values())) == abs(ca * cb) * 16
+
+
 # --- the reduction helpers: Kronecker exact division and the gcd ---
 
 _BIG = st.dictionaries(
@@ -246,7 +323,7 @@ _BIG = st.dictionaries(
 @given(_BIG, _BIG)
 @settings(deadline=None, max_examples=150)
 def test_div_exact_raw_recovers_cofactor(b, c):
-    assert coeff._div_exact_raw(kmul(b, c), b) == c
+    assert coeff._div_exact_raw(_schoolbook(b, c), b) == c
 
 
 @given(_BIG, _BIG, st.dictionaries(
@@ -257,10 +334,10 @@ def test_div_exact_raw_recovers_cofactor(b, c):
 @settings(deadline=None, max_examples=150)
 def test_div_exact_raw_quotient_is_exact(b, c, noise):
     # a product, perturbed or not: any quotient returned multiplies back
-    a = kadd(kmul(b, c), noise)
+    a = kadd(_schoolbook(b, c), noise)
     quot = coeff._div_exact_raw(a, b)
     if quot is not None:
-        assert kmul(quot, b) == a
+        assert _schoolbook(quot, b) == a
     if not noise:
         assert quot == c
 
@@ -272,7 +349,7 @@ def _prs_gcd(a, b):
 
 
 def _uni_mul(a, b):
-    return {i: c for (i, _), c in kmul(
+    return {i: c for (i, _), c in _schoolbook(
         {(e, 0): c for e, c in a.items()}, {(e, 0): c for e, c in b.items()}
     ).items()}
 

@@ -78,6 +78,25 @@ class TestLaurentRing:
         if (a * b).is_zero():
             assert a.is_zero() or b.is_zero()
 
+    # up to 24 terms a side: most products pass kmul's limit of 128 term
+    # pairs for the dict convolution and go by Kronecker substitution
+    @settings(max_examples=25)
+    @given(laurent_polys(max_terms=24), laurent_polys(max_terms=24))
+    def test_multiplication_commutes_large(self, a, b):
+        assert a * b == b * a
+
+    @settings(max_examples=25)
+    @given(laurent_polys(max_terms=24), laurent_polys(max_terms=24),
+           laurent_polys(max_terms=24))
+    def test_multiplication_associates_large(self, a, b, c):
+        assert (a * b) * c == a * (b * c)
+
+    @settings(max_examples=25)
+    @given(laurent_polys(max_terms=24), laurent_polys(max_terms=24),
+           laurent_polys(max_terms=24))
+    def test_distributivity_large(self, a, b, c):
+        assert a * (b + c) == a * b + a * c
+
     @given(laurent_polys())
     def test_serialization_roundtrip(self, a):
         assert LaurentPoly.parse(str(a)) == a

@@ -5,6 +5,8 @@ import pathlib
 
 import pytest
 
+import iqsl2
+from iqsl2 import coeff, idp, pbw, qcomb, tensor
 from iqsl2.errors import NegativeInput, ResourceLimit, UnknownSuite
 from iqsl2.pbw import UElement
 from iqsl2.tensor import TensorElement
@@ -275,3 +277,43 @@ class TestGoldenFiles:
         assert len(golden_mult_lines("odd")) == 24
         assert len(golden_comult_lines("ev")) == 2
         assert len(golden_comult_lines("odd")) == 2
+
+
+class TestClearCaches:
+    """iqsl2.clear_caches empties every memo cache and changes no result."""
+
+    SUITES_RUN = (("comult-odd", 3), ("mult-even", 4), ("pbw-core", 3))
+    MEMOS = (
+        (pbw, "_MONO_CACHE"), (pbw, "_CDIV_CACHE"), (pbw, "_HBINOM_CACHE"),
+        (tensor, "_DELTA_MONO_CACHE"), (idp, "_CLOSED_CACHE"),
+        (idp, "_REC_CACHE"), (coeff, "_QPOW"),
+    )
+    # power tables keep their zeroth power, the seed of their recursion
+    POWERS = ((idp, "_B_PBW_POW"), (tensor, "_DELTA_E_POW"), (tensor, "_DELTA_F_POW"))
+    LRU = (qcomb.qint, qcomb.qfact, qcomb.qbinom)
+
+    def _reports(self):
+        out = []
+        for name, bound in self.SUITES_RUN:
+            report = run_suite(name, bound).to_json_dict()
+            report.pop("wall_time_s")
+            out.append(json.dumps(report, sort_keys=True))
+        return out
+
+    def _sizes(self):
+        tables = self.MEMOS + self.POWERS
+        sizes = {f"{m.__name__}.{a}": len(getattr(m, a)) for m, a in tables}
+        sizes.update({fn.__name__: fn.cache_info().currsize for fn in self.LRU})
+        return sizes
+
+    def test_clear_keeps_reports_and_empties_caches(self):
+        tables = self.MEMOS + self.POWERS
+        objects = [getattr(m, a) for m, a in tables]
+        first = self._reports()
+        assert all(self._sizes().values())
+        iqsl2.clear_caches()
+        powers = {f"{m.__name__}.{a}" for m, a in self.POWERS}
+        assert self._sizes() == {name: int(name in powers) for name in self._sizes()}
+        # cleared in place: the module attributes are the same objects
+        assert all(getattr(m, a) is o for (m, a), o in zip(tables, objects))
+        assert self._reports() == first

@@ -124,5 +124,5 @@ def clear_caches():
         one = powers[0]
         powers.clear()
         powers[0] = one
-    for fn in (qcomb.qint, qcomb.qfact, qcomb.qbinom):
+    for fn in qcomb._LRU_CACHED:
         fn.cache_clear()

@@ -13,10 +13,10 @@ Two layers:
   primitive gcd in Z[q] is divided out when the denominator is
   varsigma-free, and the denominator's leading sign is fixed positive.
 
-Both helpers of that reduction turn dict loops into a few big-integer
-operations. They share the slot layout (_to_slots, _from_slots) and the
-pack/unpack pair (_pack: evaluate at q = 2^k; _unpack: balanced base-2^k
-digits) with kmul in _kernel_py.
+Exact division and the reduction's gcd turn dict loops into a few
+big-integer operations. They share the slot layout (_to_slots,
+_from_slots) and the pack/unpack pair (_pack: evaluate at q = 2^k;
+_unpack: balanced base-2^k digits) with kmul in _kernel_py.
 
 * Exact division (_div_exact_raw) is by Kronecker substitution (Harvey,
   J. Symbolic Comput. 2009). After the shift to ordinary polynomials the
@@ -37,12 +37,34 @@ digits) with kmul in _kernel_py.
   width therefore proves that b does not divide a, and the division is
   always decided.
 * The gcd (_uni_gcd) is the heuristic GCDHEU (Char, Geddes & Gonnet,
-  J. Symbolic Comput. 1989): the integer gcd of both primitive inputs at
-  q = 2^k > 2*min(max|a|, max|b|) + 29, read back in balanced digits; its
-  primitive part is the gcd once a Kronecker division proves that it
-  divides both inputs. After a few wider points it falls back to the
-  primitive PRS. Either way the result is the unique primitive gcd with a
-  positive leading coefficient.
+  J. Symbolic Comput. 1989), run once on a list: the denominator and every
+  v-slice of the numerator, each divided by its lowest power of q. It
+  returns the primitive gcd g and the cofactors p_i / g, from which
+  _reduce builds the reduced fraction without a division. Every p_i is
+  evaluated at xi = 2^k > 2*max_i ||p_i||_inf + 29, so all input
+  coefficients lie inside the digit range (-xi/2, xi/2), and one integer
+  gcd h of the values is taken. If h < xi/2 its digits are a constant: the
+  gcd is 1 and the inputs are their own cofactors. Otherwise the balanced
+  digits gamma of h give the candidate g = pp(gamma), leading coefficient
+  positive, and h / cont(gamma) = g(xi) divides every p_i(xi). The
+  cofactor c_i is the balanced digits of p_i(xi) / g(xi), so g*c_i and p_i
+  agree at xi. When ||g||_2^2 * ||c_i||_2^2 < 2^(2k-2), Cauchy-Schwarz puts
+  every coefficient of g*c_i inside the digit range too; both are then the
+  same balanced expansion and g*c_i == p_i. Otherwise kmul checks
+  g*c_i == p_i exactly. Once g divides every input it is their gcd: the
+  primitive gcd is g*f for some f, and since it divides every p_i its
+  value at xi divides h, so f(xi) divides cont(gamma), which is at most
+  xi/2 in absolute value. A nonconstant f divides each p_i, whose roots
+  lie below 1 + ||p_i||_inf < xi/2 in absolute value, so |f(xi)| > xi/2:
+  f is 1. The argument uses one input's norm only, so it holds for a list
+  as for a pair. After four points (k doubles each time) the primitive
+  PRS runs instead and _kron_quotient gives the cofactors. Either way g is
+  the unique primitive gcd with a positive leading coefficient.
+
+For a varsigma-free denominator the reduced form is unique: shifted to
+touch q^0 and v^0, joint content removed, no nonconstant common factor of
+the denominator and the numerator's v-slices left, leading sign fixed. So
+how the gcd and the cofactors are found never changes the output.
 
 The canonical text form (shared by parse/str round-trips, tables and golden
 files) writes a polynomial as terms ascending by (q-exponent, v-exponent),
@@ -192,57 +214,64 @@ def _uni_prem(a, b):
     return r
 
 
-def _gcdheu(a, b):
-    """Heuristic gcd of primitive nonzero {exp: int} dicts with a nonzero
-    constant term, or None when it gives up.
+# evaluation points GCDHEU tries, doubling k each time, before the PRS
+_HEU_POINTS = 4
 
-    Evaluates both at 2^k > 2*min(max|a|, max|b|) + 29, takes the integer
-    gcd and reads its balanced digits back as a polynomial. The primitive
-    part of that is the gcd as soon as it divides both inputs (Char, Geddes
-    & Gonnet 1989).
+
+def _uni_gcd(polys):
+    """Primitive gcd g in Z[q] of nonzero {exp: int} dicts with minimum
+    exponent 0, positive leading coefficient, and the cofactors p / g.
+
+    Returns (g, [p / g for p in polys]); when g is 1 the cofactors are the
+    inputs themselves. GCDHEU (see the module docstring), with the
+    primitive PRS as the fallback.
     """
-    bound = 2 * min(max(map(abs, a.values())), max(map(abs, b.values()))) + 29
-    k = bound.bit_length()
-    for _ in range(4):
-        h = math.gcd(_pack(a, k), _pack(b, k))
-        g = _uni_primitive(_unpack(h, h.bit_length() // k + 2, k))
-        if max(g) == 0:
-            return g
-        if max(g) <= min(max(a), max(b)) and all(
-            _kron_quotient(p, g, max(p) + 1) is not None for p in (a, b)
-        ):
-            return g
+    k = (2 * max(max(map(abs, p.values())) for p in polys) + 29).bit_length()
+    for _ in range(_HEU_POINTS):
+        vals = [_pack(p, k) for p in polys]
+        h = math.gcd(*vals)
+        if not h >> (k - 1):
+            return {0: 1}, polys
+        gam = _unpack(h, h.bit_length() // k + 2, k)
+        cont = math.gcd(*gam.values())
+        if gam[max(gam)] < 0:
+            cont = -cont
+        g = {e: c // cont for e, c in gam.items()}
+        h //= cont
+        dg = max(g)
+        # g * c has coefficients below ||g||_2 * ||c||_2 (Cauchy-Schwarz)
+        g2 = sum(c * c for c in g.values())
+        cofs = []
+        for p, x in zip(polys, vals):
+            # None when c would need more digits than deg p - deg g + 1
+            c = _unpack(x // h, max(p) - dg + 1, k)
+            if c is None or (
+                g2 * sum(v * v for v in c.values()) >> (2 * k - 2)
+                and _k.kmul(_uni_terms(g), _uni_terms(c)) != _uni_terms(p)
+            ):
+                break
+            cofs.append(c)
+        else:
+            return g, cofs
         k *= 2
-    return None
+    g = _uni_primitive(polys[0])
+    for p in polys[1:]:
+        if not max(g):
+            break
+        a, b = g, _uni_primitive(p)
+        if max(a) < max(b):
+            a, b = b, a
+        while b:
+            a, b = b, _uni_primitive(_uni_prem(a, b))
+        g = a
+    if not max(g):
+        return {0: 1}, polys
+    return g, [_kron_quotient(p, g, max(p) + 1) for p in polys]
 
 
-def _uni_gcd(a, b):
-    """Primitive gcd in Z[q] of two {exp: int} dicts, positive leading
-    coefficient: GCDHEU, with the primitive PRS as the fallback."""
-    # monomial content first so both see true polynomials
-    if a:
-        ma = min(a)
-        if ma:
-            a = {e - ma: c for e, c in a.items()}
-    if b:
-        mb = min(b)
-        if mb:
-            b = {e - mb: c for e, c in b.items()}
-    a = _uni_primitive(dict(a))
-    b = _uni_primitive(dict(b))
-    if not a:
-        return b
-    if not b:
-        return a
-    g = _gcdheu(a, b)
-    if g is not None:
-        return g
-    if max(a) < max(b):
-        a, b = b, a
-    while b:
-        r = _uni_prem(a, b)
-        a, b = b, _uni_primitive(r)
-    return a
+def _uni_terms(p):
+    """The v-free term dict {(e, 0): c} of the univariate dict p."""
+    return {(e, 0): c for e, c in p.items()}
 
 
 def _term_body(i, j):
@@ -527,37 +556,27 @@ def _reduce(n, d):
     else:
         n = dict(n)
         d = dict(d)
-    g = 0
-    for c in n.values():
-        g = math.gcd(g, c)
-    for c in d.values():
-        g = math.gcd(g, c)
-        if g == 1:
-            break
-    if g > 1:
-        n = {k: c // g for k, c in n.items()}
-        d = {k: c // g for k, c in d.items()}
+    cont = math.gcd(*n.values(), *d.values())
+    if cont > 1:
+        n = {k: c // cont for k, c in n.items()}
+        d = {k: c // cont for k, c in d.items()}
     if len(d) > 1 and all(j == 0 for _, j in d):
-        du = {i: c for (i, _), c in d.items()}
-        guni = du
         slices = {}
         for (i, j), c in n.items():
             slices.setdefault(j, {})[i] = c
-        for sl in slices.values():
-            guni = _uni_gcd(guni, sl)
-            if guni and max(guni) == min(guni):
-                guni = None
-                break
-        if guni and max(guni) > 0:
-            glp = {(e, 0): c for e, c in guni.items()}
-            n2 = _div_exact_raw(n, glp)
-            d2 = _div_exact_raw(d, glp)
-            if n2 is not None and d2 is not None:
-                n, d = n2, d2
-                mi, mj = _min_exps(d)
-                if mi or mj:
-                    n = _k.kshift(n, -mi, -mj, 1)
-                    d = _k.kshift(d, -mi, -mj, 1)
+        # the gcd's inputs: d, then each slice divided by its lowest q-power
+        polys = [{i: c for (i, _), c in d.items()}]
+        lows = []
+        for j, sl in slices.items():
+            m = min(sl)
+            lows.append((j, m))
+            polys.append({i - m: c for i, c in sl.items()} if m else sl)
+        g, cofs = _uni_gcd(polys)
+        if max(g):
+            # d has a nonzero constant term, so d / g has one too: no shift
+            d = _uni_terms(cofs[0])
+            n = {(i + m, j): c
+                 for (j, m), cof in zip(lows, cofs[1:]) for i, c in cof.items()}
     if d[max(d)] < 0:
         n = _k.kneg(n)
         d = _k.kneg(d)

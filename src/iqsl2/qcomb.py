@@ -58,3 +58,8 @@ def qbinom(m, n):
     q = out.exact_div(qint(n))
     assert q is not None, "quantum Pascal step must divide exactly"
     return q
+
+
+# the cached functions themselves, which clear_caches empties: the module
+# names may be rebound, for instance to a profiler's plain wrappers
+_LRU_CACHED = (qint, qfact, qbinom)

@@ -342,10 +342,10 @@ def test_div_exact_raw_quotient_is_exact(b, c, noise):
         assert quot == c
 
 
-def _prs_gcd(a, b):
-    """_uni_gcd with the heuristic giving up: the primitive PRS alone."""
-    with mock.patch.object(coeff, "_gcdheu", lambda a, b: None):
-        return coeff._uni_gcd(a, b)
+def _prs_gcd(polys):
+    """_uni_gcd with the heuristic trying no point: the primitive PRS alone."""
+    with mock.patch.object(coeff, "_HEU_POINTS", 0):
+        return coeff._uni_gcd(polys)
 
 
 def _uni_mul(a, b):
@@ -354,22 +354,44 @@ def _uni_mul(a, b):
     ).items()}
 
 
+def _low0(p):
+    """p divided by its lowest power of q, as _uni_gcd expects its inputs."""
+    m = min(p)
+    return {e - m: c for e, c in p.items()}
+
+
+def _assert_gcd_and_cofactors(polys, got):
+    g, cofs = got
+    assert g[max(g)] > 0
+    assert len(cofs) == len(polys)
+    for p, c in zip(polys, cofs):
+        assert _uni_mul(g, c) == p
+
+
 _UNI = st.dictionaries(
     st.integers(-3, 5), st.integers(-20, 20).filter(bool), min_size=1, max_size=5
 )
 
 
-@given(_UNI, _UNI, _UNI)
+@given(_UNI, st.lists(_UNI, min_size=1, max_size=4))
 @settings(deadline=None, max_examples=150)
-def test_uni_gcd_divides_both_and_equals_prs(g, x, y):
-    a, b = _uni_mul(g, x), _uni_mul(g, y)
-    got = coeff._uni_gcd(a, b)
-    assert got == _prs_gcd(a, b)
-    assert got[max(got)] > 0
-    for p in (a, b):
-        assert coeff._div_exact_raw(
-            {(e, 0): c for e, c in p.items()}, {(e, 0): c for e, c in got.items()}
-        ) is not None
+def test_uni_gcd_divides_both_and_equals_prs(g, xs):
+    # a drawn common factor g, which carries content and a power of q in
+    # general; the gcd is its primitive part times whatever the xs share
+    polys = [_low0(_uni_mul(g, x)) for x in xs]
+    got = coeff._uni_gcd(polys)
+    prs = _prs_gcd(polys)
+    assert got[0] == prs[0]
+    _assert_gcd_and_cofactors(polys, got)
+    _assert_gcd_and_cofactors(polys, prs)
+
+
+def test_uni_gcd_cofactors_on_a_known_factorization():
+    # 2(1 + q) and 4(1 + q)(1 - q): the integer gcd at the point carries
+    # content 2, which the gcd drops and the cofactors keep
+    g, cofs = coeff._uni_gcd([{0: 2, 1: 2}, {0: 4, 2: -4}])
+    assert g == {0: 1, 1: 1}
+    assert cofs == [{0: 2}, {0: 4, 1: -4}]
 
 
 def _record_kron_div(monkeypatch):
@@ -428,34 +450,62 @@ def test_div_exact_undecided_up_to_final_width_is_none(monkeypatch):
     assert widths == [17, 34, 39]
 
 
-def test_gcdheu_retries_at_a_wider_point(monkeypatch):
-    # at 2^6 > 2*3 + 29 the integer gcd of a and b carries a spurious
-    # factor whose digits are no common divisor; the next point finds gcd 1
-    a = {0: 3, 1: 2, 2: 3, 3: 2}
-    b = {0: 2, 1: 1, 2: -3, 3: 3}
+def _record_pack_widths(monkeypatch):
     widths = []
     real = coeff._pack
     monkeypatch.setattr(coeff, "_pack", lambda t, k: widths.append(k) or real(t, k))
-    assert coeff._gcdheu(a, b) == {0: 1}
-    assert widths[:2] == [6, 6] and widths[-2:] == [12, 12]
-    assert _prs_gcd(a, b) == {0: 1}
+    return widths
+
+
+def test_gcdheu_retries_at_a_wider_point(monkeypatch):
+    # at 2^6 > 2*3 + 29 the integer gcd of a and b is 131, whose digits
+    # 3 + 2q divide a but not b (the cofactor digits of b(2^6) / 131 fail
+    # the check); the next point finds gcd 1
+    a = {0: 3, 1: 2, 2: 3, 3: 2}
+    b = {0: 2, 1: 1, 2: -3, 3: 3}
+    widths = _record_pack_widths(monkeypatch)
+    assert coeff._uni_gcd([a, b]) == ({0: 1}, [a, b])
+    assert widths == [6, 6, 12, 12]
+    assert _prs_gcd([a, b]) == ({0: 1}, [a, b])
+
+
+def test_gcdheu_kmul_decides_when_the_norm_bound_fails(monkeypatch):
+    # at 2^5 > 2*1 + 29, gcd(2^5 - 1, 2^640 - 1) = 31 reads back as q - 1;
+    # the cofactor 1 + q + ... + q^127 of q^128 - 1 has ||g||_2^2 *
+    # ||c||_2^2 = 2 * 128 = 2^(2*5 - 2), not below it, so kmul checks it
+    widths = _record_pack_widths(monkeypatch)
+    products = []
+    real = coeff._k.kmul
+    monkeypatch.setattr(
+        coeff._k, "kmul", lambda a, b: products.append(len(a) * len(b)) or real(a, b)
+    )
+    got = coeff._uni_gcd([{0: -1, 1: 1}, {0: -1, 128: 1}])
+    assert got == ({0: -1, 1: 1}, [{0: 1}, {i: 1 for i in range(128)}])
+    assert widths == [5, 5]
+    assert products == [2 * 128]
 
 
 def test_uni_gcd_falls_back_to_prs(monkeypatch):
     cases = [
-        ({0: 1, 2: -1}, {0: -1, 1: 1}),
-        ({1: 3, 2: 6, 3: 3}, {0: 2, 1: 2}),
-        ({0: 3, 1: 2, 2: 3, 3: 2}, {0: 2, 1: 1, 2: -3, 3: 3}),
-        ({-2: 4, 0: -4}, {5: 7}),
-        ({}, {0: -6, 1: 3}),
+        [{0: 1, 2: -1}, {0: -1, 1: 1}],
+        [{0: 3, 1: 6, 2: 3}, {0: 2, 1: 2}],
+        [{0: 3, 1: 2, 2: 3, 3: 2}, {0: 2, 1: 1, 2: -3, 3: 3}],
+        [{0: 4, 2: -4}, {0: 7}],
+        [{0: -6, 1: 3}],
+        [{0: 2, 1: 2}, {0: 4, 2: -4}, {0: 6, 1: 12, 2: 6}],
     ]
-    expected = [coeff._uni_gcd(a, b) for a, b in cases]
-    assert expected == [{0: -1, 1: 1}, {0: 1, 1: 1}, {0: 1}, {0: 1}, {0: -2, 1: 1}]
+    expected = [coeff._uni_gcd(polys) for polys in cases]
+    assert [g for g, _ in expected] == [
+        {0: -1, 1: 1}, {0: 1, 1: 1}, {0: 1}, {0: 1}, {0: -2, 1: 1}, {0: 1, 1: 1}
+    ]
     prem_calls = []
     real = coeff._uni_prem
-    monkeypatch.setattr(coeff, "_gcdheu", lambda a, b: None)
+    monkeypatch.setattr(coeff, "_HEU_POINTS", 0)
     monkeypatch.setattr(
         coeff, "_uni_prem", lambda a, b: prem_calls.append(1) or real(a, b)
     )
-    assert [coeff._uni_gcd(a, b) for a, b in cases] == expected
+    got = [coeff._uni_gcd(polys) for polys in cases]
+    assert got == expected
     assert prem_calls
+    for polys, out in zip(cases, got):
+        _assert_gcd_and_cofactors(polys, out)

@@ -199,6 +199,23 @@ class TestCanonicalReduction:
             Scalar(a * CYCLOTOMIC[e], b)
         )
 
+    @given(st.lists(laurent_polys(v_exponents=st.just(0)).filter(bool),
+                    min_size=2, max_size=3),
+           st.lists(st.integers(-3, 3), min_size=3, max_size=3, unique=True),
+           laurent_polys(v_exponents=st.just(0)).filter(bool),
+           st.sampled_from(sorted(CYCLOTOMIC)),
+           st.sampled_from(sorted(CYCLOTOMIC)))
+    def test_common_factor_cancels_across_v_rows(self, rows, js, b, d, e):
+        # each v-row of the numerator is one more input of the gcd
+        a = sum((r * LaurentPoly.vs(j) for r, j in zip(rows, js)),
+                LaurentPoly.zero())
+        assert len({j for _, j, _ in a.terms()}) == len(rows)
+        c = CYCLOTOMIC[d] * CYCLOTOMIC[e]
+        assert str(Scalar(a * c, b * c)) == str(Scalar(a, b))
+        assert str(Scalar(a * c, b * CYCLOTOMIC[d])) == str(
+            Scalar(a * CYCLOTOMIC[e], b)
+        )
+
 
 class TestUElementAlgebra:
     @given(u_elements(), u_elements(), u_elements())

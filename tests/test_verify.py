@@ -317,3 +317,15 @@ class TestClearCaches:
         # cleared in place: the module attributes are the same objects
         assert all(getattr(m, a) is o for (m, a), o in zip(tables, objects))
         assert self._reports() == first
+
+    def test_clear_reaches_lru_caches_behind_rebound_names(self, monkeypatch):
+        # a profiler may rebind the module names to plain wrappers, which
+        # have no cache_clear; the cached functions must still be emptied
+        for fn in self.LRU:
+            monkeypatch.setattr(qcomb, fn.__name__,
+                                lambda *args, _fn=fn: _fn(*args))
+        qcomb.qbinom(6, 3)
+        qcomb.qfact(4)
+        assert all(fn.cache_info().currsize for fn in self.LRU)
+        iqsl2.clear_caches()
+        assert [fn.cache_info().currsize for fn in self.LRU] == [0, 0, 0]

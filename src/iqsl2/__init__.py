@@ -104,8 +104,9 @@ def clear_caches():
     """Empty every memo cache of the package, in place.
 
     The caches hold normal-form products, coproducts of monomials, closed
-    and recursive divided powers, powers of B and of the coproducts of E
-    and F, q-powers and quantum integers, factorials and binomials. They
+    and recursive divided powers, the PBW images of the closed divided
+    powers, powers of B and of the coproducts of E and F, q-powers and
+    quantum integers, factorials and binomials. They
     only grow, by the orders a process has asked for; clearing them frees
     that memory and changes no result.
     """
@@ -116,6 +117,7 @@ def clear_caches():
         tensor._DELTA_MONO_CACHE,
         idp._CLOSED_CACHE,
         idp._REC_CACHE,
+        idp._PBW_CLOSED_CACHE,
         coeff._QPOW,
     ):
         cache.clear()

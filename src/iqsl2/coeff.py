@@ -64,7 +64,11 @@ _unpack: balanced base-2^k digits) with kmul in _kernel_py.
 For a varsigma-free denominator the reduced form is unique: shifted to
 touch q^0 and v^0, joint content removed, no nonconstant common factor of
 the denominator and the numerator's v-slices left, leading sign fixed. So
-how the gcd and the cofactors are found never changes the output.
+how the gcd and the cofactors are found never changes the output. It also
+lets a product with a monomial c*q^i*v^j/e skip the gcd: the other factor
+is reduced (every Scalar comes out of _reduce, and negation keeps that
+form), and shifting its numerator's v-slices by q^i*v^j and scaling them
+and its denominator by nonzero integers leaves their primitive gcd at 1.
 
 The canonical text form (shared by parse/str round-trips, tables and golden
 files) writes a polynomial as terms ascending by (q-exponent, v-exponent),
@@ -545,8 +549,10 @@ _LP_ZERO = LaurentPoly._raw({})
 _LP_ONE = LaurentPoly._raw({(0, 0): 1})
 
 
-def _reduce(n, d):
-    """Normalize a raw fraction of term dicts; returns fresh (num, den)."""
+def _normalize(n, d):
+    """Shift, joint content and sign of a raw fraction of term dicts, with
+    no gcd; returns fresh (num, den). This is the whole reduction of a
+    reduced fraction times a monomial (see the module docstring)."""
     if not n:
         return {}, dict(_ONE_TERMS)
     mi, mj = _min_exps(d)
@@ -560,6 +566,17 @@ def _reduce(n, d):
     if cont > 1:
         n = {k: c // cont for k, c in n.items()}
         d = {k: c // cont for k, c in d.items()}
+    if d[max(d)] < 0:
+        n = _k.kneg(n)
+        d = _k.kneg(d)
+    return n, d
+
+
+def _reduce(n, d):
+    """Normalize a raw fraction of term dicts and, when the denominator is
+    varsigma-free, cancel its primitive gcd with the numerator's v-slices;
+    returns fresh (num, den)."""
+    n, d = _normalize(n, d)
     if len(d) > 1 and all(j == 0 for _, j in d):
         slices = {}
         for (i, j), c in n.items():
@@ -573,13 +590,11 @@ def _reduce(n, d):
             polys.append({i - m: c for i, c in sl.items()} if m else sl)
         g, cofs = _uni_gcd(polys)
         if max(g):
-            # d has a nonzero constant term, so d / g has one too: no shift
+            # d has a nonzero constant term and a positive leading
+            # coefficient, and so has d / g: no shift, no sign fix
             d = _uni_terms(cofs[0])
             n = {(i + m, j): c
                  for (j, m), cof in zip(lows, cofs[1:]) for i, c in cof.items()}
-    if d[max(d)] < 0:
-        n = _k.kneg(n)
-        d = _k.kneg(d)
     return n, d
 
 
@@ -612,10 +627,11 @@ class Scalar:
         self._d = LaurentPoly._raw(d)
 
     @classmethod
-    def _make(cls, n, d):
-        # internal: raw dicts, reduced here exactly once
+    def _make(cls, n, d, cancel=True):
+        # internal: raw dicts, reduced here exactly once; cancel=False, no
+        # gcd, only for a reduced fraction times a monomial
         self = cls.__new__(cls)
-        n, d = _reduce(n, d)
+        n, d = _reduce(n, d) if cancel else _normalize(n, d)
         self._n = LaurentPoly._raw(n)
         self._d = LaurentPoly._raw(d)
         return self
@@ -716,9 +732,11 @@ class Scalar:
         other = _coerce(other)
         if other is None:
             return NotImplemented
-        return Scalar._make(
-            _k.kmul(self._n._t, other._n._t), _k.kmul(self._d._t, other._d._t)
-        )
+        n1, d1 = self._n._t, self._d._t
+        n2, d2 = other._n._t, other._d._t
+        # no gcd for a product with a monomial (see the module docstring)
+        cancel = (len(n1) != 1 or len(d1) != 1) and (len(n2) != 1 or len(d2) != 1)
+        return Scalar._make(_k.kmul(n1, n2), _k.kmul(d1, d2), cancel)
 
     __rmul__ = __mul__
 
@@ -750,8 +768,11 @@ class Scalar:
             return self.inverse() ** (-n)
         out = _SC_ONE
         base = self
-        for _ in range(n):
-            out = out * base
+        while n:
+            if n & 1:
+                out = out * base
+            base = base * base if n > 1 else base
+            n >>= 1
         return out
 
     def bar(self):

@@ -422,19 +422,32 @@ def idp_to_pbw(x):
     return out
 
 
+# PBW image of the closed divided power, keyed by (family, order)
+_PBW_CLOSED_CACHE = {}
+
+
+def _pbw_closed(p, n):
+    key = (p, n)
+    r = _PBW_CLOSED_CACHE.get(key)
+    if r is None:
+        r = idp_to_pbw(idp_closed(p, n))
+        _PBW_CLOSED_CACHE[key] = r
+    return r
+
+
 def comult_direct(p, n):
     """The coproduct of B^{(n)} computed from first principles: apply the
     coproduct to the PBW image of the closed form."""
     _check_parity(p)
     if n < 0:
         raise NegativeInput("divided power of negative order")
-    return delta(idp_to_pbw(idp_closed(p, n)))
+    return delta(_pbw_closed(p, n))
 
 
 def _assemble(p, n, legs):
     out = TensorElement.zero()
     for r, s in legs:
-        out = out + TensorElement.from_pair(idp_to_pbw(idp_closed(p, n - r)), s)
+        out = out + TensorElement.from_pair(_pbw_closed(p, n - r), s)
     return out
 
 

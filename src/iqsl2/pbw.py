@@ -93,6 +93,14 @@ def _mono_mul(m1, m2):
     return r
 
 
+def _check_monomial(m):
+    """``m`` as a PBW monomial (a, b, c): three ints with a, c >= 0."""
+    if (not isinstance(m, tuple) or len(m) != 3
+            or not all(isinstance(e, int) for e in m) or m[0] < 0 or m[2] < 0):
+        raise ValueError(f"bad PBW monomial {m}")
+    return m
+
+
 def _format_monomial(m):
     """E^a K^b F^c as ``E^a*K^b*F^c``, omitting zero powers and writing a
     power of one bare; the unit monomial is the empty string."""
@@ -114,12 +122,10 @@ class UElement(Sparse):
         t = {}
         if terms:
             for m, s in terms.items():
-                a, b, c = m
-                if a < 0 or c < 0:
-                    raise ValueError(f"bad PBW monomial {m}")
+                m = _check_monomial(m)
                 s = _coerce_scalar(s)
                 if not s.is_zero():
-                    t[(a, b, c)] = s
+                    t[m] = s
         self._t = t
 
     @classmethod
@@ -131,9 +137,7 @@ class UElement(Sparse):
         s = _coerce_scalar(coeff)
         if s.is_zero():
             return cls.zero()
-        if a < 0 or c < 0:
-            raise ValueError(f"bad PBW monomial {(a, b, c)}")
-        return cls._raw({(a, b, c): s})
+        return cls._raw({_check_monomial((a, b, c)): s})
 
     @classmethod
     def gen(cls, name):

@@ -12,7 +12,7 @@ coassociativity checks without a full three-fold element type.
 """
 
 from .coeff import Scalar
-from .pbw import UElement, _format_monomial, _mono_mul
+from .pbw import UElement, _check_monomial, _format_monomial, _mono_mul
 from .sparse import Sparse, _acc, _coerce_scalar
 
 _SC_ONE = Scalar.one()
@@ -29,9 +29,10 @@ class TensorElement(Sparse):
         if terms:
             for k, s in terms.items():
                 m1, m2 = k
+                k = (_check_monomial(m1), _check_monomial(m2))
                 s = _coerce_scalar(s)
                 if not s.is_zero():
-                    t[(tuple(m1), tuple(m2))] = s
+                    t[k] = s
         self._t = t
 
     @classmethod

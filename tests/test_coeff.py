@@ -162,6 +162,21 @@ class TestScalar:
         with pytest.raises(DivisionByZero):
             Scalar.zero().inverse()
 
+    @pytest.mark.parametrize("text", ["(q + 1)/(q^2 + 3)",
+                                      "(q^-1*v - 2)/(1 + q*v)", "-3", "0"])
+    def test_pow_equals_repeated_product(self, text):
+        x = Scalar.parse(text)
+        for n in range(-5, 13):
+            if n < 0 and x.is_zero():
+                with pytest.raises(DivisionByZero):
+                    x ** n
+                continue
+            base = x.inverse() if n < 0 else x
+            expected = Scalar.one()
+            for _ in range(abs(n)):
+                expected = expected * base
+            assert str(x ** n) == str(expected)
+
     def test_bar(self):
         s = Scalar(q(2) + q(1), q(1) - q(-1))
         t = s.bar()

@@ -5,8 +5,12 @@ operand space for violations of the algebraic laws everything else rests
 on.  Operands stay small so shrunk counterexamples are readable.
 """
 
+from unittest import mock
+
+import pytest
 from hypothesis import given, settings, strategies as st
 
+from iqsl2 import coeff
 from iqsl2.coeff import LaurentPoly, Scalar
 from iqsl2.errors import DenominatorVanishes
 from iqsl2.pbw import UElement
@@ -215,6 +219,56 @@ class TestCanonicalReduction:
         assert str(Scalar(a * c, b * CYCLOTOMIC[d])) == str(
             Scalar(a * CYCLOTOMIC[e], b)
         )
+
+
+@st.composite
+def reduced_scalars(draw):
+    """Reduced fractions with multi-slice numerators over v-free or
+    v-carrying denominators, often built with a cyclotomic common factor
+    that the reduction cancels."""
+    num = draw(laurent_polys())
+    den_vs = draw(st.sampled_from([st.just(0), exponents]))
+    den = draw(laurent_polys(max_terms=3, v_exponents=den_vs).filter(bool))
+    common = draw(st.sampled_from([1, *sorted(CYCLOTOMIC)]))
+    if common > 1:
+        num = num * CYCLOTOMIC[common]
+        den = den * CYCLOTOMIC[common]
+    return Scalar(num, den)
+
+
+@st.composite
+def monomials(draw):
+    """c*q^i*v^j/e with nonzero integers c and e."""
+    nonzero = st.integers(min_value=-12, max_value=12).filter(bool)
+    mono = LaurentPoly.monomial(draw(exponents), draw(exponents), draw(nonzero))
+    return Scalar(mono, LaurentPoly.from_int(draw(nonzero)))
+
+
+def _no_gcd(polys):
+    raise AssertionError("product with a monomial ran the gcd")
+
+
+class TestMonomialProduct:
+    """A product with a monomial skips the gcd and still gives the text of
+    the fully cancelled fraction."""
+
+    @given(reduced_scalars(), monomials())
+    def test_same_text_as_full_reduction(self, x, m):
+        full = str(Scalar(x.num * m.num, x.den * m.den))
+        with mock.patch.object(coeff, "_uni_gcd", _no_gcd):
+            assert str(x * m) == str(m * x) == full
+
+    def test_product_runs_no_gcd(self, monkeypatch):
+        x = Scalar(LaurentPoly.parse("1 + q*v + 3*q^2*v^2"),
+                   CYCLOTOMIC[12] * CYCLOTOMIC[5])
+        m = Scalar(LaurentPoly.monomial(-2, 3, -6), LaurentPoly.from_int(4))
+        monkeypatch.setattr(coeff, "_uni_gcd", _no_gcd)
+        assert str(x * m) == str(m * x) == (
+            "(-3*q^-2*v^3 - 3*q^-1*v^4 - 9*v^5)/"
+            "(2 + 2*q + 2*q^4 + 2*q^7 + 2*q^8)")
+        # the patch is live: a product of two fractions runs the gcd
+        with pytest.raises(AssertionError, match="ran the gcd"):
+            x * x
 
 
 class TestUElementAlgebra:

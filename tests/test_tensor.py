@@ -1,5 +1,7 @@
 """Coproduct: algebra map, coassociativity, divided-power law."""
 
+import pytest
+
 from iqsl2.coeff import Scalar
 from iqsl2.pbw import UElement, divided_power, u_gen
 from iqsl2.tensor import (
@@ -104,3 +106,18 @@ def test_serialization_deterministic():
     assert "⊗" in s
     assert str(TensorElement.zero()) == "0"
     assert str(TensorElement.one()) == "(1)*(1)⊗(1)"
+
+
+@pytest.mark.parametrize("bad", [(-1, 0, 0), (0, 0, -1), (1, 0), (1, 0, 0, 0),
+                                 (1.0, 0, 0), (0, "1", 0)])
+def test_legs_are_validated_as_pbw_monomials(bad):
+    with pytest.raises(ValueError, match="bad PBW monomial"):
+        UElement({bad: 1})
+    with pytest.raises(ValueError, match="bad PBW monomial"):
+        TensorElement({(bad, (0, 0, 0)): 1})
+    with pytest.raises(ValueError, match="bad PBW monomial"):
+        TensorElement({((0, 0, 0), bad): 1})
+    # a valid key is stored as given, a zero coefficient dropped
+    t = TensorElement({((1, -1, 0), (0, 2, 3)): 1, ((0, 0, 0), (0, 0, 0)): 0})
+    assert t == TensorElement.from_pair(UElement.monomial(1, -1, 0),
+                                        UElement.monomial(0, 2, 3))

@@ -286,7 +286,7 @@ class TestClearCaches:
     MEMOS = (
         (pbw, "_MONO_CACHE"), (pbw, "_CDIV_CACHE"), (pbw, "_HBINOM_CACHE"),
         (tensor, "_DELTA_MONO_CACHE"), (idp, "_CLOSED_CACHE"),
-        (idp, "_REC_CACHE"), (coeff, "_QPOW"),
+        (idp, "_REC_CACHE"), (idp, "_PBW_CLOSED_CACHE"), (coeff, "_QPOW"),
     )
     # power tables keep their zeroth power, the seed of their recursion
     POWERS = ((idp, "_B_PBW_POW"), (tensor, "_DELTA_E_POW"), (tensor, "_DELTA_F_POW"))

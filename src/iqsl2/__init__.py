@@ -34,6 +34,7 @@ from .idp import (
     idp_recursive,
     idp_to_pbw,
     mult_closed,
+    mult_direct,
     s_component,
     s_component_reversed,
 )
@@ -76,6 +77,7 @@ __all__ = [
     "idp_basis_expand",
     "idp_to_pbw",
     "mult_closed",
+    "mult_direct",
     "s_component",
     "s_component_reversed",
     "comult_theorem",
@@ -103,18 +105,19 @@ __version__ = "0.1.0"
 def clear_caches():
     """Empty every memo cache of the package, in place.
 
-    The caches hold normal-form products, coproducts of monomials, closed
-    and recursive divided powers, the PBW images of the closed divided
-    powers, powers of B and of the coproducts of E and F, q-powers and
-    quantum integers, factorials and binomials. They
-    only grow, by the orders a process has asked for; clearing them frees
-    that memory and changes no result.
+    The caches hold normal-form products, coproducts of monomials, the
+    integral numerators of the divided powers, closed and recursive divided
+    powers, the PBW images of the closed divided powers, powers of B and of
+    the coproducts of E and F, q-powers and quantum integers, factorials
+    and binomials. They only grow, by the orders a process has asked for;
+    clearing them frees that memory and changes no result.
     """
     for cache in (
         pbw._MONO_CACHE,
         pbw._CDIV_CACHE,
         pbw._HBINOM_CACHE,
         tensor._DELTA_MONO_CACHE,
+        idp._NUMERATOR_CACHE,
         idp._CLOSED_CACHE,
         idp._REC_CACHE,
         idp._PBW_CLOSED_CACHE,

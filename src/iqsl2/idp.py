@@ -13,6 +13,8 @@ recursion. This module provides
                           divided powers;
 * ``mult_closed``      -- closed-form structure constants of
                           B^{(m)} B^{(n)}, all eight parity cases;
+* ``mult_direct``      -- the same constants computed from first
+                          principles, by expanding the product;
 * ``s_component`` / ``comult_closed``
                        -- the right tensor legs S_{n,r} of the coproduct,
                           Delta(B^{(n)}) = sum_r B^{(n-r)} (x) S_{n,r},
@@ -25,6 +27,20 @@ recursion. This module provides
                        -- the coproduct computed from first principles,
                           and assembled from either kind of closed legs.
 
+Both families are B^{(n)} = P_n(B) / [n]! with P_n monic of degree n and
+Laurent-polynomial coefficients: the product of the quadratic factors of
+``idp_closed``, times B when n is odd. ``_numerator`` memoizes P_n as
+integral term dicts. Because P_n is monic, the back-substitution onto
+divided powers stays integral: step j subtracts rem[j] P_j from numerators
+over one common denominator, and only the output coefficient
+rem[j] [j]! / den is a fraction, reduced once. ``mult_direct`` runs it on
+P_m P_n over [m]! [n]!, ``idp_basis_expand`` on its argument brought over
+one denominator, and the PBW image of B^{(n)} substitutes into P_n and
+divides by [n]! once. The denominators on these paths are products of
+quantum integers, which are varsigma-free, so each reduced coefficient, and
+its text, is the one a computation on Scalar coefficients gives (see the
+``coeff`` docstring).
+
 Ratios of quantum integers are built by ``qratio``, which cancels common
 indices multiset-wise before multiplying anything out; an index pair 0/0 is
 removed exactly, which resolves the one removable singularity among the
@@ -35,6 +51,7 @@ l = a+1) without special-casing.
 from collections import Counter
 
 from .coeff import LaurentPoly, Scalar
+from ._kernel_py import kadd, kmul, kshift, ksub
 from .errors import DivisionByZero, NegativeInput
 from .pbw import UElement, divided_power, u_h_binom
 from .qcomb import qbinom, qfact, qint
@@ -157,6 +174,43 @@ def qratio(nums, dens):
     return Scalar(num, den)
 
 
+# monic numerator P_n of B^{(n)} = P_n(B) / [n]!, keyed by (family, order):
+# {degree: term dict}, integral, with leading coefficient 1 at degree n
+_NUMERATOR_CACHE = {}
+
+
+def _numerator(p, n):
+    """P_n = P_{n-2} (B^2 - q varsigma [idx]^2) with P_0 = 1, P_1 = B.
+
+    The index of the new factor is the last of the sequence described in
+    ``idp_closed``; the sequence for n extends the one for n - 2 by it.
+    """
+    key = (p, n)
+    r = _NUMERATOR_CACHE.get(key)
+    if r is not None:
+        return r
+    if n < 2:
+        r = {n: {(0, 0): 1}}
+    else:
+        k = n // 2
+        if p == EV:
+            idx = 2 * k if n % 2 else 2 * k - 2
+        else:
+            idx = 2 * k - 1
+        sq = qint(idx)._t
+        shift = kshift(kmul(sq, sq), 1, 1, 1)  # q varsigma [idx]^2
+        r = {}
+        for d, t in _numerator(p, n - 2).items():
+            r[d + 2] = kadd(r.get(d + 2, {}), t)
+            low = ksub(r.get(d, {}), kmul(t, shift))
+            if low:
+                r[d] = low
+            else:
+                r.pop(d, None)
+    _NUMERATOR_CACHE[key] = r
+    return r
+
+
 _CLOSED_CACHE = {}
 
 
@@ -175,19 +229,9 @@ def idp_closed(p, n):
     r = _CLOSED_CACHE.get(key)
     if r is not None:
         return r
-    k, n_odd = divmod(n, 2)
-    b = BPolynomial.b()
-    prod = b if n_odd else BPolynomial.one()
-    bb = b * b
-    for j in range(1, k + 1):
-        if p == EV:
-            idx = 2 * j if n_odd else 2 * j - 2
-        else:
-            idx = 2 * j - 1
-        sq = qint(idx)
-        shift = LaurentPoly.monomial(1, 1) * (sq * sq)  # q varsigma [idx]^2
-        prod = prod * (bb - BPolynomial.monomial(0, shift))
-    r = prod.scale(Scalar(LaurentPoly.one(), qfact(n)))
+    den = qfact(n)._t
+    r = BPolynomial._raw(
+        {d: Scalar._make(t, den) for d, t in _numerator(p, n).items()})
     _CLOSED_CACHE[key] = r
     return r
 
@@ -227,32 +271,64 @@ def idp_recursive(p, n):
     return r
 
 
+def _back_substitute(rem, den, p):
+    """Coefficients c_j with sum_d rem[d] B^d / den = sum_j c_j B^{(j)} in
+    family ``p``, from integral numerators ``rem`` {degree: term dict}
+    (consumed) over one denominator ``den`` (a term dict).
+
+    Triangular back-substitution from the top degree down. B^{(j)} is
+    P_j / [j]! with P_j monic of degree j, so step j subtracts rem[j] P_j,
+    which stays integral, and c_j = rem[j] [j]! / den is the only fraction
+    the step forms. Degrees on the parity lattice of the top degree are
+    always recorded, zeros included; a nonzero coefficient off that lattice
+    is recorded as well.
+    """
+    out = {}
+    top = max((d for d, t in rem.items() if t), default=-1)
+    lattice = top % 2
+    for j in range(top, -1, -1):
+        t = rem.pop(j, None)
+        if t:
+            for d, pt in _numerator(p, j).items():
+                if d != j:
+                    rem[d] = ksub(rem.get(d, {}), kmul(t, pt))
+            out[j] = Scalar._make(kmul(t, qfact(j)._t), den)
+        elif j % 2 == lattice:
+            out[j] = _SC_ZERO
+    if any(rem.values()):
+        raise AssertionError("triangular expansion left a remainder")
+    return out
+
+
 def idp_basis_expand(x, p):
     """Coefficients c_j with x = sum_j c_j B^{(j)} in family ``p``.
 
-    Triangular back-substitution from the top degree down: B^{(j)} has
-    degree j with leading coefficient 1/[j]!. Degrees on the parity lattice
-    of the top degree are always recorded, zeros included; a nonzero
-    coefficient off that lattice is recorded as well.
+    The coefficients of x are brought over one common denominator, and the
+    integral numerators are expanded by ``_back_substitute``.
     """
     _check_parity(p)
-    out = {}
-    rem = x
-    top = rem.degree()
-    if top < 0:
-        return out
-    lattice = top % 2
-    for j in range(top, -1, -1):
-        c = rem.coeff(j)
-        if not c.is_zero():
-            c = c * Scalar(qfact(j))
-            rem = rem - idp_closed(p, j).scale(c)
-            out[j] = c
-        elif j % 2 == lattice:
-            out[j] = _SC_ZERO
-    if not rem.is_zero():
-        raise AssertionError("triangular expansion left a remainder")
-    return out
+    den = LaurentPoly.one()
+    for _, s in x.coeffs():
+        # den times den_i / gcd(den, den_i): a common multiple of both
+        den = den * Scalar(s.den, den).num
+    rem = {d: (s.num * den.exact_div(s.den))._t for d, s in x.coeffs()}
+    return _back_substitute(rem, den._t, p)
+
+
+def mult_direct(p, m, n):
+    """B^{(m)} B^{(n)} expanded on divided powers from first principles:
+    the product P_m P_n of the monic numerators over [m]! [n]!, by the
+    back-substitution of ``idp_basis_expand``. Same keys, in the same
+    order, as ``idp_basis_expand(idp_closed(p, m) * idp_closed(p, n), p)``.
+    """
+    _check_parity(p)
+    if m < 0 or n < 0:
+        raise NegativeInput("divided power of negative order")
+    prod = {}
+    for d1, t1 in _numerator(p, m).items():
+        for d2, t2 in _numerator(p, n).items():
+            prod[d1 + d2] = kadd(prod.get(d1 + d2, {}), kmul(t1, t2))
+    return _back_substitute(prod, kmul(qfact(m)._t, qfact(n)._t), p)
 
 
 # (family, m % 2, n % 2) -> offsets (dn, dm, dd) of the closed product: term
@@ -430,7 +506,10 @@ def _pbw_closed(p, n):
     key = (p, n)
     r = _PBW_CLOSED_CACHE.get(key)
     if r is None:
-        r = idp_to_pbw(idp_closed(p, n))
+        # substitute into the integral P_n, then divide by [n]! once
+        num = BPolynomial._raw({d: Scalar._make(t, {(0, 0): 1})
+                                for d, t in _numerator(p, n).items()})
+        r = idp_to_pbw(num).scale(Scalar(LaurentPoly.one(), qfact(n)))
         _PBW_CLOSED_CACHE[key] = r
     return r
 

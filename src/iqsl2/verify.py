@@ -63,11 +63,11 @@ from .idp import (
     comult_direct,
     comult_theorem,
     comult_theorem_reversed,
-    idp_basis_expand,
     idp_closed,
     idp_recursive,
     idp_to_pbw,
     mult_closed,
+    mult_direct,
     s_component,
     s_component_reversed,
 )
@@ -485,9 +485,7 @@ def _suite_mult(parity, bound, mode):
 
     for m in range(bound + 1):
         for n in range(bound + 1 - m):
-            lhs = idp_basis_expand(
-                idp_closed(parity, m) * idp_closed(parity, n), parity
-            )
+            lhs = mult_direct(parity, m, n)
             rhs = mult_closed(parity, m, n)
             if mode == "specialized":
                 lhs = _specialize_map(lhs)

@@ -3,6 +3,8 @@ recursive constructions, hand-coded golden examples for the closed
 multiplication and comultiplication formulas, and the reversed coproduct
 presentation."""
 
+import functools
+
 import pytest
 
 from iqsl2.coeff import LaurentPoly, Scalar
@@ -12,6 +14,8 @@ from iqsl2.idp import (
     ODD,
     PARITIES,
     BPolynomial,
+    _numerator,
+    _pbw_closed,
     comult_closed,
     comult_direct,
     comult_theorem,
@@ -21,6 +25,7 @@ from iqsl2.idp import (
     idp_recursive,
     idp_to_pbw,
     mult_closed,
+    mult_direct,
     qratio,
     s_component,
     s_component_reversed,
@@ -58,6 +63,48 @@ def assert_coeff_maps_equal(actual, expected):
 
 def product_expand(p, m, n):
     return idp_basis_expand(idp_closed(p, m) * idp_closed(p, n), p)
+
+
+@functools.cache
+def reference_closed(p, n):
+    """B^{(n)} as the product of its factors over BPolynomial, each product
+    reducing every Scalar coefficient: the reference for ``idp_closed``."""
+    k, n_odd = divmod(n, 2)
+    b = BPolynomial.b()
+    prod = b if n_odd else BPolynomial.one()
+    for j in range(1, k + 1):
+        if p == EV:
+            idx = 2 * j if n_odd else 2 * j - 2
+        else:
+            idx = 2 * j - 1
+        shift = LaurentPoly.monomial(1, 1) * qint(idx) * qint(idx)
+        prod = prod * (b * b - BPolynomial.monomial(0, shift))
+    return prod.scale(Scalar(LaurentPoly.one(), qfact(n)))
+
+
+def reference_expand(x, p):
+    """The back-substitution on Scalar coefficients: the reference for
+    ``idp_basis_expand`` and ``mult_direct``."""
+    out = {}
+    rem = x
+    top = rem.degree()
+    if top < 0:
+        return out
+    for j in range(top, -1, -1):
+        c = rem.coeff(j)
+        if not c.is_zero():
+            c = c * Scalar(qfact(j))
+            rem = rem - reference_closed(p, j).scale(c)
+            out[j] = c
+        elif j % 2 == top % 2:
+            out[j] = Scalar.zero()
+    assert rem.is_zero()
+    return out
+
+
+def as_text(coeffs):
+    """Keys in order and the canonical text of every coefficient."""
+    return [(d, str(s)) for d, s in coeffs.items()]
 
 
 class TestBPolynomial:
@@ -192,6 +239,55 @@ class TestBasisExpand:
         for d, s in out.items():
             rebuilt = rebuilt + idp_closed(p, d).scale(s)
         assert rebuilt == x
+
+
+class TestIntegralNumerators:
+    """The monic numerators P_n with B^{(n)} = P_n / [n]!, and the
+    back-substitution on them, against the Scalar constructions."""
+
+    @pytest.mark.parametrize("p", PARITIES)
+    def test_numerator_is_monic_on_the_parity_lattice(self, p):
+        for n in range(17):
+            num = _numerator(p, n)
+            assert max(num) == n and num[n] == {(0, 0): 1}, (p, n)
+            assert all(t and d % 2 == n % 2 for d, t in num.items()), (p, n)
+
+    @pytest.mark.parametrize("p", PARITIES)
+    def test_closed_matches_the_factor_product(self, p):
+        for n in range(17):
+            assert str(idp_closed(p, n)) == str(reference_closed(p, n)), (p, n)
+
+    @pytest.mark.parametrize("p", PARITIES)
+    def test_products_match_the_scalar_back_substitution(self, p):
+        for m in range(15):
+            for n in range(15 - m):
+                x = reference_closed(p, m) * reference_closed(p, n)
+                expected = as_text(reference_expand(x, p))
+                assert as_text(mult_direct(p, m, n)) == expected, (m, n)
+                assert as_text(product_expand(p, m, n)) == expected, (m, n)
+
+    @pytest.mark.parametrize("p", PARITIES)
+    def test_expand_over_mixed_denominators(self, p):
+        vden = Scalar(LaurentPoly.one(), LaurentPoly.vs() + qint(3))
+        mixed = (idp_closed(p, 4).scale(qint(3))
+                 + idp_closed(p, 2).scale(QVS)
+                 + idp_closed(p, 1).scale(Scalar.from_int(-2)))
+        for x in (mixed, mixed + idp_closed(p, 3).scale(vden)):
+            out = idp_basis_expand(x, p)
+            expected = reference_expand(x, p)
+            assert list(out) == list(expected)
+            assert all(out[d] == expected[d] for d in out)
+
+    @pytest.mark.parametrize("p", PARITIES)
+    def test_pbw_image_matches_the_substituted_closed_form(self, p):
+        for n in range(9):
+            assert str(_pbw_closed(p, n)) == str(idp_to_pbw(idp_closed(p, n)))
+
+    def test_mult_direct_rejects_bad_input(self):
+        with pytest.raises(NegativeInput):
+            mult_direct(EV, 2, -1)
+        with pytest.raises(ValueError):
+            mult_direct("neither", 1, 1)
 
 
 class TestMultGoldenEven:

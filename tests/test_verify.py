@@ -285,8 +285,9 @@ class TestClearCaches:
     SUITES_RUN = (("comult-odd", 3), ("mult-even", 4), ("pbw-core", 3))
     MEMOS = (
         (pbw, "_MONO_CACHE"), (pbw, "_CDIV_CACHE"), (pbw, "_HBINOM_CACHE"),
-        (tensor, "_DELTA_MONO_CACHE"), (idp, "_CLOSED_CACHE"),
-        (idp, "_REC_CACHE"), (idp, "_PBW_CLOSED_CACHE"), (coeff, "_QPOW"),
+        (tensor, "_DELTA_MONO_CACHE"), (idp, "_NUMERATOR_CACHE"),
+        (idp, "_CLOSED_CACHE"), (idp, "_REC_CACHE"), (idp, "_PBW_CLOSED_CACHE"),
+        (coeff, "_QPOW"),
     )
     # power tables keep their zeroth power, the seed of their recursion
     POWERS = ((idp, "_B_PBW_POW"), (tensor, "_DELTA_E_POW"), (tensor, "_DELTA_F_POW"))

@@ -108,8 +108,8 @@ def clear_caches():
     The caches hold normal-form products, coproducts of monomials, the
     integral numerators of the divided powers, closed and recursive divided
     powers, the PBW images of the closed divided powers, powers of B and of
-    the coproducts of E and F, q-powers and quantum integers, factorials
-    and binomials. They only grow, by the orders a process has asked for;
+    the coproducts of E and F, cyclotomic polynomials, q-powers and quantum
+    integers, factorials and binomials. They only grow, by the orders a process has asked for;
     clearing them frees that memory and changes no result.
     """
     for cache in (
@@ -121,6 +121,7 @@ def clear_caches():
         idp._CLOSED_CACHE,
         idp._REC_CACHE,
         idp._PBW_CLOSED_CACHE,
+        idp._CYCLOTOMIC_CACHE,
         coeff._QPOW,
     ):
         cache.clear()

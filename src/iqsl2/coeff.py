@@ -69,6 +69,9 @@ lets a product with a monomial c*q^i*v^j/e skip the gcd: the other factor
 is reduced (every Scalar comes out of _reduce, and negation keeps that
 form), and shifting its numerator's v-slices by q^i*v^j and scaling them
 and its denominator by nonzero integers leaves their primitive gcd at 1.
+Nor does a one-term numerator c*q^i*v^j need a gcd: its v-slice divided
+by its q-power is the constant c, and the shifted denominator has a
+nonzero constant term, so their primitive gcd is 1.
 
 The canonical text form (shared by parse/str round-trips, tables and golden
 files) writes a polynomial as terms ascending by (q-exponent, v-exponent),
@@ -574,10 +577,10 @@ def _normalize(n, d):
 
 def _reduce(n, d):
     """Normalize a raw fraction of term dicts and, when the denominator is
-    varsigma-free, cancel its primitive gcd with the numerator's v-slices;
-    returns fresh (num, den)."""
+    varsigma-free and the numerator has more than one term, cancel its
+    primitive gcd with the numerator's v-slices; returns fresh (num, den)."""
     n, d = _normalize(n, d)
-    if len(d) > 1 and all(j == 0 for _, j in d):
+    if len(n) > 1 and len(d) > 1 and all(j == 0 for _, j in d):
         slices = {}
         for (i, j), c in n.items():
             slices.setdefault(j, {})[i] = c
@@ -629,7 +632,8 @@ class Scalar:
     @classmethod
     def _make(cls, n, d, cancel=True):
         # internal: raw dicts, reduced here exactly once; cancel=False, no
-        # gcd, only for a reduced fraction times a monomial
+        # gcd, only for a fraction known to be in lowest terms (such as a
+        # reduced fraction times a monomial)
         self = cls.__new__(cls)
         n, d = _reduce(n, d) if cancel else _normalize(n, d)
         self._n = LaurentPoly._raw(n)

@@ -41,20 +41,31 @@ quantum integers, which are varsigma-free, so each reduced coefficient, and
 its text, is the one a computation on Scalar coefficients gives (see the
 ``coeff`` docstring).
 
-Ratios of quantum integers are built by ``qratio``, which cancels common
-indices multiset-wise before multiplying anything out; an index pair 0/0 is
-removed exactly, which resolves the one removable singularity among the
-closed multiplication formulas (both-odd case of the "odd" family at
-l = a+1) without special-casing.
+Ratios of quantum integers are built by ``qratio`` already in lowest
+terms, with no gcd. For k >= 1, [k] = q^(1-k) prod_{d | k, d > 1}
+Phi_d(q^2), with Phi_d the d-th cyclotomic polynomial, and [-k] = -[k].
+Distinct Phi_d(q^2) have no common root and none vanishes at q = 0, so a
+ratio whose cyclotomic exponents have been counted is reduced: the factors
+with a positive exponent form the numerator, with the sign and the power of
+q, and those with a negative exponent the denominator. Each side is one
+big-integer product of the values Phi_d(2^k); its coefficients are at most
+the product of the factors' 1-norms, which sizes k so that the balanced
+base-2^k digits are the coefficients. ``mult_closed`` writes each term,
+prefactor qbinom(m+n, m) and (q varsigma)^l included, as one such ratio. An
+index pair 0/0 is removed exactly, which resolves the one removable
+singularity among the closed multiplication formulas (both-odd case of the
+"odd" family at l = a+1) without special-casing.
 """
 
 from collections import Counter
 
 from .coeff import LaurentPoly, Scalar
-from ._kernel_py import kadd, kmul, kshift, ksub
+from ._kernel_py import _pack, _unpack, kadd, kmul, kshift, ksub
 from .errors import DivisionByZero, NegativeInput
 from .pbw import UElement, divided_power, u_h_binom
-from .qcomb import qbinom, qfact, qint
+from .qcomb import qfact, qint
+# re-exported: perfbench's tracer looks the name up on this module
+from .qcomb import qbinom  # noqa: F401
 from .sparse import Sparse, _acc, _coerce_scalar
 from .tensor import TensorElement, delta
 
@@ -145,33 +156,106 @@ class BPolynomial(Sparse):
         return " + ".join(parts)
 
 
+# cyclotomic data keyed by d >= 2, filled on first use: Phi_d(x) as a
+# univariate dict {i: c}, its 1-norm, and the divisors e > 1 of d
+_CYCLOTOMIC_CACHE = {}
+
+
+def _cyclotomic(d):
+    """(Phi_d, ||Phi_d||_1, divisors e > 1 of d) for d >= 2.
+
+    x^d - 1 is the product of Phi_e(x) over the divisors e of d, so Phi_d
+    is its exact quotient by (x - 1) and by Phi_e for the divisors
+    1 < e < d. The division runs on values at x = 2^k, k = d + 1: a factor
+    of x^d - 1 has degree below d, so by Mignotte's bound its coefficients
+    are below 2^(d-1) ||x^d - 1||_2 < 2^(k-1), and the balanced base-2^k
+    digits of the quotient are its coefficients.
+    """
+    r = _CYCLOTOMIC_CACHE.get(d)
+    if r is None:
+        k = d + 1
+        divs = tuple(e for e in range(2, d + 1) if d % e == 0)
+        val = ((1 << (k * d)) - 1) // ((1 << k) - 1)
+        for e in divs[:-1]:
+            val //= _pack(_cyclotomic(e)[0], k)
+        phi = _unpack(val, d, k)
+        r = (phi, sum(map(abs, phi.values())), divs)
+        _CYCLOTOMIC_CACHE[d] = r
+    return r
+
+
+def _cyclotomic_product(exps):
+    """prod Phi_d(x)^e over the (d, e) pairs of ``exps`` (e > 0), as {i: c}.
+
+    One big-integer product of the values at x = 2^k, with pow for repeated
+    factors. The coefficients of a product are at most the product of the
+    factors' 1-norms (||fg||_inf <= ||fg||_1 <= ||f||_1 ||g||_1), so with
+    k = bit_length(prod ||Phi_d||_1^e) + 1 the balanced base-2^k digits of
+    the value are the coefficients.
+    """
+    norm = 1
+    deg = 0
+    for d, e in exps:
+        phi, n1, _ = _cyclotomic(d)
+        norm *= n1 ** e
+        deg += max(phi) * e
+    k = norm.bit_length() + 1
+    val = 1
+    for d, e in exps:
+        val *= pow(_pack(_cyclotomic(d)[0], k), e)
+    return _unpack(val, deg + 1, k)
+
+
+def _qvs_ratio(nums, dens, l):
+    """(q varsigma)^l times ``qratio(nums, dens)``, built in lowest terms.
+
+    For k >= 1, [k] = q^(1-k) prod_{d | k, d > 1} Phi_d(q^2), and [-k] =
+    -[k]. So the ratio is sign q^shift prod_d Phi_d(q^2)^(e_d): e_d counts
+    the numerator indices that d divides minus the denominator indices
+    that d divides, the shift sums 1 - |k| over the numerator minus the
+    same sum over the denominator, and each negative index flips the sign.
+    Distinct
+    Phi_d(q^2) are coprime and none vanishes at q = 0, so the numerator
+    takes the factors with e_d > 0 and the denominator, monic with
+    constant term 1, those with e_d < 0: the fraction is in lowest terms
+    and needs no gcd.
+    """
+    net = Counter(map(abs, nums))
+    net.subtract(map(abs, dens))
+    zeros = net.pop(0, 0)
+    if zeros < 0:
+        raise DivisionByZero("vanishing quantum integer in a denominator")
+    if zeros:
+        return _SC_ZERO
+    sign = -1 if sum(i < 0 for i in (*nums, *dens)) % 2 else 1
+    shift = l
+    exps = {}
+    for k, c in net.items():
+        if c and k > 1:
+            shift += c * (1 - k)
+            for d in _cyclotomic(k)[2]:
+                exps[d] = exps.get(d, 0) + c
+    num = [(d, e) for d, e in exps.items() if e > 0]
+    den = [(d, -e) for d, e in exps.items() if e < 0]
+    n = {(2 * i + shift, l): sign * c
+         for i, c in _cyclotomic_product(num).items()}
+    d = {(2 * i, 0): c for i, c in _cyclotomic_product(den).items()}
+    return Scalar._make(n, d, cancel=False)
+
+
 def qratio(nums, dens):
     """Product of quantum integers over ``nums`` divided by the product over
     ``dens``, the arguments being lists of integer indices.
 
-    Indices common to both lists cancel multiset-wise before anything is
-    multiplied out. Cancelling by index keeps a removable 0/0 exact: a 0
-    appearing on both sides drops out as the pair it is. After cancellation
-    a remaining 0 numerator index gives the zero Scalar, and a remaining 0
-    denominator index is a genuine division by zero.
+    Indices common to both lists cancel multiset-wise, by absolute value
+    with the sign of [-k] = -[k] kept apart. Cancelling by index keeps a
+    removable 0/0 exact: a 0 appearing on both sides drops out as the pair
+    it is. After cancellation a remaining 0 numerator index gives the zero
+    Scalar, and a remaining 0 denominator index is a genuine division by
+    zero. The rest is counted in cyclotomic factors (``_qvs_ratio``), so
+    the result is built in lowest terms and no gcd runs.
     """
-    nc = Counter(nums)
-    dc = Counter(dens)
-    common = nc & dc
-    if common:
-        nc -= common
-        dc -= common
-    if dc.get(0):
-        raise DivisionByZero("vanishing quantum integer in a denominator")
-    if nc.get(0):
-        return _SC_ZERO
-    num = LaurentPoly.one()
-    for i in nc.elements():
-        num = num * qint(i)
-    den = LaurentPoly.one()
-    for i in dc.elements():
-        den = den * qint(i)
-    return Scalar(num, den)
+    return _qvs_ratio(nums, dens, 0)
 
 
 # monic numerator P_n of B^{(n)} = P_n(B) / [n]!, keyed by (family, order):
@@ -366,23 +450,24 @@ def mult_closed(p, m, n):
         raise NegativeInput("divided power of negative order")
     s = m + n
     dn, dm, dd = _MULT_OFFSETS[p, m % 2, n % 2]
-    pref = Scalar(qbinom(s, m))
-    out = {s: pref}
-    nums, dens = [], []
+    # the prefactor qbinom(s, m) = [s]! / ([m]! [n]!) as indices
+    nums = list(range(1, s + 1))
+    dens = [*range(1, m + 1), *range(1, n + 1)]
+    out = {s: qratio(nums, dens)}
     for l in range(1, (m + dm - 1) // 2 + 1):
         nums += [n + dn - 2 * l, m + dm - 2 * l]
         dens += [s + dd - 2 * l, 2 * l]
         if p == EV and not m % 2 and not n % 2:
-            ratio = qratio(nums + [s - 2 * l], dens + [s])
+            t = _qvs_ratio(nums + [s - 2 * l], dens + [s], l)
         elif p == ODD and m % 2 and n % 2:
-            ratio = (
-                qratio(nums + [s - 2 * l, m + 1 - 2 * l], dens + [s, m + 1])
-                + qratio(nums + [s + 1 - 2 * l, s + 1 - 2 * l, 2 * l],
-                         dens + [s, n + 1 - 2 * l, m + 1])
+            t = (
+                _qvs_ratio(nums + [s - 2 * l, m + 1 - 2 * l],
+                           dens + [s, m + 1], l)
+                + _qvs_ratio(nums + [s + 1 - 2 * l, s + 1 - 2 * l, 2 * l],
+                             dens + [s, n + 1 - 2 * l, m + 1], l)
             )
         else:
-            ratio = qratio(nums, dens)
-        t = pref * ratio * (_QVS ** l)
+            t = _qvs_ratio(nums, dens, l)
         if not t.is_zero():
             out[s - 2 * l] = t
     return out

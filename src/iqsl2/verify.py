@@ -60,12 +60,12 @@ from .idp import (
     EV,
     ODD,
     PARITIES,
+    _pbw_closed,
     comult_direct,
     comult_theorem,
     comult_theorem_reversed,
     idp_closed,
     idp_recursive,
-    idp_to_pbw,
     mult_closed,
     mult_direct,
     s_component,
@@ -627,7 +627,7 @@ def _suite_chi(bound, mode):
 
     for parity in PARITIES:
         for n in range(bound + 1):
-            img = idp_to_pbw(idp_closed(parity, n)).specialize_varsigma()
+            img = _pbw_closed(parity, n).specialize_varsigma()
             _eq_check(checks, "chi-fixed", (parity, n), chi(img), img)
 
     parameters = {"bound": bound, "hbinom_grid": h_grid,
@@ -886,7 +886,7 @@ def expand_idp(parity, n, basis="B"):
     if basis == "B":
         return str(x)
     if basis == "pbw":
-        return str(idp_to_pbw(x))
+        return str(_pbw_closed(parity, n))
     raise ValueError(f"unknown basis {basis!r}")
 
 

@@ -401,6 +401,20 @@ def test_uni_gcd_divides_both_and_equals_prs(g, xs):
     _assert_gcd_and_cofactors(polys, prs)
 
 
+@given(st.dictionaries(st.integers(1, 8), st.integers(-20, 20).filter(bool),
+                       min_size=1, max_size=5),
+       st.integers(-20, 20).filter(bool), st.integers(-10**6, 10**6).filter(bool))
+@settings(deadline=None, max_examples=150)
+def test_uni_gcd_with_a_constant_is_constant(d, d0, c):
+    # a monomial numerator slice, divided by its q-power, is the constant c;
+    # against a denominator with a nonzero constant term the primitive gcd
+    # is 1, which is why _reduce runs no gcd for a one-term numerator
+    d = {0: d0, **d}
+    g, cofs = coeff._uni_gcd([d, {0: c}])
+    assert g == {0: 1}
+    assert cofs == [d, {0: c}]
+
+
 def test_uni_gcd_cofactors_on_a_known_factorization():
     # 2(1 + q) and 4(1 + q)(1 - q): the integer gcd at the point carries
     # content 2, which the gcd drops and the cofactors keep

@@ -4,16 +4,22 @@ multiplication and comultiplication formulas, and the reversed coproduct
 presentation."""
 
 import functools
+from collections import Counter
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from iqsl2 import coeff
+from iqsl2._kernel_py import kmul
 from iqsl2.coeff import LaurentPoly, Scalar
 from iqsl2.errors import DivisionByZero, NegativeInput
 from iqsl2.idp import (
+    _MULT_OFFSETS,
     EV,
     ODD,
     PARITIES,
     BPolynomial,
+    _cyclotomic,
     _numerator,
     _pbw_closed,
     comult_closed,
@@ -107,6 +113,61 @@ def as_text(coeffs):
     return [(d, str(s)) for d, s in coeffs.items()]
 
 
+def reference_qratio(nums, dens):
+    """The ratio multiplied out and reduced by the gcd: the reference for
+    ``qratio``, with the same multiset cancellation first."""
+    nc = Counter(nums)
+    dc = Counter(dens)
+    common = nc & dc
+    nc -= common
+    dc -= common
+    if dc.get(0):
+        raise DivisionByZero("vanishing quantum integer in a denominator")
+    if nc.get(0):
+        return Scalar.zero()
+    num = LaurentPoly.one()
+    for i in nc.elements():
+        num = num * qint(i)
+    den = LaurentPoly.one()
+    for i in dc.elements():
+        den = den * qint(i)
+    return Scalar(num, den)
+
+
+def reference_mult_closed(p, m, n):
+    """The closed structure constants as Scalar products of qbinom, the
+    multiplied-out ratios and (q varsigma)^l: the reference for
+    ``mult_closed``."""
+    s = m + n
+    dn, dm, dd = _MULT_OFFSETS[p, m % 2, n % 2]
+    pref = Scalar(qbinom(s, m))
+    out = {s: pref}
+    nums, dens = [], []
+    for l in range(1, (m + dm - 1) // 2 + 1):
+        nums += [n + dn - 2 * l, m + dm - 2 * l]
+        dens += [s + dd - 2 * l, 2 * l]
+        if p == EV and not m % 2 and not n % 2:
+            ratio = reference_qratio(nums + [s - 2 * l], dens + [s])
+        elif p == ODD and m % 2 and n % 2:
+            ratio = (
+                reference_qratio(nums + [s - 2 * l, m + 1 - 2 * l],
+                                 dens + [s, m + 1])
+                + reference_qratio(nums + [s + 1 - 2 * l, s + 1 - 2 * l, 2 * l],
+                                   dens + [s, n + 1 - 2 * l, m + 1])
+            )
+        else:
+            ratio = reference_qratio(nums, dens)
+        t = pref * ratio * (QVS ** l)
+        if not t.is_zero():
+            out[s - 2 * l] = t
+    return out
+
+
+def raw_text(coeffs):
+    """Keys in order, and the term dicts and text of every coefficient."""
+    return [(d, s.num._t, s.den._t, str(s)) for d, s in coeffs.items()]
+
+
 class TestBPolynomial:
     def test_basics(self):
         b = BPolynomial.b()
@@ -145,6 +206,8 @@ class TestQRatio:
         assert qratio([4], [2]) == Scalar(qint(4), qint(2))
         assert qratio([], []) == Scalar.one()
         assert qratio([2, 3], [3, 2]) == Scalar.one()
+        assert qratio([-3], [2]) == -Scalar(qint(3), qint(2))
+        assert qratio([-3, 4], [-2]) == Scalar(qint(3) * qint(4), qint(2))
 
     def test_zero_numerator(self):
         assert qratio([0], []).is_zero()
@@ -156,6 +219,34 @@ class TestQRatio:
     def test_zero_denominator_raises(self):
         with pytest.raises(DivisionByZero):
             qratio([5], [0])
+
+    def test_quantum_integers_are_cyclotomic_products(self):
+        # [k] = q^(1-k) prod_{d | k, d > 1} Phi_d(q^2)
+        for k in range(1, 65):
+            t = {(1 - k, 0): 1}
+            for d in range(2, k + 1):
+                if k % d == 0:
+                    phi, norm, divs = _cyclotomic(d)
+                    assert norm == sum(map(abs, phi.values()))
+                    assert divs == tuple(e for e in range(2, d + 1) if d % e == 0)
+                    t = kmul(t, {(2 * i, 0): c for i, c in phi.items()})
+            assert t == qint(k)._t, k
+            assert str(qratio([k], [])) == str(Scalar(qint(k))), k
+
+    @given(st.lists(st.integers(-30, 30), max_size=7),
+           st.lists(st.integers(-30, 30), max_size=7))
+    @settings(deadline=None, max_examples=200)
+    def test_matches_the_multiplied_out_ratio(self, nums, dens):
+        try:
+            expected = reference_qratio(nums, dens)
+        except DivisionByZero:
+            with pytest.raises(DivisionByZero):
+                qratio(nums, dens)
+            return
+        got = qratio(nums, dens)
+        assert got.num._t == expected.num._t
+        assert got.den._t == expected.den._t
+        assert str(got) == str(expected)
 
 
 class TestClosedForm:
@@ -467,6 +558,28 @@ class TestMultAgainstProduct:
     def test_negative_rejected(self):
         with pytest.raises(NegativeInput):
             mult_closed(EV, -1, 2)
+
+    @pytest.mark.parametrize("p", PARITIES)
+    def test_matches_the_scalar_products(self, p):
+        # m + n <= 16 includes the removable 0/0 of the odd both-odd case
+        for m in range(17):
+            for n in range(17 - m):
+                assert (raw_text(mult_closed(p, m, n))
+                        == raw_text(reference_mult_closed(p, m, n))), (m, n)
+
+    def test_reduces_only_the_odd_both_odd_sum(self, monkeypatch):
+        # every coefficient is built in lowest terms; only the sum of two
+        # fractions in the odd family with m, n odd runs a reduction
+        calls = []
+        real = coeff._reduce
+        monkeypatch.setattr(coeff, "_reduce",
+                            lambda n, d: calls.append(1) or real(n, d))
+        for p in PARITIES:
+            for m in range(17):
+                for n in range(17 - m):
+                    if not (p == ODD and m % 2 and n % 2):
+                        mult_closed(p, m, n)
+                        assert not calls, (p, m, n)
 
 
 class TestComultGolden:

@@ -1,5 +1,6 @@
 """Tests for the verification suites, table emitter, and expansion helpers."""
 
+import hashlib
 import json
 import pathlib
 
@@ -204,6 +205,19 @@ class TestTable:
                 if positive:
                     assert integral
 
+    # sha256 of the whole order-24 CSV tables, as first emitted by the
+    # multiply-then-gcd construction of the structure constants
+    TABLE_24_SHA256 = {
+        "ev": "aa83bd6a7253574471b2d206375485a8c0506f7953fd7111690666a34d8def9a",
+        "odd": "a7e907862356772aefc2f72b9a5dda1e3835c6cdeb325fc0e74cacb141f74fd8",
+    }
+
+    @pytest.mark.parametrize("family", ["ev", "odd"])
+    def test_order_24_table_is_byte_identical(self, family):
+        text = emit_table(family, 24, "csv")
+        digest = hashlib.sha256(text.encode()).hexdigest()
+        assert digest == self.TABLE_24_SHA256[family]
+
     def test_determinism(self):
         assert emit_table("ev", 5, "csv") == emit_table("ev", 5, "csv")
         assert emit_table("odd", 5, "json") == emit_table("odd", 5, "json")
@@ -236,6 +250,21 @@ class TestExpand:
         theorem = expand_comult(parity, n, "theorem")
         assert theorem == expand_comult(parity, n, "direct")
         assert theorem == expand_comult(parity, n, "fhy")
+
+    @pytest.mark.parametrize("parity", ["ev", "odd"])
+    def test_idp_pbw_is_the_substituted_closed_form(self, parity):
+        for n in range(13):
+            expected = str(idp.idp_to_pbw(idp.idp_closed(parity, n)))
+            assert expand_idp(parity, n, "pbw") == expected, n
+
+    def test_chi_report_is_byte_identical(self):
+        # sha256 of the default chi report without its timing, as first
+        # produced on the substituted closed form idp_to_pbw(idp_closed)
+        report = run_suite("chi").to_json_dict()
+        report.pop("wall_time_s")
+        text = json.dumps(report, sort_keys=True)
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "c8f377551e5a7404735e3f81fdf9d48dc8dfec6ac82cba206348302e3f14f6a6")
 
     def test_idp_basis_forms_differ_but_agree_semantically(self):
         b_form = expand_idp("odd", 2, "B")
@@ -287,6 +316,7 @@ class TestClearCaches:
         (pbw, "_MONO_CACHE"), (pbw, "_CDIV_CACHE"), (pbw, "_HBINOM_CACHE"),
         (tensor, "_DELTA_MONO_CACHE"), (idp, "_NUMERATOR_CACHE"),
         (idp, "_CLOSED_CACHE"), (idp, "_REC_CACHE"), (idp, "_PBW_CLOSED_CACHE"),
+        (idp, "_CYCLOTOMIC_CACHE"),
         (coeff, "_QPOW"),
     )
     # power tables keep their zeroth power, the seed of their recursion

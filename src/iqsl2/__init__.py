@@ -109,8 +109,9 @@ def clear_caches():
     integral numerators of the divided powers, closed and recursive divided
     powers, the PBW images of the closed divided powers, powers of B and of
     the coproducts of E and F, cyclotomic polynomials, q-powers and quantum
-    integers, factorials and binomials. They only grow, by the orders a process has asked for;
-    clearing them frees that memory and changes no result.
+    integers, factorials and binomials. They only grow, by the orders a
+    process has asked for; clearing them frees that memory and changes no
+    result.
     """
     for cache in (
         pbw._MONO_CACHE,

@@ -555,7 +555,8 @@ _LP_ONE = LaurentPoly._raw({(0, 0): 1})
 def _normalize(n, d):
     """Shift, joint content and sign of a raw fraction of term dicts, with
     no gcd; returns fresh (num, den). This is the whole reduction of a
-    reduced fraction times a monomial (see the module docstring)."""
+    fraction known to be in lowest terms, such as a reduced fraction times
+    a monomial (see the module docstring)."""
     if not n:
         return {}, dict(_ONE_TERMS)
     mi, mj = _min_exps(d)

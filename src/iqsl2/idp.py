@@ -214,11 +214,10 @@ def _qvs_ratio(nums, dens, l):
     the numerator indices that d divides minus the denominator indices
     that d divides, the shift sums 1 - |k| over the numerator minus the
     same sum over the denominator, and each negative index flips the sign.
-    Distinct
-    Phi_d(q^2) are coprime and none vanishes at q = 0, so the numerator
-    takes the factors with e_d > 0 and the denominator, monic with
-    constant term 1, those with e_d < 0: the fraction is in lowest terms
-    and needs no gcd.
+    Distinct Phi_d(q^2) are coprime and none vanishes at q = 0, so the
+    numerator takes the factors with e_d > 0 and the denominator, monic
+    with constant term 1, those with e_d < 0: the fraction is in lowest
+    terms and needs no gcd.
     """
     net = Counter(map(abs, nums))
     net.subtract(map(abs, dens))

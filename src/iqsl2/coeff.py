@@ -14,9 +14,12 @@ Two layers:
   varsigma-free, and the denominator's leading sign is fixed positive.
 
 Exact division and the reduction's gcd turn dict loops into a few
-big-integer operations. They share the slot layout (_to_slots,
+big-integer operations. They use the slot layout at stride 1 (_to_slots,
 _from_slots) and the pack/unpack pair (_pack: evaluate at q = 2^k;
-_unpack: balanced base-2^k digits) with kmul in _kernel_py.
+_unpack: balanced base-2^k digits) of _kernel_py, at any width k. kmul
+shares only _to_slots, _pack and _unpack with them, for products whose
+digits need more than 64 bits; below that it folds the q-stride and packs
+whole machine words (see _kernel_py).
 
 * Exact division (_div_exact_raw) is by Kronecker substitution (Harvey,
   J. Symbolic Comput. 2009). After the shift to ordinary polynomials the

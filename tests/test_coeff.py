@@ -3,10 +3,11 @@
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from iqsl2 import coeff
 from iqsl2._kernel import kadd, kmul
+from iqsl2._kernel_py import _SCHOOLBOOK_MAX
 from iqsl2.coeff import LaurentPoly, Scalar
 from iqsl2.errors import (
     DenominatorVanishes,
@@ -14,6 +15,7 @@ from iqsl2.errors import (
     NotIntegral,
     RequiresSpecialized,
 )
+from iqsl2.qcomb import qint
 
 q = LaurentPoly.q
 vs = LaurentPoly.vs
@@ -323,6 +325,66 @@ def test_kmul_coefficients_at_the_bound(ca, cb):
     assert got == _schoolbook(a, b)
     assert got[(7, 0)] == ca * cb * 16
     assert max(map(abs, got.values())) == abs(ca * cb) * 16
+
+
+@st.composite
+def _strided_pair(draw):
+    """Two term dicts past the convolution limit, with q-stride s on one or
+    several v rows, whose bound M = max|a| * max|b| * min(len a, len b)
+    lies just below 2^e or just above it, for the word widths e + 1."""
+    s = draw(st.integers(1, 4))
+    rows = draw(st.sampled_from([1, 3]))
+    e = draw(st.sampled_from([7, 15, 31, 63]))
+    above = draw(st.booleans())
+    # a dense run (t = 0..n-1, constant coefficients) puts a coefficient of
+    # absolute value M into the product when rows == 1
+    dense = draw(st.booleans())
+    la, lb = draw(st.integers(9, 24)), draw(st.integers(9, 24))
+    cb = draw(st.integers(1, 3))
+    big = rows * min(la, lb) * cb
+    ca = (1 << e) // big + 1 if above else ((1 << e) - 1) // big
+    assume(ca > 0)
+    ops = []
+    for n, c in ((la, ca), (lb, cb)):
+        # all positive, all negative, or mixed signs
+        sign = draw(st.sampled_from([1, -1, 0]))
+        i0, j0 = draw(st.integers(-30, 30)), draw(st.integers(-3, 3))
+        if dense:
+            ts = range(n)
+        else:
+            # t = 0 and 1 fix the stride at s; the rest spread out sparsely
+            ts = [0, 1] + draw(st.lists(st.integers(2, 4 * n), min_size=n - 2,
+                                        max_size=n - 2, unique=True))
+        t = {}
+        for x in ts:
+            for j in range(j0, j0 + rows):
+                if dense:
+                    cx = -c if sign == -1 or (sign == 0 and x % 2) else c
+                else:
+                    lo, hi = {1: (1, c), -1: (-c, -1), 0: (-c, c)}[sign]
+                    cx = draw(st.integers(lo, hi).filter(bool))
+                t[(i0 + s * x, j)] = cx
+        # pin max|t| at c, so that M is the bound drawn
+        t[(i0, j0)] = c if sign == 1 else -c
+        ops.append(t)
+    return tuple(ops)
+
+
+@given(_strided_pair())
+@settings(deadline=None, max_examples=200)
+def test_kmul_strided_operands_at_every_word_width(pair):
+    a, b = pair
+    assert len(a) * len(b) > _SCHOOLBOOK_MAX
+    assert kmul(a, b) == _schoolbook(a, b)
+    assert kmul(b, a) == _schoolbook(a, b)
+
+
+def test_kmul_qint_products_pinned():
+    for x in range(1, 41):
+        ta = qint(x)._t
+        for y in range(1, 41):
+            tb = qint(y)._t
+            assert kmul(ta, tb) == _schoolbook(ta, tb)
 
 
 # --- the reduction helpers: Kronecker exact division and the gcd ---

@@ -82,8 +82,9 @@ class TestLaurentRing:
         if (a * b).is_zero():
             assert a.is_zero() or b.is_zero()
 
-    # up to 24 terms a side: most products pass kmul's limit of 128 term
-    # pairs for the dict convolution and go by Kronecker substitution
+    # up to 24 terms a side: most products pass kmul's limit of 80 term
+    # pairs (_SCHOOLBOOK_MAX) for the dict convolution and go by Kronecker
+    # substitution
     @settings(max_examples=25)
     @given(laurent_polys(max_terms=24), laurent_polys(max_terms=24))
     def test_multiplication_commutes_large(self, a, b):

@@ -116,11 +116,12 @@ def _print_report(report, out=None):
     print("PASS" if report.passed else "FAIL", file=out)
 
 
-def _write_file(path, text, newline=None):
-    """Write ``text`` to ``path``; an unwritable path is a usage error."""
+def _write_file(path, write, newline=None):
+    """Open ``path`` as a text file and pass it to ``write``; an unwritable
+    path is a usage error."""
     try:
         with open(path, "w", encoding="utf-8", newline=newline) as fh:
-            fh.write(text)
+            write(fh)
     except OSError as exc:
         raise ValueError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
@@ -130,14 +131,14 @@ def _cmd_verify(args):
     report = run_suite(args.suite, args.max, mode)
     _print_report(report)
     if args.json:
-        _write_file(args.json, report.to_json() + "\n")
+        _write_file(args.json, report.write_json)
     return 0 if report.passed else 1
 
 
 def _cmd_table(args):
     text = emit_table(args.family, args.max, args.format)
     if args.out:
-        _write_file(args.out, text, newline="")
+        _write_file(args.out, lambda fh: fh.write(text), newline="")
     else:
         sys.stdout.write(text)
     return 0

@@ -39,9 +39,12 @@ the closed formulas against independent computations:
 Reports are deterministic: identical invocations produce identical check
 lists (the wall-time field is the only exception).  Every failing check
 carries a serialized witness (the difference element) sufficient to
-reproduce the failure independently.  The resource ceiling for element
-suites, tables and expansion is the ``IQSL2_MAX_N`` environment variable
-(default 24).
+reproduce the failure independently.  ``SuiteReport.write_json`` streams
+a report to a file check by check, in the bytes of
+``json.dumps(report.to_json_dict(), ensure_ascii=False, indent=2)`` plus a
+newline, so its memory does not grow with the number of checks.  The
+resource ceiling for element suites, tables and expansion is the
+``IQSL2_MAX_N`` environment variable (default 24).
 """
 
 from __future__ import annotations
@@ -49,10 +52,12 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 import os
 import random
 import time
-from dataclasses import dataclass
+from collections import namedtuple
+from json.encoder import encode_basestring
 
 from .coeff import LaurentPoly, Scalar
 from .errors import NegativeInput, NotIntegral, ResourceLimit, UnknownSuite
@@ -114,14 +119,11 @@ def _check_ceiling(what, value):
         )
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(namedtuple("CheckResult", "id params passed witness",
+                             defaults=(None,))):
     """One verified identity instance."""
 
-    id: str
-    params: tuple
-    passed: bool
-    witness: str | None = None
+    __slots__ = ()
 
     def to_json_dict(self):
         out = {"id": self.id, "params": list(self.params), "pass": self.passed}
@@ -130,14 +132,42 @@ class CheckResult:
         return out
 
 
-@dataclass
+def _json_scalar(v):
+    """JSON text of a str, bool, int or finite float, as ``json.dumps``
+    writes it with ``ensure_ascii=False``."""
+    if isinstance(v, str):
+        return encode_basestring(v)
+    if v is True or v is False:
+        return "true" if v else "false"
+    if isinstance(v, int):
+        return int.__repr__(v)
+    if isinstance(v, float) and math.isfinite(v):
+        return float.__repr__(v)
+    raise TypeError(f"cannot write {v!r} into a JSON report")
+
+
 class SuiteReport:
     """Outcome of one suite run; passes iff every check passed."""
 
-    suite: str
-    parameters: dict
-    checks: list
-    wall_time_s: float
+    __slots__ = ("suite", "parameters", "checks", "wall_time_s")
+
+    def __init__(self, suite, parameters, checks, wall_time_s):
+        self.suite = suite
+        self.parameters = parameters
+        self.checks = checks
+        self.wall_time_s = wall_time_s
+
+    def __repr__(self):
+        return (f"SuiteReport(suite={self.suite!r}, "
+                f"parameters={self.parameters!r}, checks={self.checks!r}, "
+                f"wall_time_s={self.wall_time_s!r})")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.suite, self.parameters, self.checks, self.wall_time_s)
+                == (other.suite, other.parameters, other.checks,
+                    other.wall_time_s))
 
     @property
     def passed(self):
@@ -160,7 +190,42 @@ class SuiteReport:
         }
 
     def to_json(self):
-        return json.dumps(self.to_json_dict(), ensure_ascii=False, indent=2)
+        """``json.dumps(self.to_json_dict(), ensure_ascii=False, indent=2)``."""
+        buf = io.StringIO()
+        self.write_json(buf)
+        return buf.getvalue()[:-1]
+
+    def write_json(self, fh):
+        """Write :meth:`to_json` and a newline to the text file ``fh``, one
+        check at a time, so that no copy of the report is held in memory."""
+        write = fh.write
+        write(f'{{\n  "suite": {encode_basestring(self.suite)},\n'
+              '  "parameters": ')
+        if self.parameters:
+            write("{\n    " + ",\n    ".join(
+                f"{encode_basestring(k)}: {_json_scalar(v)}"
+                for k, v in self.parameters.items()) + "\n  }")
+        else:
+            write("{}")
+        write(',\n  "checks": [')
+        sep = "\n"
+        for cid, params, passed, witness in self.checks:
+            if params:
+                params = ("[\n        "
+                          + ",\n        ".join(map(_json_scalar, params))
+                          + "\n      ]")
+            else:
+                params = "[]"
+            if witness is None:
+                witness = ""
+            else:
+                witness = f',\n      "witness": {encode_basestring(witness)}'
+            write(f'{sep}    {{\n      "id": {encode_basestring(cid)},\n'
+                  f'      "params": {params},\n'
+                  f'      "pass": {_json_scalar(passed)}{witness}\n    }}')
+            sep = ",\n"
+        write("\n  ]" if self.checks else "]")
+        write(f',\n  "wall_time_s": {_json_scalar(self.wall_time_s)}\n}}\n')
 
 
 _SC_ZERO = Scalar.zero()

@@ -1,4 +1,5 @@
-"""Every name imported in src/ and tests/ is used.
+"""Every name imported in src/ and tests/ is used, and the package imports
+light.
 
 No linter ships with the package, so this stands in for pyflakes' F401. A
 name counts as used when it is read anywhere in the module or listed in
@@ -7,6 +8,8 @@ re-export and is skipped.
 """
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -59,3 +62,14 @@ def test_no_unused_imports():
         for line, name in unused_imports(path.read_text(encoding="utf-8"))
     ]
     assert not found, "unused imports:\n" + "\n".join(found)
+
+
+def test_package_import_pulls_in_no_introspection():
+    # dataclasses brings in inspect, ast, dis and tokenize, about half the
+    # import time that every iqsl2 command pays
+    code = (f"import sys; sys.path.insert(0, {str(ROOT / 'src')!r}); "
+            "import iqsl2, iqsl2.cli; "
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    out = subprocess.run([sys.executable, "-S", "-c", code], check=True,
+                         capture_output=True, text=True, timeout=60).stdout
+    assert out == "[]\n"

@@ -1,10 +1,14 @@
 """Tests for the verification suites, table emitter, and expansion helpers."""
 
 import hashlib
+import io
 import json
+import os
 import pathlib
+import tracemalloc
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import iqsl2
 from iqsl2 import coeff, idp, pbw, qcomb, tensor
@@ -14,6 +18,8 @@ from iqsl2.tensor import TensorElement
 from iqsl2.verify import (
     SUITES,
     TABLE_COLUMNS,
+    CheckResult,
+    SuiteReport,
     emit_table,
     expand_comult,
     expand_idp,
@@ -53,6 +59,11 @@ class TestRunSuite:
         assert total > 0
         assert isinstance(report.parameters, dict)
         assert isinstance(report.wall_time_s, float)
+        # compared as lists of lines: pytest's diff of two long strings
+        # that differ on many lines takes minutes
+        assert report.to_json().splitlines(True) == json.dumps(
+            report.to_json_dict(), ensure_ascii=False, indent=2
+        ).splitlines(True)
 
     @pytest.mark.parametrize("name", ["mult-even", "comult-odd"])
     def test_specialized_mode_passes(self, name):
@@ -164,6 +175,88 @@ class TestRunSuite:
         a.pop("wall_time_s")
         b.pop("wall_time_s")
         assert a == b
+
+
+# any code point but a surrogate, with the characters JSON must escape or
+# that the reports carry drawn often
+_TEXT = st.text(st.one_of(
+    st.sampled_from('"\\\t\n\x00\x1f\x7f\u2028⊗'),
+    st.characters(exclude_categories=("Cs",)),
+), max_size=12)
+_PARAM = st.one_of(st.integers(), _TEXT)
+
+
+@st.composite
+def _reports(draw):
+    checks = draw(st.lists(st.builds(
+        CheckResult,
+        _TEXT,
+        st.lists(_PARAM, max_size=4).map(tuple),
+        st.booleans(),
+        st.one_of(st.none(), st.just(""), _TEXT),
+    ), max_size=4))
+    wall = draw(st.one_of(
+        st.sampled_from([0.0, 1e-05, 123.456]),
+        st.floats(min_value=0, allow_nan=False, allow_infinity=False),
+    ))
+    parameters = draw(st.dictionaries(_TEXT, _PARAM, max_size=4))
+    return SuiteReport(draw(_TEXT), parameters, checks, wall)
+
+
+class TestJsonReport:
+    """The streamed report is json.dumps(to_json_dict(), indent=2) to the
+    byte, and holds neither the report text nor its dict form in memory."""
+
+    @settings(deadline=None, max_examples=150)
+    @given(_reports())
+    def test_writer_is_json_dumps(self, report):
+        expected = json.dumps(report.to_json_dict(), ensure_ascii=False,
+                              indent=2)
+        buf = io.StringIO()
+        report.write_json(buf)
+        assert buf.getvalue() == expected + "\n"
+        assert report.to_json() == expected
+
+    def test_largest_report_streams_in_constant_memory(self):
+        # the whole-text encoder peaked at 22.6 MB on this report
+        report = run_suite("qidentities")
+        assert len(report.checks) == 19716
+        tracemalloc.start()
+        try:
+            with open(os.devnull, "w", encoding="utf-8") as fh:
+                report.write_json(fh)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_check_result_record(self):
+        c = CheckResult("sample-check", (1, "ev"), True)
+        assert (c.id, c.params, c.passed, c.witness) == (
+            "sample-check", (1, "ev"), True, None)
+        assert c == CheckResult(id="sample-check", params=(1, "ev"),
+                                passed=True, witness=None)
+        assert repr(c) == ("CheckResult(id='sample-check', params=(1, 'ev'), "
+                           "passed=True, witness=None)")
+        assert hash(c) == hash(("sample-check", (1, "ev"), True, None))
+        with pytest.raises(AttributeError):
+            c.passed = False
+        with pytest.raises(AttributeError):
+            c.note = "extra"
+        f = CheckResult("sample-check", (2,), False, "difference")
+        assert f.to_json_dict() == {"id": "sample-check", "params": [2],
+                                    "pass": False, "witness": "difference"}
+
+    def test_suite_report_record(self):
+        checks = [CheckResult("sample-check", (0,), False, "difference")]
+        r = SuiteReport("chi", {"bound": 1}, checks, 0.001)
+        assert r == SuiteReport(suite="chi", parameters={"bound": 1},
+                                checks=list(checks), wall_time_s=0.001)
+        assert r != SuiteReport("chi", {"bound": 1}, [], 0.001)
+        assert repr(r).startswith("SuiteReport(suite='chi', parameters=")
+        assert (r.passed, r.counts, r.failures()) == (False, (0, 1), checks)
+        with pytest.raises(AttributeError):
+            r.note = "extra"
 
 
 class TestTable:

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from iqsl2 import cli
+from iqsl2 import cli, verify
 from iqsl2.verify import CheckResult, SuiteReport
 
 
@@ -40,6 +40,22 @@ class TestVerifyCommand:
         payload = json.loads(target.read_text(encoding="utf-8"))
         assert payload["suite"] == "fhy-forms"
         assert all(c["pass"] for c in payload["checks"])
+
+    def test_json_file_is_the_report_text(self, tmp_path, monkeypatch, capsys):
+        reports = []
+
+        def run(*args):
+            reports.append(verify.run_suite(*args))
+            return reports[-1]
+
+        monkeypatch.setattr(cli, "run_suite", run)
+        target = tmp_path / "report.json"
+        rc = cli.main(["verify", "chi", "--max", "3", "--json", str(target)])
+        capsys.readouterr()
+        assert rc == 0
+        expected = json.dumps(reports[0].to_json_dict(), ensure_ascii=False,
+                              indent=2) + "\n"
+        assert target.read_bytes() == expected.encode("utf-8")
 
     def test_failure_exit_one(self, monkeypatch, capsys):
         monkeypatch.setattr(cli, "run_suite",

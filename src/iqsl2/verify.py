@@ -211,18 +211,19 @@ class SuiteReport:
         sep = "\n"
         for cid, params, passed, witness in self.checks:
             if params:
-                params = ("[\n        "
-                          + ",\n        ".join(map(_json_scalar, params))
-                          + "\n      ]")
+                params_text = ("[\n        "
+                               + ",\n        ".join(map(_json_scalar, params))
+                               + "\n      ]")
             else:
-                params = "[]"
+                params_text = "[]"
             if witness is None:
-                witness = ""
+                witness_text = ""
             else:
-                witness = f',\n      "witness": {encode_basestring(witness)}'
+                witness_text = (',\n      "witness": '
+                                + encode_basestring(witness))
             write(f'{sep}    {{\n      "id": {encode_basestring(cid)},\n'
-                  f'      "params": {params},\n'
-                  f'      "pass": {_json_scalar(passed)}{witness}\n    }}')
+                  f'      "params": {params_text},\n'
+                  f'      "pass": {_json_scalar(passed)}{witness_text}\n    }}')
             sep = ",\n"
         write("\n  ]" if self.checks else "]")
         write(f',\n  "wall_time_s": {_json_scalar(self.wall_time_s)}\n}}\n')

@@ -17,8 +17,7 @@ are its coefficients. Each product coefficient is a sum of at most
 min(len a, len b) term products, so its absolute value is at most
 M = max|a| * max|b| * min(len a, len b). With k = bit_length(M) + 1 every
 coefficient lies inside the digit range [-2^(k-1), 2^(k-1)), the digits
-are exact and no check or fallback is needed (unlike the division in
-coeff, which must widen k).
+are exact and no check or fallback is needed.
 
 k is rounded up to a machine word of 8, 16, 32 or 64 bits, so that C
 writes and reads the digits: _words packs an operand as int.from_bytes of
@@ -47,9 +46,9 @@ Above 256 pairs, where most kmul time goes, Kronecker wins by 2.9-7x
 (mult-verify 376 ms against 53 ms, laurent-identities 277 ms against
 91 ms).
 
-The slot layout at stride 1 (_to_slots, _from_slots) and the pack/unpack
-pair also serve the Kronecker exact division and the heuristic gcd in
-coeff, and _pack/_unpack the cyclotomic products in idp; a univariate
+The slot layout at stride 1 (_to_slots, _from_slots) also serves the
+schoolbook exact division in coeff, and the pack/unpack pair the
+heuristic gcd in coeff and the cyclotomic products in idp; a univariate
 polynomial {i: c} is a slot dict as it stands.
 """
 

@@ -13,32 +13,31 @@ Two layers:
   primitive gcd in Z[q] is divided out when the denominator is
   varsigma-free, and the denominator's leading sign is fixed positive.
 
-Exact division and the reduction's gcd turn dict loops into a few
-big-integer operations. They use the slot layout at stride 1 (_to_slots,
-_from_slots) and the pack/unpack pair (_pack: evaluate at q = 2^k;
-_unpack: balanced base-2^k digits) of _kernel_py, at any width k. kmul
-shares only _to_slots, _pack and _unpack with them, for products whose
+Exact division works in the slot layout at stride 1 (_to_slots,
+_from_slots) of _kernel_py. The reduction's gcd turns dict loops into a
+few big-integer operations with the pack/unpack pair (_pack: evaluate at
+q = 2^k; _unpack: balanced base-2^k digits) of _kernel_py, at any width k.
+kmul shares only _to_slots, _pack and _unpack with them, for products whose
 digits need more than 64 bits; below that it folds the q-stride and packs
 whole machine words (see _kernel_py).
 
-* Exact division (_div_exact_raw) is by Kronecker substitution (Harvey,
-  J. Symbolic Comput. 2009). After the shift to ordinary polynomials the
-  term c*q^i*v^j goes to slot j*w + i with w = deg_q(a) + 1, and a
-  polynomial is evaluated at q = 2^k, i.e. v = 2^(k*w). Unlike a product's,
-  a quotient's coefficients have no bound known in advance, so each width
-  is checked. Evaluation is a ring map, so if b | a then B | A: a nonzero
-  remainder of one divmod proves that b does not divide a. Otherwise the
-  quotient is read back in balanced base-2^k digits as c, and accepted
-  when deg_q(b) + deg_q(c) < w,
-  max|b| * max|c| * min(len b, len c) < 2^(k-1) and max|a| < 2^(k-1): then
-  b*c and a are packed injectively to the same integer, so b*c == a. When
-  that bound fails the slot is widened, up to a final width at which the
-  true quotient would pass it. That width comes from Mignotte's bound: a
-  factor of a has coefficients at most 2^(its q-degree + its v-degree) times
-  ||a||_2 (the Mahler measure is multiplicative, at least 1 on nonzero
-  integer polynomials and at most the 2-norm). A failed bound at the final
-  width therefore proves that b does not divide a, and the division is
-  always decided.
+* Exact division (_div_exact_raw) shifts both operands to ordinary
+  polynomials and maps the term c*q^i*v^j to slot j*w + i, with
+  w = deg_q(a) + 1. That is Kronecker substitution q -> X, v -> X^w
+  (Harvey, J. Symbolic Comput. 2009), a ring map that is injective on
+  polynomials of q-degree below w. The slot dict A of a is divided by the
+  slot dict B of b by schoolbook division from the top slot down, which
+  finds the quotient in Q[X] one coefficient at a time. If b divides a with
+  quotient c, then deg_q(c) = deg_q(a) - deg_q(b), so b*c has q-degree below
+  w and the slot dict C of c is that quotient: every divmod against the
+  leading coefficient of B leaves no remainder, every quotient slot s has
+  q-part s mod w at most w - 1 - deg_q(b), and the remainder below deg B is
+  zero. Each of the three failing therefore proves that b does not divide a,
+  and the division returns None. Otherwise C is the slot dict of a
+  polynomial c with deg_q(b) + deg_q(c) < w, so b*c maps to B*C = A, and
+  by injectivity b*c == a. The division is not packed into big integers:
+  CPython's big-integer divmod is itself quadratic, and the schoolbook loop
+  ran faster on every operand measured.
 * The gcd (_uni_gcd) is the heuristic GCDHEU (Char, Geddes & Gonnet,
   J. Symbolic Comput. 1989), run once on a list: the denominator and every
   v-slice of the numerator, each divided by its lowest power of q. It
@@ -61,8 +60,9 @@ whole machine words (see _kernel_py).
   lie below 1 + ||p_i||_inf < xi/2 in absolute value, so |f(xi)| > xi/2:
   f is 1. The argument uses one input's norm only, so it holds for a list
   as for a pair. After four points (k doubles each time) the primitive
-  PRS runs instead and _kron_quotient gives the cofactors. Either way g is
-  the unique primitive gcd with a positive leading coefficient.
+  PRS runs instead and the exact division (_slot_quotient, on one row)
+  gives the cofactors. Either way g is the unique primitive gcd with a
+  positive leading coefficient.
 
 For a varsigma-free denominator the reduced form is unique: shifted to
 touch q^0 and v^0, joint content removed, no nonconstant common factor of
@@ -104,83 +104,52 @@ def _min_exps(t):
     return mi, mj
 
 
-_WIDER = object()  # _kron_div could not decide at this slot width
-
-
-def _kron_div(a, b, w, k, dq):
-    """One Kronecker attempt at a/b for slot dicts at slot width k bits.
-
-    Returns the quotient's slot dict, None when b does not divide a, or
-    _WIDER when this width cannot decide. dq is the largest q-exponent the
-    quotient may have; max|a| and max|b| must be below 2^(k-1).
-    """
-    qa, r = divmod(_pack(a, k), _pack(b, k))
-    if r:
-        return None
-    c = _unpack(qa, max(a) - max(b) + 1, k)
-    if c is None or any(s % w > dq for s in c):
-        return _WIDER
-    mb = max(map(abs, b.values()))
-    mc = max(map(abs, c.values()))
-    if mb * mc * min(len(b), len(c)) >> (k - 1):
-        return _WIDER
-    return c
-
-
-def _kron_quotient(a, b, w):
+def _slot_quotient(a, b, w):
     """Exact quotient of slot dicts a/b, or None when b does not divide a.
 
-    a and b are polynomials (no negative exponents), a has q-degree w - 1,
-    b has q-degree below w and is nonzero. Always decided: see the module
-    docstring.
+    a and b are polynomials (no negative exponents) of q-degree below w,
+    and b is nonzero. Schoolbook division from the top slot down; each None
+    proves non-division (see the module docstring).
     """
-    if max(a) // w < max(b) // w:
-        return None
+    db = max(b)
+    lb = b[db]
     dq = w - 1 - max(s % w for s in b)
-    mb = max(map(abs, b.values()))
-    lb = len(b).bit_length()
-    # first width: room for quotient coefficients up to about 2^8 * max|a|
-    k = max(map(abs, a.values())).bit_length() + mb.bit_length() + lb + 9
-    final = None
-    while True:
-        c = _kron_div(a, b, w, k, dq)
-        if c is not _WIDER:
-            return c
-        if final is None:
-            # Mignotte: a factor of a has coefficients below
-            # 2^(its q-degree + its v-degree) * ||a||_2
-            dv = max(a) // w - max(b) // w
-            norm = math.isqrt(sum(x * x for x in a.values())) + 1
-            final = mb.bit_length() + dq + dv + norm.bit_length() + lb + 1
-        if k >= final:
+    r = dict(a)
+    out = {}
+    for s in range(max(a) - db, -1, -1):
+        x = r.pop(s + db, 0)
+        if not x:
+            continue
+        c, m = divmod(x, lb)
+        if m or s % w > dq:
             return None
-        k = min(2 * k, final)
+        out[s] = c
+        for e, y in b.items():
+            if e != db:
+                k = e + s
+                v = r.get(k, 0) - c * y
+                if v:
+                    r[k] = v
+                else:
+                    del r[k]
+    # nonzero slots left are a remainder below deg b
+    return None if r else dict(reversed(out.items()))
 
 
 def _div_exact_raw(a, b):
     """Exact quotient of term dicts a/b, or None when b does not divide a.
 
     b must be nonzero. Both operands are shifted to ordinary polynomials
-    and divided by Kronecker substitution (_kron_quotient); a one-term
-    divisor divides coefficient by coefficient.
+    and divided in the slot layout (_slot_quotient).
     """
     if not a:
         return {}
     ai, aj = _min_exps(a)
     bi, bj = _min_exps(b)
-    if len(b) == 1:
-        bc, = b.values()
-        out = {}
-        for (i, j), c in a.items():
-            qc, r = divmod(c, bc)
-            if r:
-                return None
-            out[(i - bi, j - bj)] = qc
-        return out
     w = max(i for i, _ in a) - ai + 1
     if max(i for i, _ in b) - bi >= w:
         return None
-    quot = _kron_quotient(_to_slots(a, ai, aj, w), _to_slots(b, bi, bj, w), w)
+    quot = _slot_quotient(_to_slots(a, ai, aj, w), _to_slots(b, bi, bj, w), w)
     if quot is None:
         return None
     return _from_slots(quot, w, ai - bi, aj - bj)
@@ -276,7 +245,7 @@ def _uni_gcd(polys):
         g = a
     if not max(g):
         return {0: 1}, polys
-    return g, [_kron_quotient(p, g, max(p) + 1) for p in polys]
+    return g, [_slot_quotient(p, g, max(p) + 1) for p in polys]
 
 
 def _uni_terms(p):
@@ -326,9 +295,14 @@ class LaurentPoly:
     def __init__(self, terms=None):
         t = {}
         if terms:
-            for k, c in terms.items():
+            for (i, j), c in terms.items():
+                if not (isinstance(i, int) and isinstance(j, int)
+                        and isinstance(c, int)):
+                    raise TypeError(
+                        f"LaurentPoly term {(i, j)!r}: {c!r} needs int "
+                        "exponents and an int coefficient"
+                    )
                 if c:
-                    i, j = k
                     t[(int(i), int(j))] = int(c)
         self._t = t
         self._h = None

@@ -66,7 +66,7 @@ from .pbw import UElement, divided_power, u_h_binom
 from .qcomb import qfact, qint
 # re-exported: perfbench's tracer looks the name up on this module
 from .qcomb import qbinom  # noqa: F401
-from .sparse import Sparse, _acc, _coerce_scalar
+from .sparse import Sparse, _acc, _coerce_scalar, _scalar_arg
 from .tensor import TensorElement, delta
 
 EV = "ev"
@@ -77,6 +77,15 @@ _SC_ZERO = Scalar.zero()
 _SC_ONE = Scalar.one()
 # q*varsigma, the combination every correction term carries
 _QVS = Scalar.vs_power(1, 1)
+
+
+def _check_degree(d):
+    """``d`` as a degree in B: TypeError unless an int, ValueError if negative."""
+    if not isinstance(d, int):
+        raise TypeError(f"degree {d!r} is not an int")
+    if d < 0:
+        raise ValueError(f"negative degree {d}")
+    return d
 
 
 def _check_parity(p):
@@ -93,9 +102,8 @@ class BPolynomial(Sparse):
         c = {}
         if coeffs:
             for d, s in coeffs.items():
-                if d < 0:
-                    raise ValueError(f"negative degree {d}")
-                s = _coerce_scalar(s)
+                d = _check_degree(d)
+                s = _scalar_arg(s)
                 if not s.is_zero():
                     c[d] = s
         self._t = c
@@ -110,9 +118,8 @@ class BPolynomial(Sparse):
 
     @classmethod
     def monomial(cls, d, coeff=1):
-        if d < 0:
-            raise ValueError(f"negative degree {d}")
-        s = _coerce_scalar(coeff)
+        d = _check_degree(d)
+        s = _scalar_arg(coeff)
         if s.is_zero():
             return cls.zero()
         return cls._raw({d: s})

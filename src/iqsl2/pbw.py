@@ -20,7 +20,7 @@ weight vector (K acts by q^m, E and F keep their symbols).
 from .coeff import LaurentPoly, Scalar
 from .errors import RequiresSpecialized
 from .qcomb import qfact, qint
-from .sparse import Sparse, _acc, _coerce_scalar
+from .sparse import Sparse, _acc, _coerce_scalar, _scalar_arg
 
 _SC_ONE = Scalar.one()
 _UNIT = (0, 0, 0)
@@ -123,7 +123,7 @@ class UElement(Sparse):
         if terms:
             for m, s in terms.items():
                 m = _check_monomial(m)
-                s = _coerce_scalar(s)
+                s = _scalar_arg(s)
                 if not s.is_zero():
                     t[m] = s
         self._t = t
@@ -134,7 +134,7 @@ class UElement(Sparse):
 
     @classmethod
     def monomial(cls, a, b, c, coeff=1):
-        s = _coerce_scalar(coeff)
+        s = _scalar_arg(coeff)
         if s.is_zero():
             return cls.zero()
         return cls._raw({_check_monomial((a, b, c)): s})

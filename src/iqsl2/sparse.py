@@ -19,6 +19,14 @@ def _coerce_scalar(x):
     return None
 
 
+def _scalar_arg(x):
+    """``x`` as a Scalar; TypeError unless it is a Scalar, LaurentPoly or int."""
+    s = _coerce_scalar(x)
+    if s is None:
+        raise TypeError(f"{x!r} is not a Scalar, LaurentPoly or int")
+    return s
+
+
 def _acc(out, k, s):
     """Add ``s`` to ``out[k]``, keeping only nonzero coefficients."""
     v = out.get(k)
@@ -94,9 +102,7 @@ class Sparse:
         return self._raw({k: -s for k, s in self._t.items()})
 
     def scale(self, s):
-        s = _coerce_scalar(s)
-        if s is None:
-            raise TypeError("scale takes a Scalar, LaurentPoly, or int")
+        s = _scalar_arg(s)
         if s.is_zero():
             return self.zero()
         return self._raw({k: v * s for k, v in self._t.items()})

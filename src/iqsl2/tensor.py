@@ -13,7 +13,7 @@ coassociativity checks without a full three-fold element type.
 
 from .coeff import Scalar
 from .pbw import UElement, _check_monomial, _format_monomial, _mono_mul
-from .sparse import Sparse, _acc, _coerce_scalar
+from .sparse import Sparse, _acc, _coerce_scalar, _scalar_arg
 
 _SC_ONE = Scalar.one()
 _UNIT = (0, 0, 0)
@@ -30,7 +30,7 @@ class TensorElement(Sparse):
             for k, s in terms.items():
                 m1, m2 = k
                 k = (_check_monomial(m1), _check_monomial(m2))
-                s = _coerce_scalar(s)
+                s = _scalar_arg(s)
                 if not s.is_zero():
                     t[k] = s
         self._t = t

@@ -908,6 +908,8 @@ def table_rows(family, max_total_degree):
 
 def emit_table(family, max_total_degree, fmt="csv"):
     """Serialize the structure-constant table as CSV or JSON text."""
+    if fmt not in ("csv", "json"):
+        raise ValueError(f"unknown table format {fmt!r}")
     rows = table_rows(family, max_total_degree)
     if fmt == "csv":
         buf = io.StringIO()
@@ -920,25 +922,23 @@ def emit_table(family, max_total_degree, fmt="csv"):
                  "true" if row[6] else "false"]
             )
         return buf.getvalue()
-    if fmt == "json":
-        payload = {
-            "family": family,
-            "max_total_degree": max_total_degree,
-            "rows": [
-                {
-                    "family": row[0],
-                    "m": row[1],
-                    "n": row[2],
-                    "l": row[3],
-                    "coefficient": row[4],
-                    "integral": row[5],
-                    "positive": row[6],
-                }
-                for row in rows
-            ],
-        }
-        return json.dumps(payload, ensure_ascii=False, indent=2) + "\n"
-    raise ValueError(f"unknown table format {fmt!r}")
+    payload = {
+        "family": family,
+        "max_total_degree": max_total_degree,
+        "rows": [
+            {
+                "family": row[0],
+                "m": row[1],
+                "n": row[2],
+                "l": row[3],
+                "coefficient": row[4],
+                "integral": row[5],
+                "positive": row[6],
+            }
+            for row in rows
+        ],
+    }
+    return json.dumps(payload, ensure_ascii=False, indent=2) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -947,13 +947,12 @@ def emit_table(family, max_total_degree, fmt="csv"):
 
 def expand_idp(parity, n, basis="B"):
     """Serialize a divided power, either as a polynomial in B or in PBW form."""
+    if basis not in ("B", "pbw"):
+        raise ValueError(f"unknown basis {basis!r}")
     _check_ceiling("n", n)
-    x = idp_closed(parity, n)
     if basis == "B":
-        return str(x)
-    if basis == "pbw":
-        return str(_pbw_closed(parity, n))
-    raise ValueError(f"unknown basis {basis!r}")
+        return str(idp_closed(parity, n))
+    return str(_pbw_closed(parity, n))
 
 
 def expand_comult(parity, n, form="theorem"):

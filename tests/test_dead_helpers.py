@@ -1,9 +1,10 @@
 """Every private module-level helper in src/iqsl2 is used by src/ itself.
 
-A ``_``-prefixed function or class defined at module level that no code in
-``src/`` names, apart from its own definition, is dead: a fork left behind
-by a rewrite. Tests may still call it, so they do not count as uses. A use
-is a name or an attribute read anywhere, in any module of the package.
+A ``_``-prefixed function, class or assigned name at module level that no
+code in ``src/`` reads, apart from its own definition, is dead: a fork left
+behind by a rewrite, such as a sentinel whose only reader was deleted.
+Tests may still use it, so they do not count as uses. A use is a name or an
+attribute read anywhere, in any module of the package.
 """
 
 import ast
@@ -19,26 +20,38 @@ def _names(node):
     """Counter of the names and attribute names read inside node."""
     out = Counter()
     for sub in ast.walk(node):
-        if isinstance(sub, ast.Name):
+        if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
             out[sub.id] += 1
-        elif isinstance(sub, ast.Attribute):
+        elif isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load):
             out[sub.attr] += 1
     return out
 
 
+def _defined(node):
+    """Names a module-level statement defines: a def, or assignment targets."""
+    if isinstance(node, DEFS):
+        return [node.name]
+    if isinstance(node, (ast.Assign, ast.AnnAssign)):
+        targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+        return [sub.id for t in targets for sub in ast.walk(t)
+                if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Store)]
+    return []
+
+
 def dead_helpers(sources):
-    """(module, name) of each private module-level def that no source
-    names outside its own body, for sources mapping module to its text."""
+    """(module, name) of each private module-level def or assigned name
+    that no source reads outside its own definition, for sources mapping
+    module to its text."""
     trees = {mod: ast.parse(text) for mod, text in sources.items()}
     used = sum((_names(tree) for tree in trees.values()), Counter())
     dead = []
     for mod, tree in trees.items():
         for node in tree.body:
-            name = getattr(node, "name", "")
-            if (isinstance(node, DEFS) and name.startswith("_")
-                    and not name.startswith("__")
-                    and used[name] == _names(node)[name]):
-                dead.append((mod, name))
+            for name in _defined(node):
+                # "_" is a throwaway target, "__x" a dunder: no helper
+                if (name.startswith("_") and not name.startswith("__")
+                        and name != "_" and used[name] == _names(node)[name]):
+                    dead.append((mod, name))
     return sorted(dead)
 
 
@@ -55,11 +68,17 @@ def test_checker_finds_dead_helpers():
             "    pass\n"
             "def public():\n"
             "    pass\n"
-            "_ALIAS = 1\n"
+            "_WIDER = object()\n"     # assigned, never read: dead
+            "_ALIAS: int = 1\n"
+            "_SEEN, _ = 1, 2\n"
+            "__all__ = []\n"           # dunder: not a helper
         ),
-        "b": "from a import _used_by_b\n_used_by_b()\nimport a\na._Attr()\n",
+        "b": (
+            "from a import _used_by_b\n_used_by_b()\nimport a\na._Attr()\n"
+            "print(a._ALIAS, a._SEEN)\n"
+        ),
     }
-    assert dead_helpers(sources) == [("a", "_rec")]
+    assert dead_helpers(sources) == [("a", "_WIDER"), ("a", "_rec")]
 
 
 def test_no_dead_private_helpers():

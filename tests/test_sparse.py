@@ -36,6 +36,23 @@ def test_scale_rejects_non_scalars(cls, bad):
         cls.one().scale(bad)
 
 
+@pytest.mark.parametrize("cls, key", [
+    (BPolynomial, 1), (UElement, (1, 0, 0)), (TensorElement, ((1, 0, 0), (0, 0, 0))),
+])
+@pytest.mark.parametrize("bad", [None, "x", 1.5])
+def test_constructors_reject_non_scalars(cls, key, bad):
+    with pytest.raises(TypeError):
+        cls({key: bad})
+
+
+@pytest.mark.parametrize("bad", [1.5, 1.0, "1"])
+def test_bpolynomial_rejects_non_int_degrees(bad):
+    with pytest.raises(TypeError):
+        BPolynomial({bad: 1})
+    with pytest.raises(TypeError):
+        BPolynomial.monomial(bad)
+
+
 @pytest.mark.parametrize("cls", KINDS)
 def test_pow(cls):
     x = cls.one() + cls.one()

@@ -5,13 +5,15 @@ import io
 import json
 import os
 import pathlib
+import subprocess
+import sys
 import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import iqsl2
-from iqsl2 import coeff, idp, pbw, qcomb, tensor
+from iqsl2 import coeff, idp, pbw, qcomb, tensor, verify
 from iqsl2.errors import NegativeInput, ResourceLimit, UnknownSuite
 from iqsl2.pbw import UElement
 from iqsl2.tensor import TensorElement
@@ -327,6 +329,17 @@ class TestTable:
             table_rows("ev", 5)
 
 
+def test_bad_format_or_basis_raises_before_any_work(monkeypatch):
+    calls = []
+    for name in ("mult_closed", "idp_closed", "_pbw_closed"):
+        monkeypatch.setattr(verify, name, lambda *a, _n=name: calls.append(_n))
+    with pytest.raises(ValueError, match="unknown table format"):
+        emit_table("odd", 24, "xml")
+    with pytest.raises(ValueError, match="unknown basis"):
+        expand_idp("odd", 6, basis="x")
+    assert calls == []
+
+
 class TestExpand:
     def test_idp_trivial_pbw(self):
         assert expand_idp("ev", 0, "pbw") == str(UElement.one())
@@ -401,6 +414,25 @@ class TestGoldenFiles:
         assert len(golden_comult_lines("odd")) == 2
 
 
+# Prints, as JSON, the names of each module-level dict of iqsl2.* that
+# grows while the suites given in argv[1] run, one list per dict.
+_GROWN_DICTS = """
+import importlib, json, pkgutil, sys
+import iqsl2
+mods = [iqsl2] + [importlib.import_module("iqsl2." + m.name)
+                  for m in pkgutil.iter_modules(iqsl2.__path__)]
+seen = {}
+for mod in mods:
+    for name, v in vars(mod).items():
+        if isinstance(v, dict) and not name.startswith("__"):
+            seen.setdefault(id(v), (v, len(v), []))[2].append(
+                mod.__name__ + "." + name)
+for suite, bound in json.loads(sys.argv[1]):
+    iqsl2.run_suite(suite, bound)
+print(json.dumps([names for v, n, names in seen.values() if len(v) > n]))
+"""
+
+
 class TestClearCaches:
     """iqsl2.clear_caches empties every memo cache and changes no result."""
 
@@ -441,6 +473,21 @@ class TestClearCaches:
         # cleared in place: the module attributes are the same objects
         assert all(getattr(m, a) is o for (m, a), o in zip(tables, objects))
         assert self._reports() == first
+
+    def test_every_memo_that_grows_is_cleared(self):
+        # a module-level dict of the package that a run fills is a memo, and
+        # clear_caches must empty it: a memo added later cannot escape. A
+        # fresh interpreter, since in this one the memos may be full already
+        src = str(pathlib.Path(iqsl2.__file__).parent.parent)
+        out = subprocess.run(
+            [sys.executable, "-c", _GROWN_DICTS, json.dumps(self.SUITES_RUN)],
+            env={**os.environ, "PYTHONPATH": src},
+            capture_output=True, text=True, check=True,
+        )
+        grown = json.loads(out.stdout)
+        cleared = {f"{m.__name__}.{a}" for m, a in self.MEMOS + self.POWERS}
+        assert grown
+        assert [names for names in grown if not cleared & set(names)] == []
 
     def test_clear_reaches_lru_caches_behind_rebound_names(self, monkeypatch):
         # a profiler may rebind the module names to plain wrappers, which

@@ -37,7 +37,9 @@ def test_scale_rejects_non_scalars(cls, bad):
 
 
 @pytest.mark.parametrize("cls, key", [
-    (BPolynomial, 1), (UElement, (1, 0, 0)), (TensorElement, ((1, 0, 0), (0, 0, 0))),
+    (BPolynomial, 1),
+    (UElement, (1, 0, 0)),
+    (TensorElement, ((1, 0, 0), (0, 0, 0))),
 ])
 @pytest.mark.parametrize("bad", [None, "x", 1.5])
 def test_constructors_reject_non_scalars(cls, key, bad):

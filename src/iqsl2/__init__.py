@@ -107,8 +107,9 @@ def clear_caches():
 
     The caches hold normal-form products, coproducts of monomials, the
     integral numerators of the divided powers, closed and recursive divided
-    powers, the PBW images of the closed divided powers, powers of B and of
-    the coproducts of E and F, cyclotomic polynomials, q-powers and quantum
+    powers, the PBW images of the closed divided powers, the integral
+    numerators of the PBW images of the powers of B, powers of the
+    coproducts of E and F, cyclotomic polynomials, q-powers and quantum
     integers, factorials and binomials. They only grow, by the orders a
     process has asked for; clearing them frees that memory and changes no
     result.
@@ -127,7 +128,7 @@ def clear_caches():
     ):
         cache.clear()
     # power tables keep their zeroth power, the seed of their recursion
-    for powers in (idp._B_PBW_POW, tensor._DELTA_E_POW, tensor._DELTA_F_POW):
+    for powers in (idp._B_POW_NUM, tensor._DELTA_E_POW, tensor._DELTA_F_POW):
         one = powers[0]
         powers.clear()
         powers[0] = one

@@ -287,6 +287,15 @@ def _parse_term(t):
     return (i, j), c
 
 
+def _check_term(i, j, c):
+    """TypeError unless the term c*q^i*v^j has int exponents and coefficient."""
+    if not (isinstance(i, int) and isinstance(j, int) and isinstance(c, int)):
+        raise TypeError(
+            f"LaurentPoly term {(i, j)!r}: {c!r} needs int "
+            "exponents and an int coefficient"
+        )
+
+
 class LaurentPoly:
     """Element of Z[q^{+-1}, varsigma^{+-1}] with exact int coefficients."""
 
@@ -296,12 +305,7 @@ class LaurentPoly:
         t = {}
         if terms:
             for (i, j), c in terms.items():
-                if not (isinstance(i, int) and isinstance(j, int)
-                        and isinstance(c, int)):
-                    raise TypeError(
-                        f"LaurentPoly term {(i, j)!r}: {c!r} needs int "
-                        "exponents and an int coefficient"
-                    )
+                _check_term(i, j, c)
                 if c:
                     t[(int(i), int(j))] = int(c)
         self._t = t
@@ -325,11 +329,12 @@ class LaurentPoly:
 
     @classmethod
     def from_int(cls, n):
-        return cls._raw({(0, 0): n} if n else {})
+        return cls.monomial(0, 0, n)
 
     @classmethod
     def monomial(cls, i=0, j=0, c=1):
-        return cls._raw({(i, j): c} if c else {})
+        _check_term(i, j, c)
+        return cls._raw({(int(i), int(j)): int(c)} if c else {})
 
     @classmethod
     def q(cls, i=1):

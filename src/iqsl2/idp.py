@@ -22,7 +22,8 @@ recursion. This module provides
 * ``s_component_reversed`` / ``comult_closed_reversed``
                        -- the same legs written with F powers on the left
                           and E-check powers on the right;
-* ``idp_to_pbw``       -- substitution B = F + varsigma E K^-1;
+* ``idp_to_pbw``       -- substitution B = F + varsigma E K^-1, on the
+                          integral powers of B;
 * ``comult_direct`` / ``comult_theorem`` / ``comult_theorem_reversed``
                        -- the coproduct computed from first principles,
                           and assembled from either kind of closed legs.
@@ -35,11 +36,15 @@ divided powers stays integral: step j subtracts rem[j] P_j from numerators
 over one common denominator, and only the output coefficient
 rem[j] [j]! / den is a fraction, reduced once. ``mult_direct`` runs it on
 P_m P_n over [m]! [n]!, ``idp_basis_expand`` on its argument brought over
-one denominator, and the PBW image of B^{(n)} substitutes into P_n and
-divides by [n]! once. The denominators on these paths are products of
-quantum integers, which are varsigma-free, so each reduced coefficient, and
-its text, is the one a computation on Scalar coefficients gives (see the
-``coeff`` docstring).
+one denominator. The PBW image of B^d is N_d / (q^2 - 1)^floor(d/2) with
+N_d integral (``_b_pow_num``: the only denominator comes from EF - FE, and
+the step to each odd power divides one factor q^2 - 1 out exactly), so
+the PBW image of B^{(n)} is sum_d P_n[d] N_d
+(q^2 - 1)^(floor(n/2) - floor(d/2)) over (q^2 - 1)^floor(n/2) [n]!, reduced
+once per monomial. The denominators on these paths are products of quantum
+integers and of q^2 - 1, which are varsigma-free, so each reduced
+coefficient, and its text, is the one a computation on Scalar coefficients
+gives (see the ``coeff`` docstring).
 
 Ratios of quantum integers are built by ``qratio`` already in lowest
 terms, with no gcd. For k >= 1, [k] = q^(1-k) prod_{d | k, d > 1}
@@ -62,7 +67,8 @@ from collections import Counter
 from .coeff import LaurentPoly, Scalar
 from ._kernel_py import _pack, _unpack, kadd, kmul, kshift, ksub
 from .errors import DivisionByZero, NegativeInput
-from .pbw import UElement, divided_power, u_h_binom
+from .pbw import (
+    _Q2M1, UElement, _rmul_B, _tacc, divided_power, u_h_binom)
 from .qcomb import qfact, qint
 # re-exported: perfbench's tracer looks the name up on this module
 from .qcomb import qbinom  # noqa: F401
@@ -397,12 +403,18 @@ def idp_basis_expand(x, p):
     integral numerators are expanded by ``_back_substitute``.
     """
     _check_parity(p)
+    return _back_substitute(*_over_one_den(x), p)
+
+
+def _over_one_den(x):
+    """The coefficients of the BPolynomial x over one common denominator:
+    integral numerators {degree: term dict} and the denominator's term dict."""
     den = LaurentPoly.one()
     for _, s in x.coeffs():
         # den times den_i / gcd(den, den_i): a common multiple of both
         den = den * Scalar(s.den, den).num
-    rem = {d: (s.num * den.exact_div(s.den))._t for d, s in x.coeffs()}
-    return _back_substitute(rem, den._t, p)
+    return ({d: (s.num * den.exact_div(s.den))._t for d, s in x.coeffs()},
+            den._t)
 
 
 def mult_direct(p, m, n):
@@ -496,6 +508,11 @@ def s_component(p, n, r):
 
     where X = c(2c-1), A = -floor((r-2)/2) in one exponent style and
     X = c(2c+1), A = -floor((r-1)/2) in the other. Zero outside 0 <= r <= n.
+
+    Each summand is already in PBW order: Echeck^{(a)} is a multiple of
+    E^a K^-a and the h-binomial a combination of powers of K, so the term
+    of K^b in the h-binomial lands on E^a K^{b-a+r-n} F^{(r-2c-a)}, one
+    monomial per (c, a, b), with no rewriting.
     """
     _check_parity(p)
     if n < 0:
@@ -504,18 +521,20 @@ def s_component(p, n, r):
         return UElement.zero()
     style = _leg_exponent_style(p, n)
     shift = -((r - 2) // 2) if style else -((r - 1) // 2)
-    kpow = UElement.monomial(0, r - n, 0)
-    out = UElement.zero()
+    out = {}
     for c in range(r // 2 + 1):
         x = c * (2 * c - 1) if style else c * (2 * c + 1)
         hb = u_h_binom(shift, c)
         qvs_c = Scalar.vs_power(c, c)
         for a in range(r - 2 * c + 1):
-            e = x + (r - 2 * c) * (r - n) - a * (r - 2 * c - a)
-            term = (divided_power("Echeck", a) * hb * kpow
-                    * divided_power("F", r - 2 * c - a))
-            out = out + term.scale(Scalar.q_power(e) * qvs_c)
-    return out
+            k = r - 2 * c - a
+            e = x + (r - 2 * c) * (r - n) - a * k
+            f = (divided_power("Echeck", a).coeff(a, -a, 0)
+                 * divided_power("F", k).coeff(0, 0, k)
+                 * (Scalar.q_power(e) * qvs_c))
+            for (_, b, _), h in hb._t.items():
+                out[a, b - a + r - n, k] = h * f
+    return UElement._raw(out)
 
 
 def s_component_reversed(p, n, r):
@@ -536,7 +555,7 @@ def s_component_reversed(p, n, r):
     style = _leg_exponent_style(p, n)
     g = (r - 2) // 2 if style else (r - 1) // 2
     kpow = UElement.monomial(0, r - n, 0)
-    out = UElement.zero()
+    out = {}
     for c in range(r // 2 + 1):
         y = 3 * c if style else c
         hb = u_h_binom(1 - c + g, c)
@@ -547,8 +566,10 @@ def s_component_reversed(p, n, r):
             e = y - (r - 2 * c) * (r - n) + a * (r - 2 * c - a)
             term = (divided_power("F", a) * hb * kpow
                     * divided_power("Echeck", r - 2 * c - a))
-            out = out + term.scale(Scalar.q_power(e) * qvs_c)
-    return out
+            f = Scalar.q_power(e) * qvs_c
+            for m, v in term._t.items():
+                _acc(out, m, v * f)
+    return UElement._raw(out)
 
 
 def comult_closed(p, n):
@@ -567,26 +588,46 @@ def comult_closed_reversed(p, n):
     return [(r, s_component_reversed(p, n, r)) for r in range(n + 1)]
 
 
-_B_PBW_POW = {0: UElement.one()}
+# integral numerators of the PBW images of the powers of B, keyed by d:
+# B^d = sum_m N_d[m] m / (q^2 - 1)^floor(d/2), with N_d {monomial: term dict}
+_B_POW_NUM = {0: {(0, 0, 0): {(0, 0): 1}}}
 
 
-def _b_pbw_pow(d):
-    r = _B_PBW_POW.get(d)
+def _b_pow_num(d):
+    """N_d of B^d = B^(d-1) B; the step to odd d divides by q^2 - 1."""
+    r = _B_POW_NUM.get(d)
     if r is None:
-        base = UElement._raw(
-            {(0, 0, 1): _SC_ONE, (1, -1, 0): Scalar(LaurentPoly.vs())}
-        )
-        r = _b_pbw_pow(d - 1) * base
-        _B_PBW_POW[d] = r
+        r = _rmul_B(_b_pow_num(d - 1), d % 2 == 1)
+        _B_POW_NUM[d] = r
     return r
+
+
+def _pbw_image(rem, den):
+    """UElement sum_d rem[d] B^d / den, from integral numerators ``rem``
+    {degree: term dict} over one denominator ``den`` (a term dict).
+
+    With e = floor(top degree / 2), the numerator of each monomial is
+    sum_d rem[d] N_d (q^2 - 1)^(e - floor(d/2)) over den (q^2 - 1)^e, and it
+    is reduced once.
+    """
+    if not rem:
+        return UElement.zero()
+    e = max(rem) // 2
+    q2m1 = [{(0, 0): 1}]
+    for _ in range(e):
+        q2m1.append(kmul(q2m1[-1], _Q2M1))
+    acc = {}
+    for d, t in rem.items():
+        w = kmul(t, q2m1[e - d // 2])
+        for m, n in _b_pow_num(d).items():
+            _tacc(acc, m, kmul(w, n))
+    den = kmul(den, q2m1[e])
+    return UElement._raw({m: Scalar._make(t, den) for m, t in acc.items() if t})
 
 
 def idp_to_pbw(x):
     """Substitute B = F + varsigma E K^-1 into a BPolynomial."""
-    out = UElement.zero()
-    for d, s in x.coeffs():
-        out = out + _b_pbw_pow(d).scale(s)
-    return out
+    return _pbw_image(*_over_one_den(x))
 
 
 # PBW image of the closed divided power, keyed by (family, order)
@@ -598,9 +639,7 @@ def _pbw_closed(p, n):
     r = _PBW_CLOSED_CACHE.get(key)
     if r is None:
         # substitute into the integral P_n, then divide by [n]! once
-        num = BPolynomial._raw({d: Scalar._make(t, {(0, 0): 1})
-                                for d, t in _numerator(p, n).items()})
-        r = idp_to_pbw(num).scale(Scalar(LaurentPoly.one(), qfact(n)))
+        r = _pbw_image(_numerator(p, n), qfact(n)._t)
         _PBW_CLOSED_CACHE[key] = r
     return r
 
@@ -615,10 +654,12 @@ def comult_direct(p, n):
 
 
 def _assemble(p, n, legs):
-    out = TensorElement.zero()
+    out = {}
     for r, s in legs:
-        out = out + TensorElement.from_pair(_pbw_closed(p, n - r), s)
-    return out
+        for m1, s1 in _pbw_closed(p, n - r)._t.items():
+            for m2, s2 in s._t.items():
+                _acc(out, (m1, m2), s1 * s2)
+    return TensorElement._raw(out)
 
 
 def comult_theorem(p, n):

@@ -8,7 +8,9 @@ relations are
 and every product is rewritten into the basis through the commutation
 identity E F^c = F^c E + [c] F^{c-1} (q^{1-c} K - q^{c-1} K^-1)/(q - q^-1).
 Products of basis monomials are memoized, which makes the repeated
-right-multiplications behind divided powers and coproducts cheap.
+right-multiplications behind divided powers and coproducts cheap. Powers of
+B = F + varsigma E K^-1 are built apart, on integral numerators over a
+power of q^2 - 1 (``_rmul_B``), with no Scalar reduction per step.
 
 Beyond the algebra itself this module carries the operators the divided
 power laws need: the Cartan-type element h = (K^-2 - 1)/(q^2 - 1) and its
@@ -17,7 +19,8 @@ coefficients barred, defined on varsigma-free input), and evaluation on a
 weight vector (K acts by q^m, E and F keep their symbols).
 """
 
-from .coeff import LaurentPoly, Scalar
+from ._kernel_py import kmul, kshift, ksub
+from .coeff import LaurentPoly, Scalar, _div_exact_raw
 from .errors import RequiresSpecialized
 from .qcomb import qfact, qint
 from .sparse import Sparse, _acc, _coerce_scalar, _scalar_arg
@@ -57,6 +60,55 @@ def _rmul_E(t):
             _acc(out, (a, b - 1, c - 1), w * Scalar.q_power(1 - c))
             _acc(out, (a, b + 1, c - 1), -(w * Scalar.q_power(c - 1)))
     return out
+
+
+# q^2 - 1, so that [c] / (q - q^-1) = q [c] / (q^2 - 1)
+_Q2M1 = {(2, 0): 1, (0, 0): -1}
+
+
+def _tacc(out, k, t):
+    """Add the term dict ``t`` to ``out[k]`` in place; ``out`` keeps ``t``."""
+    v = out.get(k)
+    if v is None:
+        out[k] = t
+        return
+    for e, c in t.items():
+        c += v.get(e, 0)
+        if c:
+            v[e] = c
+        else:
+            del v[e]
+
+
+def _rmul_B(t, divide):
+    """Right-multiply integral numerators by B = F + varsigma E K^-1.
+
+    ``t`` maps monomials to term dicts over (q^2 - 1)^e. F only raises c.
+    E K^-1 is ``_rmul_E`` followed by K^-1, with [c] / (q - q^-1) =
+    q [c] / (q^2 - 1), so the product comes out over (q^2 - 1)^(e+1). With
+    ``divide`` every coefficient is divided exactly by q^2 - 1 and the
+    product stays over (q^2 - 1)^e; AssertionError if one is not divisible.
+    """
+    out = {}
+    for (a, b, c), s in t.items():
+        ds = ksub(kshift(s, 2, 0, 1), s)
+        ek = kshift(ds, 2 * (b - c), 1, 1)
+        _tacc(out, (a, b, c + 1), ds)
+        _tacc(out, (a + 1, b - 1, c), ek)
+        if c:
+            cs = kmul(s, qint(c)._t)
+            _tacc(out, (a, b - 2, c - 1), kshift(cs, 4 - 3 * c, 1, 1))
+            _tacc(out, (a, b, c - 1), kshift(cs, 2 - c, 1, -1))
+    r = {}
+    for m, x in out.items():
+        if not x:
+            continue
+        if divide:
+            x = _div_exact_raw(x, _Q2M1)
+            if x is None:
+                raise AssertionError("a power of B is not divisible by q^2 - 1")
+        r[m] = x
+    return r
 
 
 def _rmul_K(t, sign):

@@ -39,6 +39,30 @@ def test_constructor_rejects_non_int_terms(terms):
         LaurentPoly(terms)
 
 
+@pytest.mark.parametrize("build", [
+    lambda: LaurentPoly.monomial(0, 0, 0.5),
+    lambda: LaurentPoly.monomial(0.7, 0),
+    lambda: LaurentPoly.monomial(0, "1"),
+    lambda: LaurentPoly.q(0.5),
+    lambda: LaurentPoly.vs(1.0),
+    lambda: LaurentPoly.from_int(1.5),
+    lambda: LaurentPoly.from_int("1"),
+], ids=["monomial-coeff", "monomial-q", "monomial-v", "q", "vs",
+        "from_int-float", "from_int-str"])
+def test_factories_reject_non_int_terms(build):
+    # the factories check what the constructor checks
+    with pytest.raises(TypeError, match="needs int exponents"):
+        build()
+
+
+def test_factories_keep_int_terms():
+    assert LaurentPoly.monomial(2, -1, 3) == LaurentPoly({(2, -1): 3})
+    assert LaurentPoly.monomial(2, -1, 0).is_zero()
+    assert LaurentPoly.q(-3) == LaurentPoly({(-3, 0): 1})
+    assert LaurentPoly.from_int(-4) == LaurentPoly({(0, 0): -4})
+    assert LaurentPoly.from_int(0).is_zero()
+
+
 def test_basic_arithmetic():
     # (q + q^-1)(q - q^-1) = q^2 - q^-2
     assert (q(1) + q(-1)) * (q(1) - q(-1)) == q(2) - q(-2)

@@ -372,6 +372,27 @@ class TestExpand:
         assert hashlib.sha256(text.encode()).hexdigest() == (
             "c8f377551e5a7404735e3f81fdf9d48dc8dfec6ac82cba206348302e3f14f6a6")
 
+    # sha256 of the text, as produced before the PBW images were built on
+    # integral numerators
+    TEXT_SHA256 = {
+        ("comult", "ev"):
+            "5dcb6f76014bfd87d6a386060c58c59ec53ef21cfa78bc67f5057c1ad8ffb9ce",
+        ("comult", "odd"):
+            "d7c05a5e9a301a341f425fa8e66d168763dd6ee59ac22aeb3db49106e836002f",
+        ("idp", "ev"):
+            "5c026d8e842ec489185b9105bdc66a3f021366e9ce8f3f9724a30464d86e394c",
+        ("idp", "odd"):
+            "5d037745703631237fae1b13541643ce4a4b75981d833cbb79e056df367f4d5d",
+    }
+
+    @pytest.mark.parametrize("parity", ["ev", "odd"])
+    def test_text_is_byte_identical_at_a_nontrivial_order(self, parity):
+        texts = {"comult": expand_comult(parity, 8, "theorem"),
+                 "idp": expand_idp(parity, 12, "pbw")}
+        for kind, text in texts.items():
+            digest = hashlib.sha256(text.encode()).hexdigest()
+            assert digest == self.TEXT_SHA256[kind, parity], kind
+
     def test_idp_basis_forms_differ_but_agree_semantically(self):
         b_form = expand_idp("odd", 2, "B")
         pbw_form = expand_idp("odd", 2, "pbw")
@@ -445,7 +466,7 @@ class TestClearCaches:
         (coeff, "_QPOW"),
     )
     # power tables keep their zeroth power, the seed of their recursion
-    POWERS = ((idp, "_B_PBW_POW"), (tensor, "_DELTA_E_POW"), (tensor, "_DELTA_F_POW"))
+    POWERS = ((idp, "_B_POW_NUM"), (tensor, "_DELTA_E_POW"), (tensor, "_DELTA_F_POW"))
     LRU = (qcomb.qint, qcomb.qfact, qcomb.qbinom)
 
     def _reports(self):

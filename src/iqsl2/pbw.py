@@ -67,7 +67,8 @@ _Q2M1 = {(2, 0): 1, (0, 0): -1}
 
 
 def _tacc(out, k, t):
-    """Add the term dict ``t`` to ``out[k]`` in place; ``out`` keeps ``t``."""
+    """Add the term dict ``t`` to ``out[k]`` in place. ``out`` may keep
+    ``t`` itself, so ``t`` must be a fresh dict that no one else holds."""
     v = out.get(k)
     if v is None:
         out[k] = t

@@ -754,7 +754,7 @@ class TestPBWImage:
         monkeypatch.setattr(idp, "_rmul_B", step_spy)
         monkeypatch.setattr(pbw, "_div_exact_raw", div_spy)
         idp._b_pow_num(16)
-        # step d -> d + 1 divides every coefficient when d + 1 is odd
+        # the step to B^d divides every coefficient when d is odd
         assert [divide for divide, _, _ in steps] == [
             d % 2 == 1 for d in range(1, 17)]
         assert all(calls == (keys if divide else 0)

@@ -44,7 +44,9 @@ comult-verify and mult-verify cross at the same place (comult-verify
 3.4 ms against 3.8 ms at 65-72 pairs, 12.1 ms against 11.2 ms at 81-96).
 Above 256 pairs, where most kmul time goes, Kronecker wins by 2.9-7x
 (mult-verify 376 ms against 53 ms, laurent-identities 277 ms against
-91 ms).
+91 ms). The laurent-identities figures are for its operand mix from
+before the qidentities suite formed each product once per side of an
+identity: 59,431 products then, 6,855 now.
 
 The slot layout at stride 1 (_to_slots, _from_slots) also serves the
 schoolbook exact division in coeff, and the pack/unpack pair the

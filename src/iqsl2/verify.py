@@ -264,6 +264,27 @@ def _specialize_map(m):
 # qidentities
 # ---------------------------------------------------------------------------
 
+def _products():
+    """A memoized ``prod(a, b) = qint(a) * qint(b)`` for the checks of one
+    side of one identity.
+
+    Each product is formed once, keyed on (|a|, |b|) with |a| <= |b|, and
+    negated when exactly one of a, b is negative, since [-n] = -[n].
+    """
+    memo = {}
+
+    def prod(a, b):
+        x, y = abs(a), abs(b)
+        if x > y:
+            x, y = y, x
+        p = memo.get((x, y))
+        if p is None:
+            p = memo[x, y] = qint(x) * qint(y)
+        return -p if (a < 0) != (b < 0) else p
+
+    return prod
+
+
 def _suite_qidentities(bound, mode):
     g_pair = min(20, bound)
     g_cross = min(12, bound)
@@ -281,18 +302,20 @@ def _suite_qidentities(bound, mode):
             _eq_check(checks, "qint-pair-sum", (n, m), lhs, rhs)
 
     # [n+m][n-m] = [n]^2 - [m]^2
+    lprod, rprod = _products(), _products()
     for n in range(-g_pair, g_pair + 1):
         for m in range(-g_pair, g_pair + 1):
-            lhs = qint(n + m) * qint(n - m)
-            rhs = qint(n) * qint(n) - qint(m) * qint(m)
+            lhs = lprod(n + m, n - m)
+            rhs = rprod(n, n) - rprod(m, m)
             _eq_check(checks, "qint-pair-product", (n, m), lhs, rhs)
 
     # [m][m+n] - [l][l+n] = [m-l][m+l+n]
+    lprod, rprod = _products(), _products()
     for m in range(-g_cross, g_cross + 1):
         for n in range(-g_cross, g_cross + 1):
             for l in range(-g_cross, g_cross + 1):
-                lhs = qint(m) * qint(m + n) - qint(l) * qint(l + n)
-                rhs = qint(m - l) * qint(m + l + n)
+                lhs = lprod(m, m + n) - lprod(l, l + n)
+                rhs = rprod(m - l, m + l + n)
                 _eq_check(checks, "qint-cross-difference", (m, n, l), lhs, rhs)
 
     # [2n] = [2] * [n] in base q^2
@@ -301,7 +324,9 @@ def _suite_qidentities(bound, mode):
         rhs = qint(2) * qint_base(n, 2)
         _eq_check(checks, "qint-doubling", (n,), lhs, rhs)
 
-    # the degree-six balance behind the odd-family product formula
+    # the degree-six balance behind the odd-family product formula; only
+    # the squares on the lhs repeat
+    lprod = _products()
     for l in range(g_balance + 1):
         for k in range(g_balance + 1):
             for a in range(g_balance + 1):
@@ -309,10 +334,10 @@ def _suite_qidentities(bound, mode):
                     qint(2 * k + 2 * a - 2 * l + 2)
                     * qint(2 * a - 2 * l + 2)
                     * qint(2 * k - 2 * l + 2)
-                    + qint(2 * k + 2 * a - 2 * l + 3)
-                    * qint(2 * k + 2 * a - 2 * l + 3)
+                    + lprod(2 * k + 2 * a - 2 * l + 3,
+                            2 * k + 2 * a - 2 * l + 3)
                     * qint(2 * l)
-                    - qint(2 * k + 1) * qint(2 * k + 1) * qint(2 * l)
+                    - lprod(2 * k + 1, 2 * k + 1) * qint(2 * l)
                 )
                 rhs = (
                     qint(2 * a - 2 * l + 2)

@@ -179,6 +179,84 @@ class TestRunSuite:
         assert a == b
 
 
+def _kmul_calls(monkeypatch):
+    """Count the kernel products from here on; returns the one-item count."""
+    calls = [0]
+    kmul = coeff._k.kmul
+
+    def spy(a, b):
+        calls[0] += 1
+        return kmul(a, b)
+
+    monkeypatch.setattr(coeff._k, "kmul", spy)
+    return calls
+
+
+def _digest(payload):
+    """sha256 in perfbench's digest form."""
+    text = json.dumps(payload, sort_keys=True, ensure_ascii=False,
+                      separators=(",", ":"))
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+class TestQidentities:
+    """The suite forms each distinct product once per side of an identity;
+    its report and its failures stay those of one product per check."""
+
+    def test_report_is_byte_identical(self):
+        # the laurent-identities digest of perfbench/expected.json
+        report = run_suite("qidentities").to_json_dict()
+        report.pop("wall_time_s")
+        assert _digest(report) == (
+            "7744625f9be9c7be8c6099dca13aa4b27034c68c3d00bf7a096fe618e2e9106e")
+
+    def test_memo_hides_no_failure(self, monkeypatch):
+        qint = verify.qint
+
+        def corrupt(n):
+            # [5] + 1 and [-5] - 1 keep [-n] = -[n]
+            p = qint(n)
+            if abs(n) == 5:
+                p = p + coeff.LaurentPoly.from_int(1 if n > 0 else -1)
+            return p
+
+        monkeypatch.setattr(verify, "qint", corrupt)
+        failures = run_suite("qidentities").failures()
+        counts = {}
+        for c in failures:
+            counts[c.id] = counts.get(c.id, 0) + 1
+        assert counts == {
+            "qint-pair-sum": 212,
+            "qint-pair-product": 280,
+            "qint-cross-difference": 4544,
+            "qint-product-balance": 115,
+        }
+        # the failing checks with their witnesses, as produced when every
+        # check formed its own products
+        assert _digest([c.to_json_dict() for c in failures]) == (
+            "9ce2cdcc5f917b6d5406504ea0eb480d7a081e9ee393734673096c2b1ae1f9c6")
+
+    def test_products_are_qint_products(self, monkeypatch):
+        prod = verify._products()
+        pairs = [(a, b) for a in range(-6, 7) for b in range(-6, 7)]
+        for a, b in pairs:
+            p = prod(a, b)
+            expected = qcomb.qint(a) * qcomb.qint(b)
+            assert p == expected, (a, b)
+            assert str(p) == str(expected), (a, b)
+        calls = _kmul_calls(monkeypatch)
+        for a, b in pairs:
+            prod(a, b)
+        assert calls[0] == 0
+
+    def test_suite_forms_few_products(self, monkeypatch):
+        # 59,431 kernel products when every check formed its own, 6,855
+        # with one memo per side of each identity
+        calls = _kmul_calls(monkeypatch)
+        assert len(run_suite("qidentities").checks) == 19716
+        assert calls[0] <= 10_000
+
+
 # any code point but a surrogate, with the characters JSON must escape or
 # that the reports carry drawn often
 _TEXT = st.text(st.one_of(

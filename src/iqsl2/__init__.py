@@ -7,7 +7,7 @@ exact Laurent-polynomial arithmetic. The verify module exposes the check
 suites; the cli module exposes them as the `iqsl2` command.
 """
 
-from . import coeff, idp, pbw, qcomb, tensor
+from . import coeff, cyclo, idp, pbw, qcomb, tensor
 from ._kernel import BACKEND as KERNEL_BACKEND
 from .coeff import LaurentPoly, Scalar
 from .errors import (
@@ -109,8 +109,9 @@ def clear_caches():
     integral numerators of the divided powers, closed and recursive divided
     powers, the PBW images of the closed divided powers, the integral
     numerators of the PBW images of the powers of B, powers of the
-    coproducts of E and F, cyclotomic polynomials, q-powers and quantum
-    integers, factorials and binomials. They only grow, by the orders a
+    coproducts of E and F, the exponent vectors of the images, of those
+    powers and of h-binomials, cyclotomic polynomials and their values,
+    q-powers and quantum integers, factorials and binomials. They only grow, by the orders a
     process has asked for; clearing them frees that memory and changes no
     result.
     """
@@ -119,11 +120,15 @@ def clear_caches():
         pbw._CDIV_CACHE,
         pbw._HBINOM_CACHE,
         tensor._DELTA_MONO_CACHE,
+        tensor._DELTA_POW_VEC,
         idp._NUMERATOR_CACHE,
         idp._CLOSED_CACHE,
         idp._REC_CACHE,
         idp._PBW_CLOSED_CACHE,
-        idp._CYCLOTOMIC_CACHE,
+        idp._PBW_VEC_CACHE,
+        idp._HBINOM_VEC_CACHE,
+        cyclo._CYCLOTOMIC_CACHE,
+        cyclo._PHI_VALUES,
         coeff._QPOW,
     ):
         cache.clear()

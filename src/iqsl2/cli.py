@@ -10,6 +10,8 @@ elements serialize byte-identically.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import os
 import sys
 
 from .errors import IqslError
@@ -126,21 +128,46 @@ def _write_file(path, write, newline=None):
         raise ValueError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
+@contextlib.contextmanager
+def _output_path(path):
+    """Check that ``path`` (if any) opens for writing before the body runs,
+    so that an unwritable path is a usage error before any work. Opening
+    for appending leaves an existing file as it is; a file that the check
+    created is removed again when the body raises."""
+    if not path:
+        yield
+        return
+    existed = os.path.exists(path)
+    try:
+        open(path, "a", encoding="utf-8").close()
+    except OSError as exc:
+        raise ValueError(f"cannot write {path}: {exc.strerror or exc}") from exc
+    try:
+        yield
+    except BaseException:
+        if not existed:
+            with contextlib.suppress(OSError):
+                os.remove(path)
+        raise
+
+
 def _cmd_verify(args):
     mode = "specialized" if args.varsigma == "q-inverse" else "generic"
-    report = run_suite(args.suite, args.max, mode)
-    _print_report(report)
-    if args.json:
-        _write_file(args.json, report.write_json)
+    with _output_path(args.json):
+        report = run_suite(args.suite, args.max, mode)
+        _print_report(report)
+        if args.json:
+            _write_file(args.json, report.write_json)
     return 0 if report.passed else 1
 
 
 def _cmd_table(args):
-    text = emit_table(args.family, args.max, args.format)
-    if args.out:
-        _write_file(args.out, lambda fh: fh.write(text), newline="")
-    else:
-        sys.stdout.write(text)
+    with _output_path(args.out):
+        text = emit_table(args.family, args.max, args.format)
+        if args.out:
+            _write_file(args.out, lambda fh: fh.write(text), newline="")
+        else:
+            sys.stdout.write(text)
     return 0
 
 

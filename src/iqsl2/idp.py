@@ -46,34 +46,30 @@ integers and of q^2 - 1, which are varsigma-free, so each reduced
 coefficient, and its text, is the one a computation on Scalar coefficients
 gives (see the ``coeff`` docstring).
 
-Ratios of quantum integers are built by ``qratio`` already in lowest
-terms, with no gcd. For k >= 1, [k] = q^(1-k) prod_{d | k, d > 1}
-Phi_d(q^2), with Phi_d the d-th cyclotomic polynomial, and [-k] = -[k].
-Distinct Phi_d(q^2) have no common root and none vanishes at q = 0, so a
-ratio whose cyclotomic exponents have been counted is reduced: the factors
-with a positive exponent form the numerator, with the sign and the power of
-q, and those with a negative exponent the denominator. Each side is one
-big-integer product of the values Phi_d(2^k); its coefficients are at most
-the product of the factors' 1-norms, which sizes k so that the balanced
-base-2^k digits are the coefficients. ``mult_closed`` writes each term,
-prefactor qbinom(m+n, m) and (q varsigma)^l included, as one such ratio. An
-index pair 0/0 is removed exactly, which resolves the one removable
+``mult_closed`` writes each term, prefactor qbinom(m+n, m) and
+(q varsigma)^l included, as one ratio of quantum integers, built in lowest
+terms with no gcd from its cyclotomic exponent counts (``cyclo.qratio``).
+An index pair 0/0 is removed exactly, which resolves the one removable
 singularity among the closed multiplication formulas (both-odd case of the
 "odd" family at l = a+1) without special-casing.
+
+``_comult_agrees`` decides the coproduct theorem on the cyclotomic
+exponent vectors of ``cyclo``: closed-form legs, the PBW images converted
+once per order, the coproduct monomial by monomial
+(``tensor.delta_vectors``) and one checked sum per key of the assembly.
 """
 
-from collections import Counter
-
 from .coeff import LaurentPoly, Scalar
-from ._kernel_py import _pack, _unpack, kadd, kmul, kshift, ksub
-from .errors import DivisionByZero, NegativeInput
+from ._kernel_py import kadd, kmul, kshift, ksub
+from .cyclo import _qvs_ratio, from_scalars, qratio, qratio_vector, vmul, vsum
+from .errors import NegativeInput
 from .pbw import (
     _Q2M1, UElement, _rmul_B, _tacc, divided_power, u_h_binom)
 from .qcomb import qfact, qint
 # re-exported: perfbench's tracer looks the name up on this module
 from .qcomb import qbinom  # noqa: F401
 from .sparse import Sparse, _acc, _coerce_scalar, _scalar_arg
-from .tensor import TensorElement, delta
+from .tensor import TensorElement, delta, delta_vectors
 
 EV = "ev"
 ODD = "odd"
@@ -167,107 +163,6 @@ class BPolynomial(Sparse):
             else:
                 parts.append(f"{head}*B^{d}")
         return " + ".join(parts)
-
-
-# cyclotomic data keyed by d >= 2, filled on first use: Phi_d(x) as a
-# univariate dict {i: c}, its 1-norm, and the divisors e > 1 of d
-_CYCLOTOMIC_CACHE = {}
-
-
-def _cyclotomic(d):
-    """(Phi_d, ||Phi_d||_1, divisors e > 1 of d) for d >= 2.
-
-    x^d - 1 is the product of Phi_e(x) over the divisors e of d, so Phi_d
-    is its exact quotient by (x - 1) and by Phi_e for the divisors
-    1 < e < d. The division runs on values at x = 2^k, k = d + 1: a factor
-    of x^d - 1 has degree below d, so by Mignotte's bound its coefficients
-    are below 2^(d-1) ||x^d - 1||_2 < 2^(k-1), and the balanced base-2^k
-    digits of the quotient are its coefficients.
-    """
-    r = _CYCLOTOMIC_CACHE.get(d)
-    if r is None:
-        k = d + 1
-        divs = tuple(e for e in range(2, d + 1) if d % e == 0)
-        val = ((1 << (k * d)) - 1) // ((1 << k) - 1)
-        for e in divs[:-1]:
-            val //= _pack(_cyclotomic(e)[0], k)
-        phi = _unpack(val, d, k)
-        r = (phi, sum(map(abs, phi.values())), divs)
-        _CYCLOTOMIC_CACHE[d] = r
-    return r
-
-
-def _cyclotomic_product(exps):
-    """prod Phi_d(x)^e over the (d, e) pairs of ``exps`` (e > 0), as {i: c}.
-
-    One big-integer product of the values at x = 2^k, with pow for repeated
-    factors. The coefficients of a product are at most the product of the
-    factors' 1-norms (||fg||_inf <= ||fg||_1 <= ||f||_1 ||g||_1), so with
-    k = bit_length(prod ||Phi_d||_1^e) + 1 the balanced base-2^k digits of
-    the value are the coefficients.
-    """
-    norm = 1
-    deg = 0
-    for d, e in exps:
-        phi, n1, _ = _cyclotomic(d)
-        norm *= n1 ** e
-        deg += max(phi) * e
-    k = norm.bit_length() + 1
-    val = 1
-    for d, e in exps:
-        val *= pow(_pack(_cyclotomic(d)[0], k), e)
-    return _unpack(val, deg + 1, k)
-
-
-def _qvs_ratio(nums, dens, l):
-    """(q varsigma)^l times ``qratio(nums, dens)``, built in lowest terms.
-
-    For k >= 1, [k] = q^(1-k) prod_{d | k, d > 1} Phi_d(q^2), and [-k] =
-    -[k]. So the ratio is sign q^shift prod_d Phi_d(q^2)^(e_d): e_d counts
-    the numerator indices that d divides minus the denominator indices
-    that d divides, the shift sums 1 - |k| over the numerator minus the
-    same sum over the denominator, and each negative index flips the sign.
-    Distinct Phi_d(q^2) are coprime and none vanishes at q = 0, so the
-    numerator takes the factors with e_d > 0 and the denominator, monic
-    with constant term 1, those with e_d < 0: the fraction is in lowest
-    terms and needs no gcd.
-    """
-    net = Counter(map(abs, nums))
-    net.subtract(map(abs, dens))
-    zeros = net.pop(0, 0)
-    if zeros < 0:
-        raise DivisionByZero("vanishing quantum integer in a denominator")
-    if zeros:
-        return _SC_ZERO
-    sign = -1 if sum(i < 0 for i in (*nums, *dens)) % 2 else 1
-    shift = l
-    exps = {}
-    for k, c in net.items():
-        if c and k > 1:
-            shift += c * (1 - k)
-            for d in _cyclotomic(k)[2]:
-                exps[d] = exps.get(d, 0) + c
-    num = [(d, e) for d, e in exps.items() if e > 0]
-    den = [(d, -e) for d, e in exps.items() if e < 0]
-    n = {(2 * i + shift, l): sign * c
-         for i, c in _cyclotomic_product(num).items()}
-    d = {(2 * i, 0): c for i, c in _cyclotomic_product(den).items()}
-    return Scalar._make(n, d, cancel=False)
-
-
-def qratio(nums, dens):
-    """Product of quantum integers over ``nums`` divided by the product over
-    ``dens``, the arguments being lists of integer indices.
-
-    Indices common to both lists cancel multiset-wise, by absolute value
-    with the sign of [-k] = -[k] kept apart. Cancelling by index keeps a
-    removable 0/0 exact: a 0 appearing on both sides drops out as the pair
-    it is. After cancellation a remaining 0 numerator index gives the zero
-    Scalar, and a remaining 0 denominator index is a genuine division by
-    zero. The rest is counted in cyclotomic factors (``_qvs_ratio``), so
-    the result is built in lowest terms and no gcd runs.
-    """
-    return _qvs_ratio(nums, dens, 0)
 
 
 # monic numerator P_n of B^{(n)} = P_n(B) / [n]!, keyed by (family, order):
@@ -519,22 +414,67 @@ def s_component(p, n, r):
         raise NegativeInput("divided power of negative order")
     if r < 0 or r > n:
         return UElement.zero()
+    out = {}
+    for shift, c, a, k, e in _leg_terms(p, n, r):
+        f = (divided_power("Echeck", a).coeff(a, -a, 0)
+             * divided_power("F", k).coeff(0, 0, k)
+             * (Scalar.q_power(e) * Scalar.vs_power(c, c)))
+        for (_, b, _), h in u_h_binom(shift, c)._t.items():
+            out[a, b - a + r - n, k] = h * f
+    return UElement._raw(out)
+
+
+def _leg_terms(p, n, r):
+    """(A, c, a, r-2c-a, exponent of q) for each (c, a) of the triple sum
+    of ``s_component``, with A the shift of its h-binomial."""
     style = _leg_exponent_style(p, n)
     shift = -((r - 2) // 2) if style else -((r - 1) // 2)
-    out = {}
     for c in range(r // 2 + 1):
         x = c * (2 * c - 1) if style else c * (2 * c + 1)
-        hb = u_h_binom(shift, c)
-        qvs_c = Scalar.vs_power(c, c)
         for a in range(r - 2 * c + 1):
             k = r - 2 * c - a
-            e = x + (r - 2 * c) * (r - n) - a * k
-            f = (divided_power("Echeck", a).coeff(a, -a, 0)
-                 * divided_power("F", k).coeff(0, 0, k)
-                 * (Scalar.q_power(e) * qvs_c))
-            for (_, b, _), h in hb._t.items():
-                out[a, b - a + r - n, k] = h * f
-    return UElement._raw(out)
+            yield shift, c, a, k, x + (r - 2 * c) * (r - n) - a * k
+
+
+# the vectors of the coefficients of u_h_binom(a, c), keyed by (a, c)
+_HBINOM_VEC_CACHE = {}
+
+
+def _h_binom_vectors(a, c):
+    """[v_0, ..., v_c]: v_j is the vector of the coefficient of K^-2j in
+    u_h_binom(a, c), (-1)^(c-j) q^(4aj + 2j(j-1)) / (P_j P_(c-j)) by the
+    q-binomial theorem in z = q^4, with P_m = prod_{i=1..m} (z^i - 1). As
+    z^i - 1 is the product of Phi_d(q^2) over the d dividing 2i, P_m holds
+    Phi_d once for each i <= m that d / gcd(d, 2) divides.
+    """
+    r = _HBINOM_VEC_CACHE.get((a, c))
+    if r is None:
+        r = []
+        for j in range(c + 1):
+            exps = {}
+            for m in (j, c - j):
+                for d in range(1, 2 * m + 1):
+                    e = m // (d if d % 2 else d // 2)
+                    if e:
+                        exps[d] = exps.get(d, 0) - e
+            r.append((-1 if (c - j) % 2 else 1, 4 * a * j + 2 * j * (j - 1),
+                      0, exps))
+        _HBINOM_VEC_CACHE[a, c] = r
+    return r
+
+
+def _leg_vectors(p, n, r):
+    """S_{n,r} as {monomial: vector}, 0 <= r <= n: the terms of
+    ``s_component`` with each factor's vector in closed form. The
+    coefficient q^e (q varsigma)^c Echeck^{(a)} F^{(k)} is
+    q^(e + c - a(a-1)) varsigma^(a+c) / ([a]! [k]!)."""
+    out = {}
+    for shift, c, a, k, e in _leg_terms(p, n, r):
+        f = vmul(qratio_vector([], [*range(1, a + 1), *range(1, k + 1)], a + c),
+                 (1, e - a * a, 0, {}))
+        for j, h in enumerate(_h_binom_vectors(shift, c)):
+            out[a, -2 * j - a + r - n, k] = vmul(h, f)
+    return out
 
 
 def s_component_reversed(p, n, r):
@@ -642,6 +582,52 @@ def _pbw_closed(p, n):
         r = _pbw_image(_numerator(p, n), qfact(n)._t)
         _PBW_CLOSED_CACHE[key] = r
     return r
+
+
+# the PBW image of the closed divided power as {monomial: vector}, keyed by
+# (family, order); None when a coefficient did not convert
+_PBW_VEC_CACHE = {}
+
+
+def _pbw_vectors(p, n):
+    key = (p, n)
+    if key not in _PBW_VEC_CACHE:
+        # the denominators divide (q^2 - 1)^floor(n/2) [n]!: Phi_d, d <= n
+        _PBW_VEC_CACHE[key] = from_scalars(_pbw_closed(p, n)._t, n)
+    return _PBW_VEC_CACHE[key]
+
+
+def _theorem_vectors(p, n):
+    """comult_theorem(p, n) as {(m1, m2): vector}, from the vectors of the
+    images and the legs with one checked sum per key; None when an image
+    does not convert or a sum is not proved."""
+    terms = {}
+    for r in range(n + 1):
+        image = _pbw_vectors(p, n - r)
+        if image is None:
+            return None
+        leg = _leg_vectors(p, n, r)
+        for m1, x in image.items():
+            for m2, y in leg.items():
+                terms.setdefault((m1, m2), []).append(vmul(x, y))
+    out = {}
+    for key, t in terms.items():
+        # the coefficients of both sides hold Phi_d with d <= n only
+        v = vsum(t, n)
+        if v is None:
+            return None
+        if v:
+            out[key] = v
+    return out
+
+
+def _comult_agrees(p, n):
+    """True when exponent vectors prove comult_theorem(p, n) ==
+    comult_direct(p, n); False when a conversion or a sum is not proved, or
+    the vectors differ, so that the Scalars must decide."""
+    image = _pbw_vectors(p, n)
+    direct = None if image is None else delta_vectors(image)
+    return direct is not None and _theorem_vectors(p, n) == direct
 
 
 def comult_direct(p, n):

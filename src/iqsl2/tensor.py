@@ -12,6 +12,7 @@ coassociativity checks without a full three-fold element type.
 """
 
 from .coeff import Scalar
+from .cyclo import from_scalars, vmul
 from .pbw import UElement, _check_monomial, _format_monomial, _mono_mul
 from .sparse import Sparse, _acc, _coerce_scalar, _scalar_arg
 
@@ -142,6 +143,41 @@ def _delta_mono(m):
             r = r * _delta_F_pow(c)
         _DELTA_MONO_CACHE[m] = r
     return r
+
+
+# the coefficients of delta(E)^a and delta(F)^c as {(m1, m2): vector},
+# keyed by ("E", a) or ("F", c); None when one did not convert
+_DELTA_POW_VEC = {}
+
+
+def _delta_pow_vectors(name, n):
+    key = (name, n)
+    if key not in _DELTA_POW_VEC:
+        # q-binomials times powers of q: Phi_d with d <= n
+        power = _delta_E_pow(n) if name == "E" else _delta_F_pow(n)
+        _DELTA_POW_VEC[key] = from_scalars(power._t, n)
+    return _DELTA_POW_VEC[key]
+
+
+def delta_vectors(x):
+    """The coproduct of the element {monomial: vector} x, as
+    {(m1, m2): vector}; None when a power of delta(E) or delta(F) does not
+    convert. delta(E)^a holds only E and K, and delta(F)^c only K and F, so
+    delta(E^a K^b F^c) = delta(E)^a (K^b x K^b) delta(F)^c needs no
+    reordering: each coefficient is a product. The key gives back the
+    monomial and both terms (b1 = a2, b3 = 0), so no two terms share it.
+    """
+    out = {}
+    for (a, b, c), s in x.items():
+        es = _delta_pow_vectors("E", a)
+        fs = _delta_pow_vectors("F", c)
+        if es is None or fs is None:
+            return None
+        for ((a1, b1, _), (a2, b2, _)), ve in es.items():
+            sv = vmul(s, ve)
+            for ((_, b3, c1), (_, b4, c2)), vf in fs.items():
+                out[(a1, b1 + b + b3, c1), (a2, b2 + b + b4, c2)] = vmul(sv, vf)
+    return out
 
 
 def delta(x):

@@ -20,7 +20,13 @@ the closed formulas against independent computations:
     divided-power oracle and commutativity of the structure constants.
 ``comult-even`` / ``comult-odd``
     The closed coproduct formulas against the coproduct of the PBW image,
-    computed inside the tensor square.
+    computed inside the tensor square. Both sides are first built on
+    cyclotomic exponent vectors (``idp._comult_agrees``, ``cyclo``): a check
+    passes when every conversion and every sum is proved and the two sides
+    are equal. Any other outcome reruns that check on Scalars, which decide
+    it and write the witness of a failure, so the report is the one the
+    Scalars alone give. In specialized mode a generic pass stands, since
+    the denominators are varsigma-free.
 ``fhy-forms``
     The reversed-order coproduct legs (F-powers on the left) against the
     forward legs, term by term.
@@ -65,6 +71,7 @@ from .idp import (
     EV,
     ODD,
     PARITIES,
+    _comult_agrees,
     _pbw_closed,
     comult_direct,
     comult_theorem,
@@ -602,6 +609,11 @@ def _suite_mult(parity, bound, mode):
 def _suite_comult(parity, bound, mode):
     checks = []
     for n in range(bound + 1):
+        # a generic pass implies the specialized one; the Scalars decide
+        # what the vectors do not prove, and write any witness
+        if _comult_agrees(parity, n):
+            checks.append(CheckResult("comult-theorem", (n,), True))
+            continue
         lhs = comult_theorem(parity, n)
         rhs = comult_direct(parity, n)
         if mode == "specialized":

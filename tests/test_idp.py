@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 from iqsl2 import coeff, idp, pbw
 from iqsl2._kernel_py import kmul
 from iqsl2.coeff import LaurentPoly, Scalar
+from iqsl2.cyclo import _cyclotomic
 from iqsl2.errors import DivisionByZero, NegativeInput
 from iqsl2.idp import (
     _MULT_OFFSETS,
@@ -19,7 +20,6 @@ from iqsl2.idp import (
     ODD,
     PARITIES,
     BPolynomial,
-    _cyclotomic,
     _numerator,
     _pbw_closed,
     comult_closed,

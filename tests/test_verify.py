@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import iqsl2
-from iqsl2 import coeff, idp, pbw, qcomb, tensor, verify
+from iqsl2 import coeff, cyclo, idp, pbw, qcomb, tensor, verify
 from iqsl2.errors import NegativeInput, ResourceLimit, UnknownSuite
 from iqsl2.pbw import UElement
 from iqsl2.tensor import TensorElement
@@ -538,9 +538,11 @@ class TestClearCaches:
     SUITES_RUN = (("comult-odd", 3), ("mult-even", 4), ("pbw-core", 3))
     MEMOS = (
         (pbw, "_MONO_CACHE"), (pbw, "_CDIV_CACHE"), (pbw, "_HBINOM_CACHE"),
-        (tensor, "_DELTA_MONO_CACHE"), (idp, "_NUMERATOR_CACHE"),
-        (idp, "_CLOSED_CACHE"), (idp, "_REC_CACHE"), (idp, "_PBW_CLOSED_CACHE"),
-        (idp, "_CYCLOTOMIC_CACHE"),
+        (tensor, "_DELTA_MONO_CACHE"), (tensor, "_DELTA_POW_VEC"),
+        (idp, "_NUMERATOR_CACHE"), (idp, "_CLOSED_CACHE"), (idp, "_REC_CACHE"),
+        (idp, "_PBW_CLOSED_CACHE"), (idp, "_PBW_VEC_CACHE"),
+        (idp, "_HBINOM_VEC_CACHE"),
+        (cyclo, "_CYCLOTOMIC_CACHE"), (cyclo, "_PHI_VALUES"),
         (coeff, "_QPOW"),
     )
     # power tables keep their zeroth power, the seed of their recursion
@@ -599,3 +601,74 @@ class TestClearCaches:
         assert all(fn.cache_info().currsize for fn in self.LRU)
         iqsl2.clear_caches()
         assert [fn.cache_info().currsize for fn in self.LRU] == [0, 0, 0]
+
+
+class TestComultVectors:
+    """The comult suites decide their checks on cyclotomic exponent vectors
+    and fall back to the Scalar constructions for the rest, with the same
+    report bytes."""
+
+    # perfbench digest form; the first is the comult-verify digest of
+    # perfbench/expected.json, all as produced on the Scalar path alone
+    REPORTS = {
+        ("comult-odd", 10, "generic"):
+            "a300990313d7390e31a830d52457b55f4bf00e42510b050e3dd6f7862fd68ba5",
+        ("comult-even", 10, "generic"):
+            "6f05c88addccd21919bea51250dff313ef006f4517f5cd401039752cd6dcc862",
+        ("comult-odd", 8, "specialized"):
+            "095d96e98f5fc2430cc3dff5ee4e937b0937fa15f29c45f768234d33ab36c206",
+    }
+
+    @staticmethod
+    def _report(name, bound, mode="generic"):
+        report = run_suite(name, bound, mode).to_json_dict()
+        report.pop("wall_time_s")
+        return report
+
+    @pytest.mark.parametrize("name,bound,mode", sorted(REPORTS))
+    def test_report_is_byte_identical(self, name, bound, mode):
+        digest = _digest(self._report(name, bound, mode))
+        assert digest == self.REPORTS[name, bound, mode]
+
+    @pytest.mark.parametrize("name", ["comult-odd", "comult-even"])
+    def test_vectors_decide_every_check_at_bound_10(self, name, monkeypatch):
+        def scalar_path(p, n):
+            raise AssertionError(f"Scalar fallback at {p} {n}")
+
+        monkeypatch.setattr(verify, "comult_theorem", scalar_path)
+        monkeypatch.setattr(verify, "comult_direct", scalar_path)
+        report = run_suite(name, 10)
+        assert report.passed and len(report.checks) == 11
+
+    @pytest.mark.parametrize("name", ["comult-odd", "comult-even"])
+    def test_unproved_sums_fall_back_to_the_same_report(self, name,
+                                                        monkeypatch):
+        expected = self._report(name, 8)
+        fallbacks = []
+        theorem = verify.comult_theorem
+
+        def spy(p, n):
+            fallbacks.append(n)
+            return theorem(p, n)
+
+        monkeypatch.setattr(idp, "vsum", lambda terms, dmax: None)
+        monkeypatch.setattr(verify, "comult_theorem", spy)
+        assert self._report(name, 8) == expected
+        assert fallbacks == list(range(9))
+
+    def test_corrupted_leg_keeps_its_witness(self, monkeypatch):
+        style = idp._leg_exponent_style
+        monkeypatch.setattr(
+            idp, "_leg_exponent_style",
+            lambda p, n: style(p, n) != (n == 4))
+        report = run_suite("comult-odd", 5)
+        failures = report.failures()
+        assert [(c.id, c.params) for c in failures] == [("comult-theorem", (4,))]
+        # as produced on the Scalar path alone
+        witness = hashlib.sha256(failures[0].witness.encode()).hexdigest()
+        assert witness == (
+            "254a0af46a4cea92b707095f6dfd9f0a3860b8316b278d2ac8939b9212beb583")
+        report = report.to_json_dict()
+        report.pop("wall_time_s")
+        assert _digest(report) == (
+            "6ebd3e38a59d6be18a775fb2b39b390af97f9d93ea38068bb315ab779e348d79")

@@ -120,6 +120,44 @@ class TestVerifyCommand:
         assert err.startswith(f"error: cannot write {target}")
         assert err.count("\n") == 1
 
+    def test_unwritable_json_fails_before_the_run(self, tmp_path, capsys,
+                                                  monkeypatch):
+        def no_run(*args):
+            raise AssertionError("the suite ran before the path was checked")
+
+        monkeypatch.setattr(cli, "run_suite", no_run)
+        target = tmp_path / "missing" / "report.json"
+        rc = cli.main(["verify", "comult-odd", "--max", "2",
+                       "--json", str(target)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith(f"error: cannot write {target}: ")
+        assert err.count("\n") == 1
+
+    def test_failed_run_leaves_no_new_file(self, tmp_path, capsys,
+                                          monkeypatch):
+        monkeypatch.setenv("IQSL2_MAX_N", "4")
+        target = tmp_path / "report.json"
+        rc = cli.main(["verify", "chi", "--max", "5", "--json", str(target)])
+        assert rc == 2
+        assert not target.exists()
+        # an existing file is left as it was
+        target.write_text("kept", encoding="utf-8")
+        rc = cli.main(["verify", "chi", "--max", "5", "--json", str(target)])
+        assert rc == 2
+        assert target.read_text(encoding="utf-8") == "kept"
+        capsys.readouterr()
+
+    def test_json_replaces_an_existing_file(self, tmp_path, capsys):
+        target = tmp_path / "report.json"
+        target.write_text("x" * 5000, encoding="utf-8")
+        rc = cli.main(["verify", "comult-odd", "--max", "1",
+                       "--json", str(target)])
+        assert rc == 0
+        report = json.loads(target.read_text(encoding="utf-8"))
+        assert len(report["checks"]) == 2
+        capsys.readouterr()
+
 
 class TestTableCommand:
     def test_stdout_csv(self, capsys):
@@ -167,6 +205,19 @@ class TestTableCommand:
         err = capsys.readouterr().err
         assert rc == 2
         assert err.startswith(f"error: cannot write {target}")
+        assert err.count("\n") == 1
+
+    def test_unwritable_out_fails_before_the_table(self, tmp_path, capsys,
+                                                   monkeypatch):
+        def no_table(*args):
+            raise AssertionError("the table was built before the path was checked")
+
+        monkeypatch.setattr(cli, "emit_table", no_table)
+        rc = cli.main(["table", "--family", "ev", "--max", "2",
+                       "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith(f"error: cannot write {tmp_path}")
         assert err.count("\n") == 1
 
 

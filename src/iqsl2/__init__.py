@@ -52,6 +52,7 @@ from .verify import (
 
 __all__ = [
     "KERNEL_BACKEND",
+    "cache_info",
     "clear_caches",
     "LaurentPoly",
     "Scalar",
@@ -102,6 +103,33 @@ __all__ = [
 __version__ = "0.1.0"
 
 
+# the memo caches of the package that are dicts, as (module, attribute
+# name), and the power tables, which keep their zeroth power, the seed of
+# their recursion
+_MEMOS = [
+    (pbw, "_MONO_CACHE"),
+    (pbw, "_CDIV_CACHE"),
+    (pbw, "_HBINOM_CACHE"),
+    (tensor, "_DELTA_MONO_CACHE"),
+    (tensor, "_DELTA_POW_VEC"),
+    (idp, "_NUMERATOR_CACHE"),
+    (idp, "_CLOSED_CACHE"),
+    (idp, "_REC_CACHE"),
+    (idp, "_PBW_CLOSED_CACHE"),
+    (idp, "_PBW_NUM_VEC_CACHE"),
+    (idp, "_PBW_VEC_CACHE"),
+    (idp, "_HBINOM_VEC_CACHE"),
+    (cyclo, "_CYCLOTOMIC_CACHE"),
+    (cyclo, "_PHI_VALUES"),
+    (coeff, "_QPOW"),
+]
+_POWER_TABLES = [
+    (idp, "_B_POW_NUM"),
+    (tensor, "_DELTA_E_POW"),
+    (tensor, "_DELTA_F_POW"),
+]
+
+
 def clear_caches():
     """Empty every memo cache of the package, in place.
 
@@ -109,33 +137,30 @@ def clear_caches():
     integral numerators of the divided powers, closed and recursive divided
     powers, the PBW images of the closed divided powers, the integral
     numerators of the PBW images of the powers of B, powers of the
-    coproducts of E and F, the exponent vectors of the images, of those
-    powers and of h-binomials, cyclotomic polynomials and their values,
-    q-powers and quantum integers, factorials and binomials. They only grow, by the orders a
-    process has asked for; clearing them frees that memory and changes no
-    result.
+    coproducts of E and F, the exponent vectors of the images of the closed
+    divided powers and of their numerators, of the coefficients of those
+    coproduct powers and of h-binomials, cyclotomic polynomials and their
+    values, q-powers and quantum integers, factorials and binomials. They
+    only grow, by the orders a process has asked for; clearing them frees
+    that memory and changes no result. ``cache_info`` reports their sizes.
     """
-    for cache in (
-        pbw._MONO_CACHE,
-        pbw._CDIV_CACHE,
-        pbw._HBINOM_CACHE,
-        tensor._DELTA_MONO_CACHE,
-        tensor._DELTA_POW_VEC,
-        idp._NUMERATOR_CACHE,
-        idp._CLOSED_CACHE,
-        idp._REC_CACHE,
-        idp._PBW_CLOSED_CACHE,
-        idp._PBW_VEC_CACHE,
-        idp._HBINOM_VEC_CACHE,
-        cyclo._CYCLOTOMIC_CACHE,
-        cyclo._PHI_VALUES,
-        coeff._QPOW,
-    ):
-        cache.clear()
-    # power tables keep their zeroth power, the seed of their recursion
-    for powers in (idp._B_POW_NUM, tensor._DELTA_E_POW, tensor._DELTA_F_POW):
+    for module, name in _MEMOS:
+        getattr(module, name).clear()
+    for module, name in _POWER_TABLES:
+        powers = getattr(module, name)
         one = powers[0]
         powers.clear()
         powers[0] = one
     for fn in qcomb._LRU_CACHED:
         fn.cache_clear()
+
+
+def cache_info():
+    """The number of entries of every memo cache of the package, keyed by
+    its qualified name (``iqsl2.idp._PBW_VEC_CACHE``, ``iqsl2.qcomb.qint``).
+    A power table holds 1 after ``clear_caches``, every other memo 0."""
+    info = {f"{m.__name__}.{name}": len(getattr(m, name))
+            for m, name in _MEMOS + _POWER_TABLES}
+    for fn in qcomb._LRU_CACHED:
+        info[f"{fn.__module__}.{fn.__qualname__}"] = fn.cache_info().currsize
+    return info

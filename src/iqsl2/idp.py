@@ -54,14 +54,17 @@ singularity among the closed multiplication formulas (both-odd case of the
 "odd" family at l = a+1) without special-casing.
 
 ``_comult_agrees`` decides the coproduct theorem on the cyclotomic
-exponent vectors of ``cyclo``: closed-form legs, the PBW images converted
-once per order, the coproduct monomial by monomial
-(``tensor.delta_vectors``) and one checked sum per key of the assembly.
+exponent vectors of ``cyclo``: closed-form legs, the PBW images of the
+closed form built on vectors one factor B^2 - q varsigma [idx]^2 at a time
+with one checked sum per monomial per factor (``_pbw_num_vectors``), the
+coproduct monomial by monomial (``tensor.delta_vectors``) and one checked
+sum per key of the assembly. The Scalar images (``_pbw_closed``) run only
+when the vectors do not prove a check, and for the text.
 """
 
 from .coeff import LaurentPoly, Scalar
 from ._kernel_py import kadd, kmul, kshift, ksub
-from .cyclo import _qvs_ratio, from_scalars, qratio, qratio_vector, vmul, vsum
+from .cyclo import _qvs_ratio, qratio, qratio_vector, vmul, vsum
 from .errors import NegativeInput
 from .pbw import (
     _Q2M1, UElement, _rmul_B, _tacc, divided_power, u_h_binom)
@@ -165,6 +168,14 @@ class BPolynomial(Sparse):
         return " + ".join(parts)
 
 
+def _factor_index(p, n):
+    """The index i of the last factor B^2 - q varsigma [i]^2 of P_n, n >= 2."""
+    k = n // 2
+    if p == EV:
+        return 2 * k if n % 2 else 2 * k - 2
+    return 2 * k - 1
+
+
 # monic numerator P_n of B^{(n)} = P_n(B) / [n]!, keyed by (family, order):
 # {degree: term dict}, integral, with leading coefficient 1 at degree n
 _NUMERATOR_CACHE = {}
@@ -183,12 +194,7 @@ def _numerator(p, n):
     if n < 2:
         r = {n: {(0, 0): 1}}
     else:
-        k = n // 2
-        if p == EV:
-            idx = 2 * k if n % 2 else 2 * k - 2
-        else:
-            idx = 2 * k - 1
-        sq = qint(idx)._t
+        sq = qint(_factor_index(p, n))._t
         shift = kshift(kmul(sq, sq), 1, 1, 1)  # q varsigma [idx]^2
         r = {}
         for d, t in _numerator(p, n - 2).items():
@@ -584,16 +590,84 @@ def _pbw_closed(p, n):
     return r
 
 
+def _rmul_B_vectors(terms):
+    """Right-multiply {monomial: [vector]} by B = F + varsigma E K^-1, term
+    by term, by the commutation rule of ``pbw._rmul_B``: x E^a K^b F^c B
+    is x on (a, b, c+1), x q^(2(b-c)) varsigma on (a+1, b-1, c) and, for
+    c >= 1, x [c] varsigma / (q^2 - 1) times q^(4-3c) on (a, b-2, c-1) and
+    times -q^(2-c) on (a, b, c-1). The terms of a monomial stay unsummed.
+    """
+    out = {}
+    for (a, b, c), xs in terms.items():
+        out.setdefault((a, b, c + 1), []).extend(xs)
+        out.setdefault((a + 1, b - 1, c), []).extend(
+            (s, i + 2 * (b - c), j + 1, e) for s, i, j, e in xs)
+        if c:
+            # [c] / (q^2 - 1): Phi_1(q^2) = q^2 - 1 in the denominator
+            _, i, j, e = qratio_vector([c], [], 0)
+            e = {**e, 1: -1}
+            low = out.setdefault((a, b - 2, c - 1), [])
+            mid = out.setdefault((a, b, c - 1), [])
+            for x in xs:
+                low.append(vmul(x, (1, i + 4 - 3 * c, 1, e)))
+                mid.append(vmul(x, (-1, i + 2 - c, 1, e)))
+    return out
+
+
+# the PBW image of the numerator P_n of the closed divided power as
+# {monomial: vector}, keyed by (family, order); None when a sum was not
+# proved
+_PBW_NUM_VEC_CACHE = {}
+
+
+def _pbw_num_vectors(p, n):
+    """The image of P_n = P_{n-2} (B^2 - q varsigma [idx]^2), with P_0 = 1
+    and P_1 = B, one factor at a time: the terms of P_{n-2} B B and of the
+    correction are summed once per monomial."""
+    key = (p, n)
+    if key in _PBW_NUM_VEC_CACHE:
+        return _PBW_NUM_VEC_CACHE[key]
+    if n < 2:
+        terms = {(0, 0, 0): [(1, 0, 0, {})]}
+        if n:
+            terms = _rmul_B_vectors(terms)
+    else:
+        prev = _pbw_num_vectors(p, n - 2)
+        if prev is None:
+            _PBW_NUM_VEC_CACHE[key] = None
+            return None
+        terms = _rmul_B_vectors(_rmul_B_vectors(
+            {m: [x] for m, x in prev.items()}))
+        idx = _factor_index(p, n)
+        if idx:
+            _, i, j, e = qratio_vector([idx, idx], [], 1)
+            for m, x in prev.items():
+                terms.setdefault(m, []).append(vmul(x, (-1, i, j, e)))
+    r = {}
+    for m, t in terms.items():
+        # the image of P_n is [n]! times that of B^{(n)}: Phi_d, d <= n
+        v = vsum(t, n)
+        if v is None:
+            r = None
+            break
+        if v:
+            r[m] = v
+    _PBW_NUM_VEC_CACHE[key] = r
+    return r
+
+
 # the PBW image of the closed divided power as {monomial: vector}, keyed by
-# (family, order); None when a coefficient did not convert
+# (family, order); None when a sum of its numerator was not proved
 _PBW_VEC_CACHE = {}
 
 
 def _pbw_vectors(p, n):
     key = (p, n)
     if key not in _PBW_VEC_CACHE:
-        # the denominators divide (q^2 - 1)^floor(n/2) [n]!: Phi_d, d <= n
-        _PBW_VEC_CACHE[key] = from_scalars(_pbw_closed(p, n)._t, n)
+        num = _pbw_num_vectors(p, n)
+        inv = qratio_vector([], range(1, n + 1))
+        _PBW_VEC_CACHE[key] = None if num is None else {
+            m: vmul(x, inv) for m, x in num.items()}
     return _PBW_VEC_CACHE[key]
 
 

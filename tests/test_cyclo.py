@@ -151,6 +151,13 @@ class TestCoproductVectors:
                 assert idp._leg_vectors(p, n, r) == legs
 
     @pytest.mark.parametrize("p", ["ev", "odd"])
+    def test_images(self, p):
+        for n in range(13):
+            image = from_scalars(idp._pbw_closed(p, n)._t, n)
+            assert image is not None
+            assert idp._pbw_vectors(p, n) == image
+
+    @pytest.mark.parametrize("p", ["ev", "odd"])
     def test_delta(self, p):
         for n in range(8):
             image = idp._pbw_closed(p, n)

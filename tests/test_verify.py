@@ -535,13 +535,16 @@ print(json.dumps([names for v, n, names in seen.values() if len(v) > n]))
 class TestClearCaches:
     """iqsl2.clear_caches empties every memo cache and changes no result."""
 
-    SUITES_RUN = (("comult-odd", 3), ("mult-even", 4), ("pbw-core", 3))
+    # chi runs the Scalar PBW images, which the comult suites leave to their
+    # fallback
+    SUITES_RUN = (("comult-odd", 3), ("mult-even", 4), ("pbw-core", 3),
+                  ("chi", 2))
     MEMOS = (
         (pbw, "_MONO_CACHE"), (pbw, "_CDIV_CACHE"), (pbw, "_HBINOM_CACHE"),
         (tensor, "_DELTA_MONO_CACHE"), (tensor, "_DELTA_POW_VEC"),
         (idp, "_NUMERATOR_CACHE"), (idp, "_CLOSED_CACHE"), (idp, "_REC_CACHE"),
-        (idp, "_PBW_CLOSED_CACHE"), (idp, "_PBW_VEC_CACHE"),
-        (idp, "_HBINOM_VEC_CACHE"),
+        (idp, "_PBW_CLOSED_CACHE"), (idp, "_PBW_NUM_VEC_CACHE"),
+        (idp, "_PBW_VEC_CACHE"), (idp, "_HBINOM_VEC_CACHE"),
         (cyclo, "_CYCLOTOMIC_CACHE"), (cyclo, "_PHI_VALUES"),
         (coeff, "_QPOW"),
     )
@@ -574,6 +577,18 @@ class TestClearCaches:
         # cleared in place: the module attributes are the same objects
         assert all(getattr(m, a) is o for (m, a), o in zip(tables, objects))
         assert self._reports() == first
+
+    def test_cache_info_counts_every_memo(self):
+        iqsl2.clear_caches()
+        self._reports()
+        info = iqsl2.cache_info()
+        names = {f"{m.__name__}.{a}" for m, a in self.MEMOS + self.POWERS}
+        assert set(info) == names | {f"iqsl2.qcomb.{fn.__name__}"
+                                     for fn in self.LRU}
+        assert all(info.values())
+        iqsl2.clear_caches()
+        powers = {f"{m.__name__}.{a}" for m, a in self.POWERS}
+        assert iqsl2.cache_info() == {name: int(name in powers) for name in info}
 
     def test_every_memo_that_grows_is_cleared(self):
         # a module-level dict of the package that a run fills is a memo, and
@@ -655,6 +670,43 @@ class TestComultVectors:
         monkeypatch.setattr(verify, "comult_theorem", spy)
         assert self._report(name, 8) == expected
         assert fallbacks == list(range(9))
+
+    @staticmethod
+    def _fresh_images(monkeypatch):
+        # build the vector images inside the test, and keep what it patches
+        # out of the memos of later tests
+        monkeypatch.setattr(idp, "_PBW_NUM_VEC_CACHE", {})
+        monkeypatch.setattr(idp, "_PBW_VEC_CACHE", {})
+
+    @pytest.mark.parametrize("name", ["comult-odd", "comult-even"])
+    def test_scalar_images_run_only_on_fallback(self, name, monkeypatch):
+        def scalar_images(*args):
+            raise AssertionError(f"Scalar image {args}")
+
+        self._fresh_images(monkeypatch)
+        monkeypatch.setattr(idp, "_pbw_closed", scalar_images)
+        monkeypatch.setattr(idp, "_b_pow_num", scalar_images)
+        report = run_suite(name, 10)
+        assert report.passed and len(report.checks) == 11
+
+    @pytest.mark.parametrize("name", ["comult-odd", "comult-even"])
+    def test_an_unproved_image_falls_back_from_its_order(self, name,
+                                                         monkeypatch):
+        expected = self._report(name, 10)
+        fallbacks = []
+        theorem = verify.comult_theorem
+        build = idp._pbw_num_vectors
+
+        def spy(p, n):
+            fallbacks.append(n)
+            return theorem(p, n)
+
+        self._fresh_images(monkeypatch)
+        monkeypatch.setattr(idp, "_pbw_num_vectors",
+                            lambda p, n: None if n == 7 else build(p, n))
+        monkeypatch.setattr(verify, "comult_theorem", spy)
+        assert self._report(name, 10) == expected
+        assert fallbacks == [7, 8, 9, 10]
 
     def test_corrupted_leg_keeps_its_witness(self, monkeypatch):
         style = idp._leg_exponent_style

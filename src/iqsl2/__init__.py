@@ -116,7 +116,6 @@ _MEMOS = [
     (idp, "_CLOSED_CACHE"),
     (idp, "_REC_CACHE"),
     (idp, "_PBW_CLOSED_CACHE"),
-    (idp, "_PBW_NUM_VEC_CACHE"),
     (idp, "_PBW_VEC_CACHE"),
     (idp, "_HBINOM_VEC_CACHE"),
     (cyclo, "_CYCLOTOMIC_CACHE"),
@@ -138,11 +137,11 @@ def clear_caches():
     powers, the PBW images of the closed divided powers, the integral
     numerators of the PBW images of the powers of B, powers of the
     coproducts of E and F, the exponent vectors of the images of the closed
-    divided powers and of their numerators, of the coefficients of those
-    coproduct powers and of h-binomials, cyclotomic polynomials and their
-    values, q-powers and quantum integers, factorials and binomials. They
-    only grow, by the orders a process has asked for; clearing them frees
-    that memory and changes no result. ``cache_info`` reports their sizes.
+    divided powers, of the coefficients of those coproduct powers and of
+    h-binomials, cyclotomic polynomials and their values, q-powers and
+    quantum integers, factorials and binomials. They only grow, by the
+    orders a process has asked for; clearing them frees that memory and
+    changes no result. ``cache_info`` reports their sizes.
     """
     for module, name in _MEMOS:
         getattr(module, name).clear()

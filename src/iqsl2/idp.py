@@ -56,15 +56,17 @@ singularity among the closed multiplication formulas (both-odd case of the
 ``_comult_agrees`` decides the coproduct theorem on the cyclotomic
 exponent vectors of ``cyclo``: closed-form legs, the PBW images of the
 closed form built on vectors one factor B^2 - q varsigma [idx]^2 at a time
-with one checked sum per monomial per factor (``_pbw_num_vectors``), the
+with one checked sum per monomial per factor (``_pbw_vectors``), the
 coproduct monomial by monomial (``tensor.delta_vectors``) and one checked
-sum per key of the assembly. The Scalar images (``_pbw_closed``) run only
-when the vectors do not prove a check, and for the text.
+sum per key of the assembly. The Scalar images (``_pbw_closed``) run once
+per family at order 3, where the vector image must equal them, when the
+vectors do not prove a check, and for the text.
 """
 
 from .coeff import LaurentPoly, Scalar
 from ._kernel_py import kadd, kmul, kshift, ksub
-from .cyclo import _qvs_ratio, qratio, qratio_vector, vmul, vsum
+from .cyclo import (
+    _qvs_ratio, qratio, qratio_vector, to_scalar, vmul, vsum)
 from .errors import NegativeInput
 from .pbw import (
     _Q2M1, UElement, _rmul_B, _tacc, divided_power, u_h_binom)
@@ -614,61 +616,58 @@ def _rmul_B_vectors(terms):
     return out
 
 
-# the PBW image of the numerator P_n of the closed divided power as
-# {monomial: vector}, keyed by (family, order); None when a sum was not
-# proved
-_PBW_NUM_VEC_CACHE = {}
+# the PBW image of the closed divided power as {monomial: vector}, keyed by
+# (family, order); None when a sum was not proved
+_PBW_VEC_CACHE = {}
+
+# the order whose vector image is compared with the Scalar image
+# (``_pbw_closed``) when it is built, which ties the B step on vectors to
+# ``pbw._rmul_B``: the least order at which both families take every branch
+# of the B step and a correction term
+_ANCHOR = 3
 
 
-def _pbw_num_vectors(p, n):
-    """The image of P_n = P_{n-2} (B^2 - q varsigma [idx]^2), with P_0 = 1
-    and P_1 = B, one factor at a time: the terms of P_{n-2} B B and of the
-    correction are summed once per monomial."""
+def _pbw_vectors(p, n):
+    """The image of B^{(n)} = B^{(n-2)} (B^2 - q varsigma [idx]^2) / ([n]
+    [n-1]), with B^{(0)} = 1 and B^{(1)} = B, one factor at a time: the
+    terms of B^{(n-2)} B B and of the correction are summed once per
+    monomial. AssertionError when the image of order ``_ANCHOR`` differs
+    from ``_pbw_closed``."""
     key = (p, n)
-    if key in _PBW_NUM_VEC_CACHE:
-        return _PBW_NUM_VEC_CACHE[key]
+    if key in _PBW_VEC_CACHE:
+        return _PBW_VEC_CACHE[key]
     if n < 2:
         terms = {(0, 0, 0): [(1, 0, 0, {})]}
         if n:
             terms = _rmul_B_vectors(terms)
     else:
-        prev = _pbw_num_vectors(p, n - 2)
+        prev = _pbw_vectors(p, n - 2)
         if prev is None:
-            _PBW_NUM_VEC_CACHE[key] = None
+            _PBW_VEC_CACHE[key] = None
             return None
+        inv = qratio_vector([], [n, n - 1])
         terms = _rmul_B_vectors(_rmul_B_vectors(
-            {m: [x] for m, x in prev.items()}))
+            {m: [vmul(x, inv)] for m, x in prev.items()}))
         idx = _factor_index(p, n)
         if idx:
-            _, i, j, e = qratio_vector([idx, idx], [], 1)
+            _, i, j, e = qratio_vector([idx, idx], [n, n - 1], 1)
             for m, x in prev.items():
                 terms.setdefault(m, []).append(vmul(x, (-1, i, j, e)))
     r = {}
     for m, t in terms.items():
-        # the image of P_n is [n]! times that of B^{(n)}: Phi_d, d <= n
+        # the denominators divide (q^2 - 1)^floor(n/2) [n]!: Phi_d, d <= n
         v = vsum(t, n)
         if v is None:
             r = None
             break
         if v:
             r[m] = v
-    _PBW_NUM_VEC_CACHE[key] = r
+    if n == _ANCHOR and r is not None and (
+            {m: to_scalar(x) for m, x in r.items()} != _pbw_closed(p, n)._t):
+        raise AssertionError(
+            f"the vector image of B^({n}) is not the PBW image")
+    _PBW_VEC_CACHE[key] = r
     return r
-
-
-# the PBW image of the closed divided power as {monomial: vector}, keyed by
-# (family, order); None when a sum of its numerator was not proved
-_PBW_VEC_CACHE = {}
-
-
-def _pbw_vectors(p, n):
-    key = (p, n)
-    if key not in _PBW_VEC_CACHE:
-        num = _pbw_num_vectors(p, n)
-        inv = qratio_vector([], range(1, n + 1))
-        _PBW_VEC_CACHE[key] = None if num is None else {
-            m: vmul(x, inv) for m, x in num.items()}
-    return _PBW_VEC_CACHE[key]
 
 
 def _theorem_vectors(p, n):

@@ -535,16 +535,13 @@ print(json.dumps([names for v, n, names in seen.values() if len(v) > n]))
 class TestClearCaches:
     """iqsl2.clear_caches empties every memo cache and changes no result."""
 
-    # chi runs the Scalar PBW images, which the comult suites leave to their
-    # fallback
-    SUITES_RUN = (("comult-odd", 3), ("mult-even", 4), ("pbw-core", 3),
-                  ("chi", 2))
+    SUITES_RUN = (("comult-odd", 3), ("mult-even", 4), ("pbw-core", 3))
     MEMOS = (
         (pbw, "_MONO_CACHE"), (pbw, "_CDIV_CACHE"), (pbw, "_HBINOM_CACHE"),
         (tensor, "_DELTA_MONO_CACHE"), (tensor, "_DELTA_POW_VEC"),
         (idp, "_NUMERATOR_CACHE"), (idp, "_CLOSED_CACHE"), (idp, "_REC_CACHE"),
-        (idp, "_PBW_CLOSED_CACHE"), (idp, "_PBW_NUM_VEC_CACHE"),
-        (idp, "_PBW_VEC_CACHE"), (idp, "_HBINOM_VEC_CACHE"),
+        (idp, "_PBW_CLOSED_CACHE"), (idp, "_PBW_VEC_CACHE"),
+        (idp, "_HBINOM_VEC_CACHE"),
         (cyclo, "_CYCLOTOMIC_CACHE"), (cyclo, "_PHI_VALUES"),
         (coeff, "_QPOW"),
     )
@@ -588,7 +585,8 @@ class TestClearCaches:
         assert all(info.values())
         iqsl2.clear_caches()
         powers = {f"{m.__name__}.{a}" for m, a in self.POWERS}
-        assert iqsl2.cache_info() == {name: int(name in powers) for name in info}
+        assert iqsl2.cache_info() == {name: int(name in powers)
+                                      for name in info}
 
     def test_every_memo_that_grows_is_cleared(self):
         # a module-level dict of the package that a run fills is a memo, and
@@ -675,19 +673,43 @@ class TestComultVectors:
     def _fresh_images(monkeypatch):
         # build the vector images inside the test, and keep what it patches
         # out of the memos of later tests
-        monkeypatch.setattr(idp, "_PBW_NUM_VEC_CACHE", {})
         monkeypatch.setattr(idp, "_PBW_VEC_CACHE", {})
 
     @pytest.mark.parametrize("name", ["comult-odd", "comult-even"])
-    def test_scalar_images_run_only_on_fallback(self, name, monkeypatch):
-        def scalar_images(*args):
-            raise AssertionError(f"Scalar image {args}")
+    def test_scalar_images_run_only_at_the_anchor(self, name, monkeypatch):
+        closed, powers = [], []
+        pbw_closed, b_pow_num = idp._pbw_closed, idp._b_pow_num
+
+        def spy_closed(p, n):
+            closed.append(n)
+            return pbw_closed(p, n)
+
+        def spy_powers(d):
+            powers.append(d)
+            return b_pow_num(d)
 
         self._fresh_images(monkeypatch)
-        monkeypatch.setattr(idp, "_pbw_closed", scalar_images)
-        monkeypatch.setattr(idp, "_b_pow_num", scalar_images)
+        monkeypatch.setattr(idp, "_pbw_closed", spy_closed)
+        monkeypatch.setattr(idp, "_b_pow_num", spy_powers)
         report = run_suite(name, 10)
         assert report.passed and len(report.checks) == 11
+        assert closed == [idp._ANCHOR]
+        assert set(powers) <= set(range(idp._ANCHOR + 1))
+
+    @pytest.mark.parametrize("name", ["comult-odd", "comult-even"])
+    def test_a_wrong_b_step_stops_at_the_anchor(self, name, monkeypatch):
+        step = idp._rmul_B_vectors
+
+        def wrong_step(terms):
+            # drop the terms of one monomial
+            out = step(terms)
+            del out[max(out)]
+            return out
+
+        self._fresh_images(monkeypatch)
+        monkeypatch.setattr(idp, "_rmul_B_vectors", wrong_step)
+        with pytest.raises(AssertionError, match="is not the PBW image"):
+            run_suite(name, 3)
 
     @pytest.mark.parametrize("name", ["comult-odd", "comult-even"])
     def test_an_unproved_image_falls_back_from_its_order(self, name,
@@ -695,14 +717,14 @@ class TestComultVectors:
         expected = self._report(name, 10)
         fallbacks = []
         theorem = verify.comult_theorem
-        build = idp._pbw_num_vectors
+        build = idp._pbw_vectors
 
         def spy(p, n):
             fallbacks.append(n)
             return theorem(p, n)
 
         self._fresh_images(monkeypatch)
-        monkeypatch.setattr(idp, "_pbw_num_vectors",
+        monkeypatch.setattr(idp, "_pbw_vectors",
                             lambda p, n: None if n == 7 else build(p, n))
         monkeypatch.setattr(verify, "comult_theorem", spy)
         assert self._report(name, 10) == expected

@@ -1,6 +1,7 @@
 """Coefficients as cyclotomic exponent vectors.
 
-Every coefficient of the closed coproduct formulas has the shape
+Every coefficient of the closed coproduct formulas, and every ratio of
+the closed product formulas, has the shape
 sign q^i varsigma^j prod_d Phi_d(q^2)^(e_d), with Phi_d the d-th cyclotomic
 polynomial (Phi_1(x) = x - 1) and e_d of either sign. Such a coefficient is
 stored as the vector (sign, i, j, {d: e_d}), sign = +-1 and every e_d != 0,
@@ -128,11 +129,6 @@ def to_scalar(x):
     return Scalar._make(n, d, cancel=False)
 
 
-def _qvs_ratio(nums, dens, l):
-    """(q varsigma)^l times ``qratio(nums, dens)``, built in lowest terms."""
-    return to_scalar(qratio_vector(nums, dens, l))
-
-
 def qratio(nums, dens):
     """Product of quantum integers over ``nums`` divided by the product over
     ``dens``, the arguments being lists of integer indices.
@@ -145,7 +141,7 @@ def qratio(nums, dens):
     zero. The rest is counted in cyclotomic factors (``qratio_vector``), so
     the result is built in lowest terms and no gcd runs.
     """
-    return _qvs_ratio(nums, dens, 0)
+    return to_scalar(qratio_vector(nums, dens))
 
 
 def vmul(x, y):

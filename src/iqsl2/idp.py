@@ -47,11 +47,13 @@ coefficient, and its text, is the one a computation on Scalar coefficients
 gives (see the ``coeff`` docstring).
 
 ``mult_closed`` writes each term, prefactor qbinom(m+n, m) and
-(q varsigma)^l included, as one ratio of quantum integers, built in lowest
-terms with no gcd from its cyclotomic exponent counts (``cyclo.qratio``).
-An index pair 0/0 is removed exactly, which resolves the one removable
-singularity among the closed multiplication formulas (both-odd case of the
-"odd" family at l = a+1) without special-casing.
+(q varsigma)^l included, as one ratio of quantum integers, counted as a
+cyclotomic exponent vector (``cyclo.qratio_vector``) and built in lowest
+terms with no gcd (``cyclo.to_scalar``). An index pair 0/0 is removed
+exactly, which resolves the one removable singularity among the closed
+multiplication formulas (both-odd case of the "odd" family at l = a+1)
+without special-casing. The multiplication suites compare both sides on
+these vectors (``_mult_closed_vectors``, ``_mult_direct_vectors``).
 
 ``_comult_agrees`` decides the coproduct theorem on the cyclotomic
 exponent vectors of ``cyclo``: closed-form legs, the PBW images of the
@@ -65,8 +67,8 @@ vectors do not prove a check, and for the text.
 
 from .coeff import LaurentPoly, Scalar
 from ._kernel_py import kadd, kmul, kshift, ksub
-from .cyclo import (
-    _qvs_ratio, qratio, qratio_vector, to_scalar, vmul, vsum)
+from .cyclo import from_terms, qratio_vector, to_scalar, vmul, vsum
+from .cyclo import qratio  # noqa: F401  (re-exported as ``idp.qratio``)
 from .errors import NegativeInput
 from .pbw import (
     _Q2M1, UElement, _rmul_B, _tacc, divided_power, u_h_binom)
@@ -270,17 +272,16 @@ def idp_recursive(p, n):
     return r
 
 
-def _back_substitute(rem, den, p):
-    """Coefficients c_j with sum_d rem[d] B^d / den = sum_j c_j B^{(j)} in
+def _back_numerators(rem, p):
+    """Integral numerators t_j with sum_d rem[d] B^d = sum_j t_j P_j in
     family ``p``, from integral numerators ``rem`` {degree: term dict}
-    (consumed) over one denominator ``den`` (a term dict).
+    (consumed).
 
-    Triangular back-substitution from the top degree down. B^{(j)} is
-    P_j / [j]! with P_j monic of degree j, so step j subtracts rem[j] P_j,
-    which stays integral, and c_j = rem[j] [j]! / den is the only fraction
-    the step forms. Degrees on the parity lattice of the top degree are
-    always recorded, zeros included; a nonzero coefficient off that lattice
-    is recorded as well.
+    Triangular back-substitution from the top degree down. P_j is monic of
+    degree j, so step j subtracts rem[j] P_j, which stays integral. Degrees
+    on the parity lattice of the top degree are always recorded, zeros (an
+    empty dict) included; a nonzero numerator off that lattice is recorded
+    as well.
     """
     out = {}
     top = max((d for d, t in rem.items() if t), default=-1)
@@ -291,12 +292,22 @@ def _back_substitute(rem, den, p):
             for d, pt in _numerator(p, j).items():
                 if d != j:
                     rem[d] = ksub(rem.get(d, {}), kmul(t, pt))
-            out[j] = Scalar._make(kmul(t, qfact(j)._t), den)
+            out[j] = t
         elif j % 2 == lattice:
-            out[j] = _SC_ZERO
+            out[j] = {}
     if any(rem.values()):
         raise AssertionError("triangular expansion left a remainder")
     return out
+
+
+def _back_substitute(rem, den, p):
+    """Coefficients c_j with sum_d rem[d] B^d / den = sum_j c_j B^{(j)} in
+    family ``p``, over one denominator ``den`` (a term dict): B^{(j)} is
+    P_j / [j]!, so c_j = t_j [j]! / den with the t_j of
+    ``_back_numerators``, the only fraction formed, reduced once.
+    """
+    return {j: Scalar._make(kmul(t, qfact(j)._t), den) if t else _SC_ZERO
+            for j, t in _back_numerators(rem, p).items()}
 
 
 def idp_basis_expand(x, p):
@@ -320,20 +331,49 @@ def _over_one_den(x):
             den._t)
 
 
+def _numerator_product(p, m, n):
+    """P_m P_n as integral numerators {degree: term dict}."""
+    prod = {}
+    for d1, t1 in _numerator(p, m).items():
+        for d2, t2 in _numerator(p, n).items():
+            prod[d1 + d2] = kadd(prod.get(d1 + d2, {}), kmul(t1, t2))
+    return prod
+
+
 def mult_direct(p, m, n):
     """B^{(m)} B^{(n)} expanded on divided powers from first principles:
     the product P_m P_n of the monic numerators over [m]! [n]!, by the
     back-substitution of ``idp_basis_expand``. Same keys, in the same
     order, as ``idp_basis_expand(idp_closed(p, m) * idp_closed(p, n), p)``.
+    The suites compare it with ``mult_closed`` only where the exponent
+    vectors do not decide (``_mult_direct_vectors``).
     """
     _check_parity(p)
     if m < 0 or n < 0:
         raise NegativeInput("divided power of negative order")
-    prod = {}
-    for d1, t1 in _numerator(p, m).items():
-        for d2, t2 in _numerator(p, n).items():
-            prod[d1 + d2] = kadd(prod.get(d1 + d2, {}), kmul(t1, t2))
-    return _back_substitute(prod, kmul(qfact(m)._t, qfact(n)._t), p)
+    return _back_substitute(_numerator_product(p, m, n),
+                            kmul(qfact(m)._t, qfact(n)._t), p)
+
+
+def _mult_direct_vectors(p, m, n):
+    """mult_direct(p, m, n) as {degree: vector}, zeros dropped; None when a
+    numerator is not proved to be a vector.
+
+    The same back-substitution as ``mult_direct``, with no Scalar and no
+    gcd: each integral numerator t_j is converted by ``cyclo.from_terms``
+    with factors Phi_d, d <= m + n, which proves the conversion by
+    evaluation (see the ``cyclo`` docstring), and multiplied by the vector
+    of [j]! / ([m]! [n]!).
+    """
+    dens = [*range(1, m + 1), *range(1, n + 1)]
+    out = {}
+    for j, t in _back_numerators(_numerator_product(p, m, n), p).items():
+        if t:
+            v = from_terms(t, m + n)
+            if v is None:
+                return None
+            out[j] = vmul(v, qratio_vector(range(1, j + 1), dens))
+    return out
 
 
 # (family, m % 2, n % 2) -> offsets (dn, dm, dd) of the closed product: term
@@ -350,6 +390,37 @@ _MULT_OFFSETS = {
 }
 
 
+def _mult_closed_terms(p, m, n):
+    """The closed formula of ``mult_closed`` as {degree: [vector]}: the
+    nonzero ratios of quantum integers whose sum is the coefficient, each
+    built by ``cyclo.qratio_vector``; a degree whose terms all vanish is
+    left out."""
+    s = m + n
+    dn, dm, dd = _MULT_OFFSETS[p, m % 2, n % 2]
+    # the prefactor qbinom(s, m) = [s]! / ([m]! [n]!) as indices
+    nums = list(range(1, s + 1))
+    dens = [*range(1, m + 1), *range(1, n + 1)]
+    out = {s: [qratio_vector(nums, dens)]}
+    for l in range(1, (m + dm - 1) // 2 + 1):
+        nums += [n + dn - 2 * l, m + dm - 2 * l]
+        dens += [s + dd - 2 * l, 2 * l]
+        if p == EV and not m % 2 and not n % 2:
+            terms = [qratio_vector(nums + [s - 2 * l], dens + [s], l)]
+        elif p == ODD and m % 2 and n % 2:
+            terms = [
+                qratio_vector(nums + [s - 2 * l, m + 1 - 2 * l],
+                              dens + [s, m + 1], l),
+                qratio_vector(nums + [s + 1 - 2 * l, s + 1 - 2 * l, 2 * l],
+                              dens + [s, n + 1 - 2 * l, m + 1], l),
+            ]
+        else:
+            terms = [qratio_vector(nums, dens, l)]
+        terms = [x for x in terms if x]
+        if terms:
+            out[s - 2 * l] = terms
+    return out
+
+
 def mult_closed(p, m, n):
     """Closed-form coefficients of B^{(m)} B^{(n)} on divided powers.
 
@@ -364,33 +435,34 @@ def mult_closed(p, m, n):
     at degree m+n-2l, with the offsets of ``_MULT_OFFSETS``. Two cases
     carry one more factor: [m+n-2l]/[m+n] for "ev" with m, n even, and for
     "odd" with m, n odd a sum of two ratios. Out-of-range terms vanish
-    through zero quantum integers.
+    through zero quantum integers. Each ratio is a Scalar in lowest terms
+    built with no gcd (``cyclo.to_scalar``). The suites decide their checks
+    on the same terms as vectors (``_mult_closed_vectors``) and call this
+    only where the vectors do not.
     """
     _check_parity(p)
     if m < 0 or n < 0:
         raise NegativeInput("divided power of negative order")
-    s = m + n
-    dn, dm, dd = _MULT_OFFSETS[p, m % 2, n % 2]
-    # the prefactor qbinom(s, m) = [s]! / ([m]! [n]!) as indices
-    nums = list(range(1, s + 1))
-    dens = [*range(1, m + 1), *range(1, n + 1)]
-    out = {s: qratio(nums, dens)}
-    for l in range(1, (m + dm - 1) // 2 + 1):
-        nums += [n + dn - 2 * l, m + dm - 2 * l]
-        dens += [s + dd - 2 * l, 2 * l]
-        if p == EV and not m % 2 and not n % 2:
-            t = _qvs_ratio(nums + [s - 2 * l], dens + [s], l)
-        elif p == ODD and m % 2 and n % 2:
-            t = (
-                _qvs_ratio(nums + [s - 2 * l, m + 1 - 2 * l],
-                           dens + [s, m + 1], l)
-                + _qvs_ratio(nums + [s + 1 - 2 * l, s + 1 - 2 * l, 2 * l],
-                             dens + [s, n + 1 - 2 * l, m + 1], l)
-            )
-        else:
-            t = _qvs_ratio(nums, dens, l)
+    out = {}
+    for d, terms in _mult_closed_terms(p, m, n).items():
+        t = sum(map(to_scalar, terms[1:]), to_scalar(terms[0]))
         if not t.is_zero():
-            out[s - 2 * l] = t
+            out[d] = t
+    return out
+
+
+def _mult_closed_vectors(p, m, n):
+    """mult_closed(p, m, n) as {degree: vector}, zeros dropped, with one
+    ``cyclo.vsum`` per degree, proved by evaluation; None when a sum is not
+    proved to be a vector (as for the sums of two ratios of the "odd"
+    family with m, n odd, which are no single cyclotomic product)."""
+    out = {}
+    for d, terms in _mult_closed_terms(p, m, n).items():
+        v = vsum(terms, m + n)
+        if v is None:
+            return None
+        if v:
+            out[d] = v
     return out
 
 

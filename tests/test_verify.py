@@ -746,3 +746,88 @@ class TestComultVectors:
         report.pop("wall_time_s")
         assert _digest(report) == (
             "6ebd3e38a59d6be18a775fb2b39b390af97f9d93ea38068bb315ab779e348d79")
+
+
+class TestMultVectors:
+    """The mult suites decide their mult-closed and mult-symmetry checks on
+    cyclotomic exponent vectors and fall back to the Scalar constructions
+    for the rest, with the same report bytes."""
+
+    # perfbench digest form; the first is the mult-verify digest of
+    # perfbench/expected.json, all as produced on the Scalar path alone
+    REPORTS = {
+        ("mult-even", 16, "specialized"):
+            "3df1a979bd2ecc73b6fad9177387b328e96c04dd3c5cc04acdb710c2cd7b5e61",
+        ("mult-even", 16, "generic"):
+            "1c7a98c5771c6d2d51b67e884464d83c0ffa001b3d383e286ba0b481e314fbd2",
+        ("mult-odd", 16, "generic"):
+            "2a4a9ab97a90431a1d7c46889474f33335ed428bdfab607bb8993d1f66da1be4",
+        ("mult-odd", 16, "specialized"):
+            "8a8885ddfdaf33cda2f4cbee79e71d35bd4f2f721be373f6192bf4e6e042e505",
+        ("mult-even", 12, "generic"):
+            "1fc5aaa3bd345af4133cfa8887b93eb50533207e32ad5ca87495ae2f75e296e1",
+    }
+
+    _report = staticmethod(TestComultVectors._report)
+
+    @staticmethod
+    def _spy(monkeypatch, name):
+        seen = []
+        fn = getattr(verify, name)
+
+        def spy(p, m, n):
+            seen.append((m, n))
+            return fn(p, m, n)
+
+        monkeypatch.setattr(verify, name, spy)
+        return seen
+
+    @pytest.mark.parametrize("name,bound,mode", sorted(REPORTS))
+    def test_report_is_byte_identical(self, name, bound, mode):
+        digest = _digest(self._report(name, bound, mode))
+        assert digest == self.REPORTS[name, bound, mode]
+
+    def test_vectors_decide_every_mult_even_check(self, monkeypatch):
+        def scalar_path(p, m, n):
+            raise AssertionError(f"Scalar fallback at {p} {m} {n}")
+
+        monkeypatch.setattr(verify, "mult_direct", scalar_path)
+        monkeypatch.setattr(verify, "mult_closed", scalar_path)
+        report = run_suite("mult-even", 16)
+        assert report.passed and len(report.checks) == 251
+
+    def test_scalars_decide_only_the_both_odd_pairs(self, monkeypatch):
+        # the coefficient of the "odd" family with m, n odd is a sum of two
+        # cyclotomic products that is no single product; with m or n = 1
+        # one of the two vanishes
+        both_odd = [(m, n) for m in range(3, 17, 2)
+                    for n in range(3, 17 - m, 2)]
+        direct = self._spy(monkeypatch, "mult_direct")
+        closed = self._spy(monkeypatch, "mult_closed")
+        digest = _digest(self._report("mult-odd", 16))
+        assert digest == self.REPORTS["mult-odd", 16, "generic"]
+        assert len(both_odd) == 21 and direct == both_odd
+        assert set(closed) == set(both_odd)
+
+    @pytest.mark.parametrize("name", ["mult-even", "mult-odd"])
+    @pytest.mark.parametrize("unproved", ["from_terms", "vsum"])
+    def test_unproved_vectors_fall_back_to_the_same_report(
+            self, name, unproved, monkeypatch):
+        expected = self._report(name, 10, "specialized")
+        monkeypatch.setattr(idp, unproved, lambda terms, dmax: None)
+        direct = self._spy(monkeypatch, "mult_direct")
+        assert self._report(name, 10, "specialized") == expected
+        assert len(direct) == 66
+
+    def test_corrupted_offsets_keep_their_witnesses(self, monkeypatch):
+        monkeypatch.setitem(idp._MULT_OFFSETS, (idp.EV, 1, 0), (2, 3, 4))
+        report = self._report("mult-even", 8)
+        failures = [(c["id"], c["params"]) for c in report["checks"]
+                    if not c["pass"]]
+        assert len(failures) == 12
+        assert {cid for cid, _ in failures} == {"mult-closed", "mult-symmetry"}
+        # as produced on the Scalar path alone
+        assert _digest(report) == (
+            "d47138638c1253e332853427750c6097d6a5323882b379d954bcf8d68f839c21")
+        monkeypatch.setattr(idp, "vsum", lambda terms, dmax: None)
+        assert self._report("mult-even", 8) == report

@@ -123,7 +123,6 @@ _MEMOS = [
     (coeff, "_QPOW"),
 ]
 _POWER_TABLES = [
-    (idp, "_B_POW_NUM"),
     (tensor, "_DELTA_E_POW"),
     (tensor, "_DELTA_F_POW"),
 ]
@@ -134,8 +133,7 @@ def clear_caches():
 
     The caches hold normal-form products, coproducts of monomials, the
     integral numerators of the divided powers, closed and recursive divided
-    powers, the PBW images of the closed divided powers, the integral
-    numerators of the PBW images of the powers of B, powers of the
+    powers, the PBW images of the closed divided powers, powers of the
     coproducts of E and F, the exponent vectors of the images of the closed
     divided powers, of the coefficients of those coproduct powers and of
     h-binomials, cyclotomic polynomials and their values, q-powers and

@@ -22,8 +22,8 @@ recursion. This module provides
 * ``s_component_reversed`` / ``comult_closed_reversed``
                        -- the same legs written with F powers on the left
                           and E-check powers on the right;
-* ``idp_to_pbw``       -- substitution B = F + varsigma E K^-1, on the
-                          integral powers of B;
+* ``idp_to_pbw``       -- substitution B = F + varsigma E K^-1, by Horner's
+                          rule on products in the PBW basis;
 * ``comult_direct`` / ``comult_theorem`` / ``comult_theorem_reversed``
                        -- the coproduct computed from first principles,
                           and assembled from either kind of closed legs.
@@ -36,15 +36,10 @@ divided powers stays integral: step j subtracts rem[j] P_j from numerators
 over one common denominator, and only the output coefficient
 rem[j] [j]! / den is a fraction, reduced once. ``mult_direct`` runs it on
 P_m P_n over [m]! [n]!, ``idp_basis_expand`` on its argument brought over
-one denominator. The PBW image of B^d is N_d / (q^2 - 1)^floor(d/2) with
-N_d integral (``_b_pow_num``: the only denominator comes from EF - FE, and
-the step to each odd power divides one factor q^2 - 1 out exactly), so
-the PBW image of B^{(n)} is sum_d P_n[d] N_d
-(q^2 - 1)^(floor(n/2) - floor(d/2)) over (q^2 - 1)^floor(n/2) [n]!, reduced
-once per monomial. The denominators on these paths are products of quantum
-integers and of q^2 - 1, which are varsigma-free, so each reduced
-coefficient, and its text, is the one a computation on Scalar coefficients
-gives (see the ``coeff`` docstring).
+one denominator. The denominators of ``mult_direct`` are products of
+quantum integers, which are varsigma-free, so each reduced coefficient,
+and its text, is the one a computation on Scalar coefficients gives (see
+the ``coeff`` docstring).
 
 ``mult_closed`` writes each term, prefactor qbinom(m+n, m) and
 (q varsigma)^l included, as one ratio of quantum integers, counted as a
@@ -55,14 +50,19 @@ multiplication formulas (both-odd case of the "odd" family at l = a+1)
 without special-casing. The multiplication suites compare both sides on
 these vectors (``_mult_closed_vectors``, ``_mult_direct_vectors``).
 
-``_comult_agrees`` decides the coproduct theorem on the cyclotomic
-exponent vectors of ``cyclo``: closed-form legs, the PBW images of the
-closed form built on vectors one factor B^2 - q varsigma [idx]^2 at a time
-with one checked sum per monomial per factor (``_pbw_vectors``), the
-coproduct monomial by monomial (``tensor.delta_vectors``) and one checked
-sum per key of the assembly. The Scalar images (``_pbw_closed``) run once
-per family at order 3, where the vector image must equal them, when the
-vectors do not prove a check, and for the text.
+The PBW images of the closed divided powers and the closed legs are built
+once, on the cyclotomic exponent vectors of ``cyclo``: the image one factor
+B^2 - q varsigma [idx]^2 at a time with one checked sum per monomial per
+factor (``_pbw_vectors``), the legs term by term in closed form
+(``_leg_vectors``). Their Scalars, and so their text, are ``to_scalar`` of
+these vectors (``_pbw_closed``, ``s_component``). ``_comult_agrees``
+decides the coproduct theorem on the same vectors, with the coproduct
+monomial by monomial (``tensor.delta_vectors``) and one checked sum per key
+of the assembly. The plain substitution ``idp_to_pbw`` is the independent
+construction of the images: the vector image of order ``_ANCHOR`` must
+equal it, and it gives the image of an order the vectors do not prove. The
+reversed legs, built by products in the PBW basis, are the independent
+construction of the legs.
 """
 
 from .coeff import LaurentPoly, Scalar
@@ -70,8 +70,7 @@ from ._kernel_py import kadd, kmul, kshift, ksub
 from .cyclo import from_terms, qratio_vector, to_scalar, vmul, vsum
 from .cyclo import qratio  # noqa: F401  (re-exported as ``idp.qratio``)
 from .errors import NegativeInput
-from .pbw import (
-    _Q2M1, UElement, _rmul_B, _tacc, divided_power, u_h_binom)
+from .pbw import UElement, divided_power, u_gen, u_h_binom
 from .qcomb import qfact, qint
 # re-exported: perfbench's tracer looks the name up on this module
 from .qcomb import qbinom  # noqa: F401
@@ -97,9 +96,13 @@ def _check_degree(d):
     return d
 
 
-def _check_parity(p):
+def _check_order(p, *orders):
+    """ValueError unless ``p`` is a family, NegativeInput if an order is
+    negative."""
     if p not in PARITIES:
         raise ValueError(f"unknown family {p!r}; expected 'ev' or 'odd'")
+    if any(n < 0 for n in orders):
+        raise NegativeInput("divided power of negative order")
 
 
 class BPolynomial(Sparse):
@@ -223,9 +226,7 @@ def idp_closed(p, n):
     indices from 0 or from 2 for the "ev" family, odd indices for the "odd"
     family), preceded by a bare B when n is odd, all divided by [n]!.
     """
-    _check_parity(p)
-    if n < 0:
-        raise NegativeInput("divided power of negative order")
+    _check_order(p, n)
     key = (p, n)
     r = _CLOSED_CACHE.get(key)
     if r is not None:
@@ -249,9 +250,7 @@ def idp_recursive(p, n):
     distinguishes the families. Independent of ``idp_closed`` by design:
     the two constructions cross-check each other.
     """
-    _check_parity(p)
-    if n < 0:
-        raise NegativeInput("divided power of negative order")
+    _check_order(p, n)
     key = (p, n)
     r = _REC_CACHE.get(key)
     if r is not None:
@@ -316,7 +315,7 @@ def idp_basis_expand(x, p):
     The coefficients of x are brought over one common denominator, and the
     integral numerators are expanded by ``_back_substitute``.
     """
-    _check_parity(p)
+    _check_order(p)
     return _back_substitute(*_over_one_den(x), p)
 
 
@@ -348,9 +347,7 @@ def mult_direct(p, m, n):
     The suites compare it with ``mult_closed`` only where the exponent
     vectors do not decide (``_mult_direct_vectors``).
     """
-    _check_parity(p)
-    if m < 0 or n < 0:
-        raise NegativeInput("divided power of negative order")
+    _check_order(p, m, n)
     return _back_substitute(_numerator_product(p, m, n),
                             kmul(qfact(m)._t, qfact(n)._t), p)
 
@@ -440,9 +437,7 @@ def mult_closed(p, m, n):
     on the same terms as vectors (``_mult_closed_vectors``) and call this
     only where the vectors do not.
     """
-    _check_parity(p)
-    if m < 0 or n < 0:
-        raise NegativeInput("divided power of negative order")
+    _check_order(p, m, n)
     out = {}
     for d, terms in _mult_closed_terms(p, m, n).items():
         t = sum(map(to_scalar, terms[1:]), to_scalar(terms[0]))
@@ -487,21 +482,14 @@ def s_component(p, n, r):
     Each summand is already in PBW order: Echeck^{(a)} is a multiple of
     E^a K^-a and the h-binomial a combination of powers of K, so the term
     of K^b in the h-binomial lands on E^a K^{b-a+r-n} F^{(r-2c-a)}, one
-    monomial per (c, a, b), with no rewriting.
+    monomial per (c, a, b), with no rewriting. Each coefficient is
+    ``to_scalar`` of its vector (``_leg_vectors``).
     """
-    _check_parity(p)
-    if n < 0:
-        raise NegativeInput("divided power of negative order")
+    _check_order(p, n)
     if r < 0 or r > n:
         return UElement.zero()
-    out = {}
-    for shift, c, a, k, e in _leg_terms(p, n, r):
-        f = (divided_power("Echeck", a).coeff(a, -a, 0)
-             * divided_power("F", k).coeff(0, 0, k)
-             * (Scalar.q_power(e) * Scalar.vs_power(c, c)))
-        for (_, b, _), h in u_h_binom(shift, c)._t.items():
-            out[a, b - a + r - n, k] = h * f
-    return UElement._raw(out)
+    return UElement._raw(
+        {m: to_scalar(x) for m, x in _leg_vectors(p, n, r).items()})
 
 
 def _leg_terms(p, n, r):
@@ -567,9 +555,7 @@ def s_component_reversed(p, n, r):
     where Y = 3c, G = floor((r-2)/2) in the exponent style that pairs with
     X = c(2c-1) above, and Y = c, G = floor((r-1)/2) in the other.
     """
-    _check_parity(p)
-    if n < 0:
-        raise NegativeInput("divided power of negative order")
+    _check_order(p, n)
     if r < 0 or r > n:
         return UElement.zero()
     style = _leg_exponent_style(p, n)
@@ -594,60 +580,28 @@ def s_component_reversed(p, n, r):
 
 def comult_closed(p, n):
     """All closed coproduct legs [(r, S_{n,r})] for r = 0..n."""
-    _check_parity(p)
-    if n < 0:
-        raise NegativeInput("divided power of negative order")
+    _check_order(p, n)
     return [(r, s_component(p, n, r)) for r in range(n + 1)]
 
 
 def comult_closed_reversed(p, n):
     """All reversed coproduct legs [(r, S_{n,r})] for r = 0..n."""
-    _check_parity(p)
-    if n < 0:
-        raise NegativeInput("divided power of negative order")
+    _check_order(p, n)
     return [(r, s_component_reversed(p, n, r)) for r in range(n + 1)]
 
 
-# integral numerators of the PBW images of the powers of B, keyed by d:
-# B^d = sum_m N_d[m] m / (q^2 - 1)^floor(d/2), with N_d {monomial: term dict}
-_B_POW_NUM = {0: {(0, 0, 0): {(0, 0): 1}}}
-
-
-def _b_pow_num(d):
-    """N_d of B^d = B^(d-1) B; the step to odd d divides by q^2 - 1."""
-    r = _B_POW_NUM.get(d)
-    if r is None:
-        r = _rmul_B(_b_pow_num(d - 1), d % 2 == 1)
-        _B_POW_NUM[d] = r
-    return r
-
-
-def _pbw_image(rem, den):
-    """UElement sum_d rem[d] B^d / den, from integral numerators ``rem``
-    {degree: term dict} over one denominator ``den`` (a term dict).
-
-    With e = floor(top degree / 2), the numerator of each monomial is
-    sum_d rem[d] N_d (q^2 - 1)^(e - floor(d/2)) over den (q^2 - 1)^e, and it
-    is reduced once.
-    """
-    if not rem:
-        return UElement.zero()
-    e = max(rem) // 2
-    q2m1 = [{(0, 0): 1}]
-    for _ in range(e):
-        q2m1.append(kmul(q2m1[-1], _Q2M1))
-    acc = {}
-    for d, t in rem.items():
-        w = kmul(t, q2m1[e - d // 2])
-        for m, n in _b_pow_num(d).items():
-            _tacc(acc, m, kmul(w, n))
-    den = kmul(den, q2m1[e])
-    return UElement._raw({m: Scalar._make(t, den) for m, t in acc.items() if t})
-
-
 def idp_to_pbw(x):
-    """Substitute B = F + varsigma E K^-1 into a BPolynomial."""
-    return _pbw_image(*_over_one_den(x))
+    """Substitute B = F + varsigma E K^-1 into a BPolynomial: its
+    coefficients over one denominator (``_over_one_den``), Horner's rule on
+    products by F + Echeck in the PBW basis, then one division."""
+    rem, den = _over_one_den(x)
+    b = u_gen("F") + u_gen("Echeck")
+    out = UElement.zero()
+    for d in range(max(rem, default=-1), -1, -1):
+        out = out * b
+        if d in rem:
+            out = out + UElement.monomial(0, 0, 0, LaurentPoly(rem[d]))
+    return out.scale(Scalar(LaurentPoly.one(), LaurentPoly(den)))
 
 
 # PBW image of the closed divided power, keyed by (family, order)
@@ -655,19 +609,22 @@ _PBW_CLOSED_CACHE = {}
 
 
 def _pbw_closed(p, n):
+    """The PBW image of B^{(n)}: ``to_scalar`` of the vector image, or the
+    plain substitution ``idp_to_pbw`` when the vectors are not proved."""
     key = (p, n)
     r = _PBW_CLOSED_CACHE.get(key)
     if r is None:
-        # substitute into the integral P_n, then divide by [n]! once
-        r = _pbw_image(_numerator(p, n), qfact(n)._t)
+        v = _pbw_vectors(p, n)
+        r = (idp_to_pbw(idp_closed(p, n)) if v is None else
+             UElement._raw({m: to_scalar(x) for m, x in v.items()}))
         _PBW_CLOSED_CACHE[key] = r
     return r
 
 
 def _rmul_B_vectors(terms):
     """Right-multiply {monomial: [vector]} by B = F + varsigma E K^-1, term
-    by term, by the commutation rule of ``pbw._rmul_B``: x E^a K^b F^c B
-    is x on (a, b, c+1), x q^(2(b-c)) varsigma on (a+1, b-1, c) and, for
+    by term, by the commutation identity of ``pbw``: x E^a K^b F^c B is x
+    on (a, b, c+1), x q^(2(b-c)) varsigma on (a+1, b-1, c) and, for
     c >= 1, x [c] varsigma / (q^2 - 1) times q^(4-3c) on (a, b-2, c-1) and
     times -q^(2-c) on (a, b, c-1). The terms of a monomial stay unsummed.
     """
@@ -692,10 +649,10 @@ def _rmul_B_vectors(terms):
 # (family, order); None when a sum was not proved
 _PBW_VEC_CACHE = {}
 
-# the order whose vector image is compared with the Scalar image
-# (``_pbw_closed``) when it is built, which ties the B step on vectors to
-# ``pbw._rmul_B``: the least order at which both families take every branch
-# of the B step and a correction term
+# the order whose vector image is compared with the plain substitution
+# (``idp_to_pbw``) when it is built, which ties the B step on vectors to
+# the products of ``pbw``: the least order at which both families take
+# every branch of the B step and a correction term
 _ANCHOR = 3
 
 
@@ -704,7 +661,7 @@ def _pbw_vectors(p, n):
     [n-1]), with B^{(0)} = 1 and B^{(1)} = B, one factor at a time: the
     terms of B^{(n-2)} B B and of the correction are summed once per
     monomial. AssertionError when the image of order ``_ANCHOR`` differs
-    from ``_pbw_closed``."""
+    from ``idp_to_pbw``."""
     key = (p, n)
     if key in _PBW_VEC_CACHE:
         return _PBW_VEC_CACHE[key]
@@ -735,7 +692,8 @@ def _pbw_vectors(p, n):
         if v:
             r[m] = v
     if n == _ANCHOR and r is not None and (
-            {m: to_scalar(x) for m, x in r.items()} != _pbw_closed(p, n)._t):
+            {m: to_scalar(x) for m, x in r.items()}
+            != idp_to_pbw(idp_closed(p, n))._t):
         raise AssertionError(
             f"the vector image of B^({n}) is not the PBW image")
     _PBW_VEC_CACHE[key] = r
@@ -778,9 +736,7 @@ def _comult_agrees(p, n):
 def comult_direct(p, n):
     """The coproduct of B^{(n)} computed from first principles: apply the
     coproduct to the PBW image of the closed form."""
-    _check_parity(p)
-    if n < 0:
-        raise NegativeInput("divided power of negative order")
+    _check_order(p, n)
     return delta(_pbw_closed(p, n))
 
 

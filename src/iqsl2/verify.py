@@ -76,6 +76,7 @@ from .idp import (
     EV,
     ODD,
     PARITIES,
+    _check_order,
     _comult_agrees,
     _mult_closed_vectors,
     _mult_direct_vectors,
@@ -1006,6 +1007,7 @@ def expand_idp(parity, n, basis="B"):
     """Serialize a divided power, either as a polynomial in B or in PBW form."""
     if basis not in ("B", "pbw"):
         raise ValueError(f"unknown basis {basis!r}")
+    _check_order(parity, n)
     _check_ceiling("n", n)
     if basis == "B":
         return str(idp_closed(parity, n))

@@ -146,7 +146,7 @@ class TestCoproductVectors:
     def test_legs(self, p):
         for n in range(9):
             for r in range(n + 1):
-                legs = from_scalars(idp.s_component(p, n, r)._t, n)
+                legs = from_scalars(idp.s_component_reversed(p, n, r)._t, n)
                 assert legs is not None
                 assert idp._leg_vectors(p, n, r) == legs
 

@@ -435,12 +435,6 @@ class TestExpand:
         assert theorem == expand_comult(parity, n, "direct")
         assert theorem == expand_comult(parity, n, "fhy")
 
-    @pytest.mark.parametrize("parity", ["ev", "odd"])
-    def test_idp_pbw_is_the_substituted_closed_form(self, parity):
-        for n in range(13):
-            expected = str(idp.idp_to_pbw(idp.idp_closed(parity, n)))
-            assert expand_idp(parity, n, "pbw") == expected, n
-
     def test_chi_report_is_byte_identical(self):
         # sha256 of the default chi report without its timing, as first
         # produced on the substituted closed form idp_to_pbw(idp_closed)
@@ -471,6 +465,27 @@ class TestExpand:
             digest = hashlib.sha256(text.encode()).hexdigest()
             assert digest == self.TEXT_SHA256[kind, parity], kind
 
+    # sha256 of the text, as produced while the images and the legs had a
+    # second construction on Scalars
+    HIGH_TEXT_SHA256 = {
+        ("direct", "ev"):
+            "86e1a62a7350cbbd43a667fb2e3242b6855a1376bb1007f107f6560623b02897",
+        ("direct", "odd"):
+            "f41ab4c1a2a5fd839fa12d55cb2a6e0185a2f834a3f4cc04d1044cc6097a14db",
+        ("idp", "ev"):
+            "edfd63dbf4afef3f192c9fc50a150862b062737b7df8ee5ea99dadb83304c806",
+        ("idp", "odd"):
+            "4d18f5f7a5f414e0e319b7d0b668bc268c9c7b86bd6cc17f6c182705c7875917",
+    }
+
+    @pytest.mark.parametrize("parity", ["ev", "odd"])
+    def test_text_is_byte_identical_at_a_higher_order(self, parity):
+        texts = {"direct": expand_comult(parity, 10, "direct"),
+                 "idp": expand_idp(parity, 16, "pbw")}
+        for kind, text in texts.items():
+            digest = hashlib.sha256(text.encode()).hexdigest()
+            assert digest == self.HIGH_TEXT_SHA256[kind, parity], kind
+
     def test_idp_basis_forms_differ_but_agree_semantically(self):
         b_form = expand_idp("odd", 2, "B")
         pbw_form = expand_idp("odd", 2, "pbw")
@@ -487,6 +502,13 @@ class TestExpand:
             expand_idp("ev", 2, "weyl")
         with pytest.raises(ValueError):
             expand_comult("ev", 2, "indirect")
+
+    @pytest.mark.parametrize("basis", ["B", "pbw"])
+    def test_idp_checks_family_and_order_in_both_bases(self, basis):
+        with pytest.raises(ValueError, match="unknown family 'xx'"):
+            expand_idp("xx", 4, basis)
+        with pytest.raises(NegativeInput, match="divided power of negative order"):
+            expand_idp("ev", -1, basis)
 
 
 class TestGoldenFiles:
@@ -535,7 +557,9 @@ print(json.dumps([names for v, n, names in seen.values() if len(v) > n]))
 class TestClearCaches:
     """iqsl2.clear_caches empties every memo cache and changes no result."""
 
-    SUITES_RUN = (("comult-odd", 3), ("mult-even", 4), ("pbw-core", 3))
+    # chi reads the Scalar images, which the comult suites no longer build
+    SUITES_RUN = (("comult-odd", 3), ("mult-even", 4), ("pbw-core", 3),
+                  ("chi", 1))
     MEMOS = (
         (pbw, "_MONO_CACHE"), (pbw, "_CDIV_CACHE"), (pbw, "_HBINOM_CACHE"),
         (tensor, "_DELTA_MONO_CACHE"), (tensor, "_DELTA_POW_VEC"),
@@ -546,7 +570,7 @@ class TestClearCaches:
         (coeff, "_QPOW"),
     )
     # power tables keep their zeroth power, the seed of their recursion
-    POWERS = ((idp, "_B_POW_NUM"), (tensor, "_DELTA_E_POW"), (tensor, "_DELTA_F_POW"))
+    POWERS = ((tensor, "_DELTA_E_POW"), (tensor, "_DELTA_F_POW"))
     LRU = (qcomb.qint, qcomb.qfact, qcomb.qbinom)
 
     def _reports(self):
@@ -671,30 +695,28 @@ class TestComultVectors:
 
     @staticmethod
     def _fresh_images(monkeypatch):
-        # build the vector images inside the test, and keep what it patches
-        # out of the memos of later tests
+        # build the images inside the test, and keep what it patches out of
+        # the memos of later tests: the Scalar images are taken from the
+        # vector images
         monkeypatch.setattr(idp, "_PBW_VEC_CACHE", {})
+        monkeypatch.setattr(idp, "_PBW_CLOSED_CACHE", {})
 
     @pytest.mark.parametrize("name", ["comult-odd", "comult-even"])
     def test_scalar_images_run_only_at_the_anchor(self, name, monkeypatch):
-        closed, powers = [], []
-        pbw_closed, b_pow_num = idp._pbw_closed, idp._b_pow_num
+        # the plain substitution runs once, to check the vector image of
+        # order _ANCHOR
+        substituted = []
+        to_pbw = idp.idp_to_pbw
 
-        def spy_closed(p, n):
-            closed.append(n)
-            return pbw_closed(p, n)
-
-        def spy_powers(d):
-            powers.append(d)
-            return b_pow_num(d)
+        def spy(x):
+            substituted.append(x.degree())
+            return to_pbw(x)
 
         self._fresh_images(monkeypatch)
-        monkeypatch.setattr(idp, "_pbw_closed", spy_closed)
-        monkeypatch.setattr(idp, "_b_pow_num", spy_powers)
+        monkeypatch.setattr(idp, "idp_to_pbw", spy)
         report = run_suite(name, 10)
         assert report.passed and len(report.checks) == 11
-        assert closed == [idp._ANCHOR]
-        assert set(powers) <= set(range(idp._ANCHOR + 1))
+        assert substituted == [idp._ANCHOR]
 
     @pytest.mark.parametrize("name", ["comult-odd", "comult-even"])
     def test_a_wrong_b_step_stops_at_the_anchor(self, name, monkeypatch):
@@ -729,6 +751,23 @@ class TestComultVectors:
         monkeypatch.setattr(verify, "comult_theorem", spy)
         assert self._report(name, 10) == expected
         assert fallbacks == [7, 8, 9, 10]
+
+    def test_reversed_legs_check_the_forward_legs(self, monkeypatch):
+        # the forward legs have one construction, from exponent vectors; the
+        # reversed legs, built by products in the PBW basis, must catch a
+        # wrong coefficient of it, and so must the coproduct check
+        h_binom = idp._h_binom_vectors
+
+        def corrupted(a, c):
+            vs = list(h_binom(a, c))
+            if c >= 1:
+                sign, i, j, exps = vs[0]
+                vs[0] = (-sign, i, j, exps)
+            return vs
+
+        monkeypatch.setattr(idp, "_h_binom_vectors", corrupted)
+        assert not run_suite("fhy-forms", 4).passed
+        assert not run_suite("comult-odd", 5).passed
 
     def test_corrupted_leg_keeps_its_witness(self, monkeypatch):
         style = idp._leg_exponent_style

@@ -251,6 +251,15 @@ class TestExpandCommand:
         assert rc == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("basis", ["B", "pbw"])
+    def test_negative_order_exits_two_in_both_bases(self, capsys, basis):
+        rc = cli.main(["expand", "idp", "--family", "ev", "--n", "-1",
+                       "--basis", basis])
+        out, err = capsys.readouterr()
+        assert rc == 2
+        assert out == ""
+        assert err == "error: divided power of negative order\n"
+
     def test_form_rejected_for_idp(self, capsys):
         with pytest.raises(SystemExit) as exc:
             cli.main(["expand", "idp", "--family", "ev", "--n", "2",

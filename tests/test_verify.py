@@ -435,6 +435,12 @@ class TestExpand:
         assert theorem == expand_comult(parity, n, "direct")
         assert theorem == expand_comult(parity, n, "fhy")
 
+    @pytest.mark.parametrize("parity", ["ev", "odd"])
+    def test_idp_pbw_is_the_substituted_closed_form(self, parity):
+        for n in range(13):
+            expected = str(idp.idp_to_pbw(idp.idp_closed(parity, n)))
+            assert expand_idp(parity, n, "pbw") == expected, n
+
     def test_chi_report_is_byte_identical(self):
         # sha256 of the default chi report without its timing, as first
         # produced on the substituted closed form idp_to_pbw(idp_closed)

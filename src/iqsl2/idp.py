@@ -47,8 +47,19 @@ cyclotomic exponent vector (``cyclo.qratio_vector``) and built in lowest
 terms with no gcd (``cyclo.to_scalar``). An index pair 0/0 is removed
 exactly, which resolves the one removable singularity among the closed
 multiplication formulas (both-odd case of the "odd" family at l = a+1)
-without special-casing. The multiplication suites compare both sides on
-these vectors (``_mult_closed_vectors``, ``_mult_direct_vectors``).
+without special-casing.
+
+The multiplication suites decide their checks by interpolation. Divided
+by B^{n mod 2}, B^{(n)} is a polynomial of degree floor(n/2) in X = B^2,
+and at the point X_i = q varsigma [i]^2 each factor B^2 - q varsigma [j]^2
+of P_n is q varsigma [i-j] [i+j], so its value there is one ratio of
+quantum integers (``_point_values``). Both sides of the product law, and of
+the two-term recursion, are polynomials in X of degree at most
+floor(s/2), s the total order, and the [i]^2 are distinct for i >= 0, so
+an identity holds iff it holds at X_0, ..., X_{floor(s/2)}. There each
+side is a list of vectors, and one ``cyclo.vsum`` per point proves the
+difference 0 (``_mult_agrees``, ``_mult_symmetric``,
+``_recursive_points``), with no term dict and no Scalar.
 
 The PBW images of the closed divided powers and the closed legs are built
 once, on the cyclotomic exponent vectors of ``cyclo``: the image one factor
@@ -65,10 +76,11 @@ reversed legs, built by products in the PBW basis, are the independent
 construction of the legs.
 """
 
+from functools import reduce
+
 from .coeff import LaurentPoly, Scalar
 from ._kernel_py import kadd, kmul, kshift, ksub
-from .cyclo import from_terms, qratio_vector, to_scalar, vmul, vsum
-from .cyclo import qratio  # noqa: F401  (re-exported as ``idp.qratio``)
+from .cyclo import qratio_vector, to_scalar, vmul, vsum
 from .errors import NegativeInput
 from .pbw import UElement, divided_power, u_gen, u_h_binom
 from .qcomb import qfact, qint
@@ -261,26 +273,30 @@ def idp_recursive(p, n):
         r = BPolynomial.b()
     else:
         top = BPolynomial.b() * idp_recursive(p, n - 1)
-        # the step with the correction term lands on odd n for "ev",
-        # on even n for "odd"
-        corrected = (n % 2 == 1) if p == EV else (n % 2 == 0)
-        if corrected:
+        if _corrected(p, n):
             top = top - idp_recursive(p, n - 2).scale(_QVS * Scalar(qint(n - 1)))
         r = top.scale(Scalar(LaurentPoly.one(), qint(n)))
     _REC_CACHE[key] = r
     return r
 
 
-def _back_numerators(rem, p):
-    """Integral numerators t_j with sum_d rem[d] B^d = sum_j t_j P_j in
+def _corrected(p, n):
+    """True when the recursion step to order n subtracts the correction
+    term: on odd n for "ev", on even n for "odd"."""
+    return n % 2 == (1 if p == EV else 0)
+
+
+def _back_substitute(rem, den, p):
+    """Coefficients c_j with sum_d rem[d] B^d / den = sum_j c_j B^{(j)} in
     family ``p``, from integral numerators ``rem`` {degree: term dict}
-    (consumed).
+    (consumed) over one denominator ``den`` (a term dict).
 
     Triangular back-substitution from the top degree down. P_j is monic of
-    degree j, so step j subtracts rem[j] P_j, which stays integral. Degrees
-    on the parity lattice of the top degree are always recorded, zeros (an
-    empty dict) included; a nonzero numerator off that lattice is recorded
-    as well.
+    degree j, so step j subtracts rem[j] P_j, which stays integral, and as
+    B^{(j)} is P_j / [j]!, c_j = rem[j] [j]! / den is the only fraction
+    formed, reduced once. Degrees on the parity lattice of the top degree
+    are always recorded, zeros included; a nonzero coefficient off that
+    lattice is recorded as well.
     """
     out = {}
     top = max((d for d, t in rem.items() if t), default=-1)
@@ -291,22 +307,12 @@ def _back_numerators(rem, p):
             for d, pt in _numerator(p, j).items():
                 if d != j:
                     rem[d] = ksub(rem.get(d, {}), kmul(t, pt))
-            out[j] = t
+            out[j] = Scalar._make(kmul(t, qfact(j)._t), den)
         elif j % 2 == lattice:
-            out[j] = {}
+            out[j] = _SC_ZERO
     if any(rem.values()):
         raise AssertionError("triangular expansion left a remainder")
     return out
-
-
-def _back_substitute(rem, den, p):
-    """Coefficients c_j with sum_d rem[d] B^d / den = sum_j c_j B^{(j)} in
-    family ``p``, over one denominator ``den`` (a term dict): B^{(j)} is
-    P_j / [j]!, so c_j = t_j [j]! / den with the t_j of
-    ``_back_numerators``, the only fraction formed, reduced once.
-    """
-    return {j: Scalar._make(kmul(t, qfact(j)._t), den) if t else _SC_ZERO
-            for j, t in _back_numerators(rem, p).items()}
 
 
 def idp_basis_expand(x, p):
@@ -344,33 +350,12 @@ def mult_direct(p, m, n):
     the product P_m P_n of the monic numerators over [m]! [n]!, by the
     back-substitution of ``idp_basis_expand``. Same keys, in the same
     order, as ``idp_basis_expand(idp_closed(p, m) * idp_closed(p, n), p)``.
-    The suites compare it with ``mult_closed`` only where the exponent
-    vectors do not decide (``_mult_direct_vectors``).
+    The suites compare it with ``mult_closed`` only where the values at the
+    points do not decide (``_mult_agrees``).
     """
     _check_order(p, m, n)
     return _back_substitute(_numerator_product(p, m, n),
                             kmul(qfact(m)._t, qfact(n)._t), p)
-
-
-def _mult_direct_vectors(p, m, n):
-    """mult_direct(p, m, n) as {degree: vector}, zeros dropped; None when a
-    numerator is not proved to be a vector.
-
-    The same back-substitution as ``mult_direct``, with no Scalar and no
-    gcd: each integral numerator t_j is converted by ``cyclo.from_terms``
-    with factors Phi_d, d <= m + n, which proves the conversion by
-    evaluation (see the ``cyclo`` docstring), and multiplied by the vector
-    of [j]! / ([m]! [n]!).
-    """
-    dens = [*range(1, m + 1), *range(1, n + 1)]
-    out = {}
-    for j, t in _back_numerators(_numerator_product(p, m, n), p).items():
-        if t:
-            v = from_terms(t, m + n)
-            if v is None:
-                return None
-            out[j] = vmul(v, qratio_vector(range(1, j + 1), dens))
-    return out
 
 
 # (family, m % 2, n % 2) -> offsets (dn, dm, dd) of the closed product: term
@@ -434,8 +419,8 @@ def mult_closed(p, m, n):
     "odd" with m, n odd a sum of two ratios. Out-of-range terms vanish
     through zero quantum integers. Each ratio is a Scalar in lowest terms
     built with no gcd (``cyclo.to_scalar``). The suites decide their checks
-    on the same terms as vectors (``_mult_closed_vectors``) and call this
-    only where the vectors do not.
+    on the same terms at the points (``_mult_closed_points``) and call this
+    only where the points do not.
     """
     _check_order(p, m, n)
     out = {}
@@ -446,19 +431,109 @@ def mult_closed(p, m, n):
     return out
 
 
-def _mult_closed_vectors(p, m, n):
-    """mult_closed(p, m, n) as {degree: vector}, zeros dropped, with one
-    ``cyclo.vsum`` per degree, proved by evaluation; None when a sum is not
-    proved to be a vector (as for the sums of two ratios of the "odd"
-    family with m, n odd, which are no single cyclotomic product)."""
-    out = {}
-    for d, terms in _mult_closed_terms(p, m, n).items():
-        v = vsum(terms, m + n)
-        if v is None:
-            return None
-        if v:
-            out[d] = v
+def _point_values(p, bound):
+    """The values of B^{(d)} / B^{d mod 2} in family ``p`` at the points
+    X_i = q varsigma [i]^2, as vectors or 0, indexed [d][i], for
+    d = 0..bound and i = 0..floor(bound/2), the points that decide every
+    product of total order at most ``bound``. At X_i each factor
+    B^2 - q varsigma [j]^2 of P_d is q varsigma [i-j] [i+j], over the
+    indices j of ``_factor_index`` that ``_numerator`` multiplies."""
+    out = []
+    for d in range(bound + 1):
+        idx = [_factor_index(p, k) for k in range(d, 1, -2)]
+        out.append([qratio_vector([x for j in idx for x in (i - j, i + j)],
+                                  range(1, d + 1), len(idx))
+                    for i in range(bound // 2 + 1)])
     return out
+
+
+def _x_point(i):
+    """X_i = q varsigma [i]^2 as a vector, 0 at i = 0."""
+    return qratio_vector([i, i], [], 1)
+
+
+def _vprod(*xs):
+    """The product of vectors, 0 when one of them is 0."""
+    return reduce(vmul, xs) if all(xs) else 0
+
+
+def _neg(x):
+    """-x for a vector or 0."""
+    return x and (-x[0], *x[1:])
+
+
+def _vanishes(terms, dmax):
+    """True when the nonzero vectors ``terms`` are proved to sum to 0."""
+    return not terms or vsum(terms, dmax) == 0
+
+
+def _mult_closed_points(p, m, n, values):
+    """The closed side sum_d c_d B^{(d)} / B^{(m+n) mod 2} of ``mult_closed``
+    at X_i, i = 0..floor((m+n)/2), from the table ``values`` of
+    ``_point_values``: for each point the nonzero terms of
+    ``_mult_closed_terms`` times the value of their B^{(d)}."""
+    terms = _mult_closed_terms(p, m, n).items()
+    return [[vmul(x, values[d][i]) for d, xs in terms if values[d][i]
+             for x in xs]
+            for i in range((m + n) // 2 + 1)]
+
+
+def _mult_agrees(p, m, n, values):
+    """True when the points prove mult_closed(p, m, n) == mult_direct(p, m,
+    n); False when a sum at a point is nonzero or not proved.
+
+    Divided by B^{(m+n) mod 2}, the product B^{(m)} B^{(n)} is the product
+    of the two values, times X when m and n are both odd. Every term of
+    each point carries varsigma^floor((m+n)/2), so ``vsum`` never refuses a
+    sum for its varsigma exponent, and its indices i +- j stay below
+    2 (m+n).
+    """
+    for i, right in enumerate(_mult_closed_points(p, m, n, values)):
+        left = _vprod(values[m][i], values[n][i])
+        if m % 2 and n % 2:
+            left = _vprod(left, _x_point(i))
+        if left:
+            right.append(_neg(left))
+        if not _vanishes(right, 2 * (m + n)):
+            return False
+    return True
+
+
+def _mult_symmetric(p, m, n, values):
+    """True when the points prove mult_closed(p, m, n) == mult_closed(p, n,
+    m); False when a sum at a point is nonzero or not proved."""
+    return all(
+        _vanishes(a + [_neg(x) for x in b], 2 * (m + n))
+        for a, b in zip(_mult_closed_points(p, m, n, values),
+                        _mult_closed_points(p, n, m, values)))
+
+
+def _recursive_points(p, bound):
+    """The values of idp_recursive(p, n) / B^{n mod 2} at X_i, indexed
+    [n][i], for i = 0..floor(bound/2), by the recursion of
+    ``idp_recursive`` on values,
+
+        f_n = (X^[n even] f_{n-1} - [corrected] q varsigma [n-1] f_{n-2})
+              / [n],
+
+    from f_0 = f_1 = 1, with one ``vsum`` per point and no closed value.
+    The rows stop before the first n at which a sum is not proved.
+    """
+    one = (1, 0, 0, {})
+    rows = [[one] * (bound // 2 + 1) for _ in range(min(bound, 1) + 1)]
+    for n in range(2, bound + 1):
+        corr = qratio_vector([n - 1], [], 1) if _corrected(p, n) else 0
+        row = []
+        for i, (f1, f2) in enumerate(zip(rows[n - 1], rows[n - 2])):
+            top = _vprod(f1, _x_point(i)) if n % 2 == 0 else f1
+            terms = [x for x in (top, _neg(_vprod(f2, corr))) if x]
+            # the indices i +- j of the value stay at most i + n
+            f = vsum(terms, i + n) if terms else 0
+            if f is None:
+                return rows
+            row.append(f and vmul(f, qratio_vector([], [n])))
+        rows.append(row)
+    return rows
 
 
 def _leg_exponent_style(p, n):

@@ -17,12 +17,15 @@ the closed formulas against independent computations:
 ``mult-even`` / ``mult-odd``
     The closed multiplication formulas of one family against triangular basis
     expansion of the actual polynomial product, plus the closed/recursive
-    divided-power oracle and commutativity of the structure constants. The
-    product and symmetry checks are first decided on cyclotomic exponent
-    vectors (``idp._mult_closed_vectors``, ``idp._mult_direct_vectors``),
-    with the same fallback to Scalars as the comult suites. In specialized
-    mode a generic pass stands, since specialization is a ring map applied
-    to both sides. The oracle stays on Scalars.
+    divided-power oracle and commutativity of the structure constants. All
+    three are first decided by interpolation: both sides, divided by a power
+    of B, are polynomials in X = B^2 of degree floor(s/2), s the total
+    order, compared at the points X_i = q varsigma [i]^2, i <= floor(s/2),
+    where every value is a cyclotomic exponent vector (``idp._mult_agrees``,
+    ``idp._mult_symmetric``, ``idp._recursive_points``). Any check the
+    points do not prove reruns on Scalars, as in the comult suites. In
+    specialized mode a generic pass stands, since specialization is a ring
+    map applied to both sides.
 ``comult-even`` / ``comult-odd``
     The closed coproduct formulas against the coproduct of the PBW image,
     computed inside the tensor square. Both sides are first built on
@@ -78,9 +81,11 @@ from .idp import (
     PARITIES,
     _check_order,
     _comult_agrees,
-    _mult_closed_vectors,
-    _mult_direct_vectors,
+    _mult_agrees,
+    _mult_symmetric,
     _pbw_closed,
+    _point_values,
+    _recursive_points,
     comult_direct,
     comult_theorem,
     comult_theorem_reversed,
@@ -582,22 +587,27 @@ def _suite_pbw_core(bound, mode):
 
 def _suite_mult(parity, bound, mode):
     checks = []
+    # the values of the closed divided powers at the points, and those the
+    # recursion gives; the Scalars decide what the points do not prove, and
+    # write any witness
+    values = _point_values(parity, bound)
+    recursive = _recursive_points(parity, bound)
 
     for n in range(bound + 1):
+        # degree floor(n/2) in X: its floor(n/2) + 1 points decide
+        if (n < len(recursive)
+                and recursive[n][:n // 2 + 1] == values[n][:n // 2 + 1]):
+            checks.append(CheckResult("divided-power-oracle", (n,), True))
+            continue
         _eq_check(
             checks, "divided-power-oracle", (n,),
             idp_closed(parity, n), idp_recursive(parity, n),
         )
 
-    # the closed sides as vectors, None where a sum is not proved; built
-    # first so that None skips the direct side, and kept for symmetry
-    closed = {}
     for m in range(bound + 1):
         for n in range(bound + 1 - m):
-            vec = closed[m, n] = _mult_closed_vectors(parity, m, n)
-            # a generic pass implies the specialized one; the Scalars decide
-            # what the vectors do not prove, and write any witness
-            if vec is not None and _mult_direct_vectors(parity, m, n) == vec:
+            # a generic pass implies the specialized one
+            if _mult_agrees(parity, m, n, values):
                 checks.append(CheckResult("mult-closed", (m, n), True))
                 continue
             lhs = mult_direct(parity, m, n)
@@ -609,8 +619,7 @@ def _suite_mult(parity, bound, mode):
 
     for m in range(bound + 1):
         for n in range(m, bound + 1 - m):
-            vec = closed[m, n]
-            if vec is not None and vec == closed[n, m]:
+            if _mult_symmetric(parity, m, n, values):
                 checks.append(CheckResult("mult-symmetry", (m, n), True))
                 continue
             _map_check(

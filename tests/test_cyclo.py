@@ -152,8 +152,9 @@ class TestCoproductVectors:
 
     @pytest.mark.parametrize("p", ["ev", "odd"])
     def test_images(self, p):
+        # against the plain substitution, which shares no step with them
         for n in range(13):
-            image = from_scalars(idp._pbw_closed(p, n)._t, n)
+            image = from_scalars(idp.idp_to_pbw(idp.idp_closed(p, n))._t, n)
             assert image is not None
             assert idp._pbw_vectors(p, n) == image
 

@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 from iqsl2 import coeff
 from iqsl2._kernel_py import kmul
 from iqsl2.coeff import LaurentPoly, Scalar
-from iqsl2.cyclo import _cyclotomic
+from iqsl2.cyclo import _cyclotomic, qratio
 from iqsl2.errors import DivisionByZero, NegativeInput
 from iqsl2.idp import (
     _MULT_OFFSETS,
@@ -32,7 +32,6 @@ from iqsl2.idp import (
     idp_to_pbw,
     mult_closed,
     mult_direct,
-    qratio,
     s_component,
     s_component_reversed,
 )

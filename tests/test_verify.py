@@ -585,6 +585,9 @@ class TestClearCaches:
             report = run_suite(name, bound).to_json_dict()
             report.pop("wall_time_s")
             out.append(json.dumps(report, sort_keys=True))
+        # the mult suites build the recursive divided powers only on
+        # fallback, so no suite run fills their memo
+        out.append(str(idp.idp_recursive(idp.EV, 4)))
         return out
 
     def _sizes(self):
@@ -794,15 +797,20 @@ class TestComultVectors:
 
 
 class TestMultVectors:
-    """The mult suites decide their mult-closed and mult-symmetry checks on
-    cyclotomic exponent vectors and fall back to the Scalar constructions
-    for the rest, with the same report bytes."""
+    """The mult suites decide their checks on the cyclotomic exponent
+    vectors of both sides at the points X_i = q varsigma [i]^2 and fall
+    back to the Scalar constructions for the rest, with the same report
+    bytes."""
 
     # perfbench digest form; the first is the mult-verify digest of
     # perfbench/expected.json, all as produced on the Scalar path alone
     REPORTS = {
         ("mult-even", 16, "specialized"):
             "3df1a979bd2ecc73b6fad9177387b328e96c04dd3c5cc04acdb710c2cd7b5e61",
+        ("mult-even", 24, "specialized"):
+            "717fde5b48962384ab013e2c7d249f92ec29dc5fd69c75c8e3037d96c56dd793",
+        ("mult-odd", 24, "specialized"):
+            "a08fa61ee16ae2d96c6dab2830fd84074e06fb9baa4f284e60bf1c80186acd19",
         ("mult-even", 16, "generic"):
             "1c7a98c5771c6d2d51b67e884464d83c0ffa001b3d383e286ba0b481e314fbd2",
         ("mult-odd", 16, "generic"):
@@ -820,9 +828,9 @@ class TestMultVectors:
         seen = []
         fn = getattr(verify, name)
 
-        def spy(p, m, n):
-            seen.append((m, n))
-            return fn(p, m, n)
+        def spy(p, *orders):
+            seen.append(orders)
+            return fn(p, *orders)
 
         monkeypatch.setattr(verify, name, spy)
         return seen
@@ -841,28 +849,44 @@ class TestMultVectors:
         report = run_suite("mult-even", 16)
         assert report.passed and len(report.checks) == 251
 
-    def test_scalars_decide_only_the_both_odd_pairs(self, monkeypatch):
-        # the coefficient of the "odd" family with m, n odd is a sum of two
-        # cyclotomic products that is no single product; with m or n = 1
-        # one of the two vanishes
-        both_odd = [(m, n) for m in range(3, 17, 2)
-                    for n in range(3, 17 - m, 2)]
-        direct = self._spy(monkeypatch, "mult_direct")
-        closed = self._spy(monkeypatch, "mult_closed")
-        digest = _digest(self._report("mult-odd", 16))
-        assert digest == self.REPORTS["mult-odd", 16, "generic"]
-        assert len(both_odd) == 21 and direct == both_odd
-        assert set(closed) == set(both_odd)
+    @pytest.mark.parametrize("name", ["mult-even", "mult-odd"])
+    def test_points_decide_every_check(self, name, monkeypatch):
+        # the both-odd pairs of the "odd" family included, whose coefficient
+        # is a sum of two ratios
+        spies = [self._spy(monkeypatch, fn) for fn in (
+            "mult_direct", "mult_closed", "idp_closed", "idp_recursive")]
+        digest = _digest(self._report(name, 16))
+        assert digest == self.REPORTS[name, 16, "generic"]
+        assert spies == [[], [], [], []]
 
     @pytest.mark.parametrize("name", ["mult-even", "mult-odd"])
-    @pytest.mark.parametrize("unproved", ["from_terms", "vsum"])
+    @pytest.mark.parametrize("unproved", ["vsum"])
     def test_unproved_vectors_fall_back_to_the_same_report(
             self, name, unproved, monkeypatch):
         expected = self._report(name, 10, "specialized")
         monkeypatch.setattr(idp, unproved, lambda terms, dmax: None)
         direct = self._spy(monkeypatch, "mult_direct")
+        oracle = self._spy(monkeypatch, "idp_recursive")
         assert self._report(name, 10, "specialized") == expected
-        assert len(direct) == 66
+        # f_0 = f_1 = 1 need no sum
+        assert len(direct) == 66 and oracle == [(n,) for n in range(2, 11)]
+
+    def test_a_shifted_factor_index_gives_the_scalar_report(self,
+                                                           monkeypatch):
+        # the points take the factor indices at call time, as the Scalar
+        # constructions do; fresh memos keep the shifted numerators from
+        # later tests
+        index = idp._factor_index
+        monkeypatch.setattr(idp, "_factor_index",
+                            lambda p, n: index(p, n) + 2 * (n == 6))
+        monkeypatch.setattr(idp, "_NUMERATOR_CACHE", {})
+        monkeypatch.setattr(idp, "_CLOSED_CACHE", {})
+        report = self._report("mult-odd", 10)
+        oracle = [c["params"] for c in report["checks"]
+                  if c["id"] == "divided-power-oracle" and not c["pass"]]
+        assert oracle == [[6], [8], [10]]
+        monkeypatch.setattr(idp, "vsum", lambda terms, dmax: None)
+        assert self._report("mult-odd", 10) == report
 
     def test_corrupted_offsets_keep_their_witnesses(self, monkeypatch):
         monkeypatch.setitem(idp._MULT_OFFSETS, (idp.EV, 1, 0), (2, 3, 4))

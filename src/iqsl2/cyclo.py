@@ -28,8 +28,6 @@ values at 2^k, so they are equal. Any other outcome returns None: nothing
 is guessed, and the caller decides with Scalars.
 """
 
-from collections import Counter
-
 from ._kernel_py import _pack, _unpack
 from .coeff import Scalar
 from .errors import DivisionByZero
@@ -98,14 +96,20 @@ def qratio_vector(nums, dens, l=0):
     minus the same sum over the denominator, each negative index flips the
     sign, and zero indices cancel as in ``qratio``.
     """
-    net = Counter(map(abs, nums))
-    net.subtract(map(abs, dens))
+    net = {}
+    negative = 0
+    for ks, c in ((nums, 1), (dens, -1)):
+        for k in ks:
+            if k < 0:
+                negative += 1
+                k = -k
+            net[k] = net.get(k, 0) + c
     zeros = net.pop(0, 0)
     if zeros < 0:
         raise DivisionByZero("vanishing quantum integer in a denominator")
     if zeros:
         return 0
-    sign = -1 if sum(i < 0 for i in (*nums, *dens)) % 2 else 1
+    sign = -1 if negative % 2 else 1
     shift = l
     exps = {}
     for k, c in net.items():
@@ -245,19 +249,45 @@ def vsum(terms, dmax):
     if len(terms) == 1:
         return terms[0]
     j = terms[0][2]
-    if any(x[2] != j for x in terms):
-        return None
-    lo = min(x[1] for x in terms)
-    ds = {d for x in terms for d in x[3]}
-    least = {d: min(x[3].get(d, 0) for x in terms) for d in ds}
+    lo = terms[0][1]
+    # the least exponent of each Phi_d over the terms that carry it, and
+    # how many carry it; a term without Phi_d has exponent 0 there
+    low = {}
+    carried = {}
+    for _, i, jj, exps in terms:
+        if jj != j:
+            return None
+        if i < lo:
+            lo = i
+        for d, e in exps.items():
+            if d in low:
+                carried[d] += 1
+                if e < low[d]:
+                    low[d] = e
+            else:
+                low[d] = e
+                carried[d] = 1
+    least = {}
+    for d, e in low.items():
+        if carried[d] < len(terms):
+            e = min(e, 0)
+        if e:
+            least[d] = e
+    norms = {d: _cyclotomic(d)[1] for d in low}
     rests = []
     bound = 0
     for sign, i, _, exps in terms:
-        rest = {d: exps.get(d, 0) - e for d, e in least.items()}
+        rest = {d: -e for d, e in least.items()}
+        for d, e in exps.items():
+            e += rest.get(d, 0)
+            if e:
+                rest[d] = e
+            else:
+                del rest[d]
         rests.append((sign, i - lo, rest))
         b = 1
         for d, e in rest.items():
-            b *= _cyclotomic(d)[1] ** e
+            b *= norms[d] ** e
         bound += b
 
     def value_at(k):
@@ -265,11 +295,9 @@ def vsum(terms, dmax):
         for sign, i, rest in rests:
             x = sign << (k * i)
             for d, e in rest.items():
-                if e:
-                    x *= _phi_value(d, k) ** e
+                x *= _phi_value(d, k) ** e
             val += x
         return val
 
-    return _prove(value_at, bound, lo, j,
-                  {d: e for d, e in least.items() if e},
-                  sorted({*ds, *range(1, dmax + 1)}))
+    return _prove(value_at, bound, lo, j, least,
+                  sorted({*low, *range(1, dmax + 1)}))

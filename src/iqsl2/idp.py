@@ -58,8 +58,9 @@ the two-term recursion, are polynomials in X of degree at most
 floor(s/2), s the total order, and the [i]^2 are distinct for i >= 0, so
 an identity holds iff it holds at X_0, ..., X_{floor(s/2)}. There each
 side is a list of vectors, and one ``cyclo.vsum`` per point proves the
-difference 0 (``_mult_agrees``, ``_mult_symmetric``,
-``_recursive_points``), with no term dict and no Scalar.
+difference 0 (``_mult_agrees``, ``_recursive_points``), with no term dict
+and no Scalar. The product side f_m f_n is symmetric in m and n, so the
+proofs for (m, n) and (n, m) also prove the closed sides of the two equal.
 
 The PBW images of the closed divided powers and the closed legs are built
 once, on the cyclotomic exponent vectors of ``cyclo``: the image one factor
@@ -497,15 +498,6 @@ def _mult_agrees(p, m, n, values):
         if not _vanishes(right, 2 * (m + n)):
             return False
     return True
-
-
-def _mult_symmetric(p, m, n, values):
-    """True when the points prove mult_closed(p, m, n) == mult_closed(p, n,
-    m); False when a sum at a point is nonzero or not proved."""
-    return all(
-        _vanishes(a + [_neg(x) for x in b], 2 * (m + n))
-        for a, b in zip(_mult_closed_points(p, m, n, values),
-                        _mult_closed_points(p, n, m, values)))
 
 
 def _recursive_points(p, bound):

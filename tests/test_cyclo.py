@@ -88,6 +88,23 @@ class TestCheckedSum:
         assert vsum([(1, 4, 0, {}), (-1, 0, 0, {})], 2) == (1, 0, 0, {1: 1, 2: 1})
         assert vsum([(1, 0, 0, {}), (-1, 2, 0, {})], 2) == (-1, 0, 0, {1: 1})
 
+    @pytest.mark.parametrize("terms,expected", [
+        # every term carries Phi_3, least 2 > 0 is kept:
+        # Phi_3^3 - Phi_3^2 = Phi_3^2 (q^4 + q^2) = q^2 Phi_2 Phi_3^2
+        ([(1, 0, 0, {3: 3}), (-1, 0, 0, {3: 2})], (1, 2, 0, {2: 1, 3: 2})),
+        # one term lacks Phi_3, least 0: Phi_3 - 1 = q^2 Phi_2
+        ([(1, 0, 0, {3: 1}), (-1, 0, 0, {})], (1, 2, 0, {2: 1})),
+        # Phi_3 at -1 in some terms, absent in another, least -1:
+        # 1/Phi_3 - 1 = -q^2 Phi_2 / Phi_3
+        ([(1, 0, 0, {3: -1}), (-1, 0, 0, {})], (-1, 2, 0, {2: 1, 3: -1})),
+        # (1 - Phi_3 + q^2 Phi_2) / Phi_3 = 0
+        ([(1, 0, 0, {3: -1}), (-1, 0, 0, {}), (1, 2, 0, {2: 1, 3: -1})], 0),
+    ])
+    def test_least_exponents(self, terms, expected):
+        v = vsum(terms, 2)
+        assert v == expected
+        _same(v, sum((to_scalar(x) for x in terms), Scalar.zero()))
+
     def test_mixed_varsigma_exponents_are_not_proved(self):
         assert vsum([(1, 0, 0, {}), (1, 0, 1, {})], 2) is None
 
@@ -122,6 +139,24 @@ class TestConversion:
             v = from_terms(qint(k)._t, k)
             assert v == qratio_vector([k], []), k
             assert str(to_scalar(v)) == str(Scalar(qint(k)))
+
+    @given(st.lists(st.integers(-12, 12).filter(bool), max_size=6),
+           st.lists(st.integers(-12, 12).filter(bool), max_size=6),
+           st.integers(0, 2), st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_ratio_is_the_scalar_ratio(self, nums, dens, zeros, extra):
+        # paired zeros cancel; one more zero in the numerator gives 0
+        num = LaurentPoly.one()
+        for k in nums:
+            num = num * qint(k)
+        den = LaurentPoly.one()
+        for k in dens:
+            den = den * qint(k)
+        expected = Scalar.zero() if extra else Scalar(num, den)
+        v = qratio_vector([*nums, *[0] * (zeros + extra)],
+                          [*[0] * zeros, *dens])
+        _same(v, expected)
+        assert (v == 0) == extra
 
     def test_negative_index_flips_the_sign(self):
         assert qratio_vector([-3], [2]) == (-1, -1, 0, {2: -1, 3: 1})

@@ -663,6 +663,10 @@ class TestComultVectors:
             "6f05c88addccd21919bea51250dff313ef006f4517f5cd401039752cd6dcc862",
         ("comult-odd", 8, "specialized"):
             "095d96e98f5fc2430cc3dff5ee4e937b0937fa15f29c45f768234d33ab36c206",
+        ("comult-odd", 14, "generic"):
+            "e29db47cd26941e3a03a6beb9f1d88483cb9aef90dc273ef411e284aa39a66af",
+        ("comult-even", 14, "generic"):
+            "65c3a8d69793cc939e6dafa714dd9d064f966e6f3a176320b71e792b11e570e3",
     }
 
     @staticmethod
@@ -870,6 +874,44 @@ class TestMultVectors:
         assert self._report(name, 10, "specialized") == expected
         # f_0 = f_1 = 1 need no sum
         assert len(direct) == 66 and oracle == [(n,) for n in range(2, 11)]
+
+    def test_symmetry_takes_the_mult_closed_proofs(self, monkeypatch):
+        # the closed sides are built at the points once per pair, by
+        # mult-closed, and no check reaches the Scalars
+        agreed, sides = [], []
+        agrees = verify._mult_agrees
+        points = idp._mult_closed_points
+
+        def spy_agrees(p, m, n, values):
+            agreed.append((m, n))
+            return agrees(p, m, n, values)
+
+        def spy_points(p, m, n, values):
+            sides.append((m, n))
+            return points(p, m, n, values)
+
+        monkeypatch.setattr(verify, "_mult_agrees", spy_agrees)
+        monkeypatch.setattr(idp, "_mult_closed_points", spy_points)
+        closed = self._spy(monkeypatch, "mult_closed")
+        digest = _digest(self._report("mult-even", 16))
+        assert digest == self.REPORTS["mult-even", 16, "generic"]
+        pairs = [(m, n) for m in range(17) for n in range(17 - m)]
+        assert agreed == pairs and sides == pairs and closed == []
+
+    def test_an_unproved_pair_reruns_its_symmetry_on_scalars(self,
+                                                            monkeypatch):
+        agrees = verify._mult_agrees
+        monkeypatch.setattr(
+            verify, "_mult_agrees",
+            lambda p, m, n, values: (m, n) != (3, 5)
+            and agrees(p, m, n, values))
+        direct = self._spy(monkeypatch, "mult_direct")
+        closed = self._spy(monkeypatch, "mult_closed")
+        digest = _digest(self._report("mult-even", 16))
+        assert digest == self.REPORTS["mult-even", 16, "generic"]
+        # mult-closed (3, 5), then both sides of mult-symmetry (3, 5)
+        assert direct == [(3, 5)]
+        assert closed == [(3, 5), (3, 5), (5, 3)]
 
     def test_a_shifted_factor_index_gives_the_scalar_report(self,
                                                            monkeypatch):

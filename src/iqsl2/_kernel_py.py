@@ -29,8 +29,8 @@ lies in [0, 2^k): an operand is (U ^ H) - H for U its words read as one
 unsigned int, and the product P is written out as the words of
 (P + H) ^ H, where no carry crosses a slot. When no coefficient of either
 operand is negative, every digit lies in [0, 2^(k-1)) and the offset is
-0. Above 64 bits, _pack and _unpack (one shift per slot) take the slot
-dicts of _to_slots instead.
+0. _offset gives H, here and in _unpack. Above 64 bits, _pack and
+_unpack take the slot dicts of _to_slots instead.
 
 Smaller products, up to _SCHOOLBOOK_MAX term pairs len(a) * len(b), go by
 dict convolution, whose per-call cost is lower. The crossover was chosen
@@ -50,8 +50,10 @@ identity: 59,431 products then, 6,855 now.
 
 The slot layout at stride 1 (_to_slots, _from_slots) also serves the
 schoolbook exact division in coeff, and the pack/unpack pair the
-heuristic gcd in coeff and the cyclotomic products in idp; a univariate
-polynomial {i: c} is a slot dict as it stands.
+heuristic gcd in coeff and the cyclotomic products in cyclo; a univariate
+polynomial {i: c} is a slot dict as it stands. _unpack reads the digits at
+a word width k of 8, 16, 32 or 64 bits in C, as the words of (x + H) ^ H,
+and above that with one shift per slot.
 """
 
 from array import array
@@ -133,9 +135,26 @@ def _pack(t, k):
     return sum([c << (k * s) for s, c in t.items()])
 
 
+def _offset(k, n):
+    """The offset H = 2^(k-1) * (1 + 2^k + ... + 2^((n-1)k)) of n k-bit
+    words, k a multiple of 8: the word 2^(k-1) written n times."""
+    return int.from_bytes((1 << (k - 1)).to_bytes(k // 8, byteorder) * n,
+                          byteorder)
+
+
 def _unpack(x, n, k):
     """The balanced base-2^k digits of the int x, each in [-2^(k-1), 2^(k-1)),
-    as a slot dict; None when x needs more than n digits."""
+    as a slot dict; None when x needs more than n digits. At a word width
+    k the digits are the words of (x + H) ^ H, read in C."""
+    tc = _WORD.get(k)
+    if tc is not None:
+        h = _offset(k, n)
+        x += h
+        if x < 0 or x.bit_length() > n * k:
+            return None
+        y = (x ^ h).to_bytes(n * k // 8, byteorder)
+        digits = memoryview(y).cast(tc).tolist()
+        return dict(compress(enumerate(digits), digits))
     half = 1 << (k - 1)
     mask = (1 << k) - 1
     out = {}
@@ -196,8 +215,7 @@ def kmul(a, b):
             tc = _WORD[k]
             h = 0
             if la < 0 or lb < 0:
-                half = (1 << (k - 1)).to_bytes(k // 8, byteorder)
-                h = int.from_bytes(half * n, byteorder)
+                h = _offset(k, n)
             x = _words(a, ai, aj, s, w, na, tc, h)
             x *= _words(b, bi, bj, s, w, nb, tc, h)
             y = ((x + h) ^ h).to_bytes(n * k // 8, byteorder)

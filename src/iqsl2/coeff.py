@@ -253,19 +253,6 @@ def _uni_terms(p):
     return {(e, 0): c for e, c in p.items()}
 
 
-def _term_body(i, j):
-    parts = []
-    if i == 1:
-        parts.append("q")
-    elif i != 0:
-        parts.append(f"q^{i}")
-    if j == 1:
-        parts.append("v")
-    elif j != 0:
-        parts.append(f"v^{j}")
-    return "*".join(parts)
-
-
 def _parse_term(t):
     c = 1
     i = 0
@@ -449,8 +436,13 @@ class LaurentPoly:
 
     def subst_v_qinv(self):
         """Substitute varsigma -> q^-1."""
+        t = self._t
+        out = {(i - j, 0): c for (i, j), c in t.items()}
+        if len(out) == len(t):
+            return LaurentPoly._raw(out)
+        # terms whose exponents i - j collide: merge them
         out = {}
-        for (i, j), c in self._t.items():
+        for (i, j), c in t.items():
             k = (i - j, 0)
             v = out.get(k, 0) + c
             if v:
@@ -469,22 +461,27 @@ class LaurentPoly:
         return None if q is None else LaurentPoly._raw(q)
 
     def __str__(self):
-        if not self._t:
+        t = self._t
+        if not t:
             return "0"
         parts = []
-        for k in sorted(self._t):
-            c = self._t[k]
-            body = _term_body(*k)
-            if not body:
-                mag = str(abs(c))
-            elif abs(c) == 1:
-                mag = body
-            else:
-                mag = f"{abs(c)}*{body}"
-            if not parts:
-                parts.append(mag if c > 0 else "-" + mag)
-            else:
-                parts.append((" + " if c > 0 else " - ") + mag)
+        add = parts.append
+        for k in sorted(t):
+            c = t[k]
+            i, j = k
+            if c < 0:
+                add(" - " if parts else "-")
+                c = -c
+            elif parts:
+                add(" + ")
+            if c != 1 or not (i or j):
+                add(f"{c}*" if i or j else str(c))
+            if i:
+                add("q" if i == 1 else f"q^{i}")
+                if j:
+                    add("*")
+            if j:
+                add("v" if j == 1 else f"v^{j}")
         return "".join(parts)
 
     def __repr__(self):
@@ -614,11 +611,13 @@ class Scalar:
 
     @classmethod
     def _make(cls, n, d, cancel=True):
-        # internal: raw dicts, reduced here exactly once; cancel=False, no
-        # gcd, only for a fraction known to be in lowest terms (such as a
-        # reduced fraction times a monomial)
+        # internal: raw dicts, owned by the result from here on and reduced
+        # here exactly once; cancel=False, no gcd, only for a fraction known
+        # to be in lowest terms (such as a reduced fraction times a
+        # monomial). n/1 is already normal: no shift, content or sign fix
         self = cls.__new__(cls)
-        n, d = _reduce(n, d) if cancel else _normalize(n, d)
+        if d != _ONE_TERMS:
+            n, d = _reduce(n, d) if cancel else _normalize(n, d)
         self._n = LaurentPoly._raw(n)
         self._d = LaurentPoly._raw(d)
         return self

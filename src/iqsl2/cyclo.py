@@ -73,7 +73,9 @@ def _cyclotomic_product(exps):
     factors. The coefficients of a product are at most the product of the
     factors' 1-norms (||fg||_inf <= ||fg||_1 <= ||f||_1 ||g||_1), so with
     k = bit_length(prod ||Phi_d||_1^e) + 1 the balanced base-2^k digits of
-    the value are the coefficients.
+    the value are the coefficients. Up to 64 bits k is rounded up to a
+    machine word, so that the values come from the memo of ``_phi_value``
+    and ``_unpack`` reads the digits as words.
     """
     norm = 1
     deg = 0
@@ -83,8 +85,13 @@ def _cyclotomic_product(exps):
         deg += max(phi) * e
     k = norm.bit_length() + 1
     val = 1
-    for d, e in exps:
-        val *= pow(_pack(_cyclotomic(d)[0], k), e)
+    if k <= 64:
+        k = max(8, 1 << (k - 1).bit_length())
+        for d, e in exps:
+            val *= pow(_phi_value(d, k // 2), e)
+    else:
+        for d, e in exps:
+            val *= pow(_pack(_cyclotomic(d)[0], k), e)
     return _unpack(val, deg + 1, k)
 
 
@@ -168,7 +175,8 @@ def vinv(x):
     return sign, -i, -j, {d: -e for d, e in exps.items()}
 
 
-# Phi_d(4^k), the value of Phi_d(q^2) at q = 2^k, keyed by (d, k)
+# Phi_d(4^k), the value of Phi_d(q^2) at q = 2^k, keyed by (d, k);
+# _cyclotomic_product reads Phi_d(2^w) at a word width w as (d, w/2)
 _PHI_VALUES = {}
 
 

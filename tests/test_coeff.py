@@ -7,7 +7,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from iqsl2 import coeff
 from iqsl2._kernel import kadd, kmul
-from iqsl2._kernel_py import _SCHOOLBOOK_MAX
+from iqsl2._kernel_py import _SCHOOLBOOK_MAX, _unpack
 from iqsl2.coeff import LaurentPoly, Scalar
 from iqsl2.errors import (
     DenominatorVanishes,
@@ -145,6 +145,102 @@ def test_str_canonical_grammar():
 def test_str_parse_round_trip(d):
     p = LaurentPoly(d)
     assert LaurentPoly.parse(str(p)) == p
+
+
+# the canonical text as a per-term formatter writes it: the body q^i*v^j
+# of each term apart, then the sign and the magnitude around it
+def _reference_body(i, j):
+    parts = []
+    if i == 1:
+        parts.append("q")
+    elif i != 0:
+        parts.append(f"q^{i}")
+    if j == 1:
+        parts.append("v")
+    elif j != 0:
+        parts.append(f"v^{j}")
+    return "*".join(parts)
+
+
+def _reference_str(t):
+    if not t:
+        return "0"
+    parts = []
+    for k in sorted(t):
+        c = t[k]
+        body = _reference_body(*k)
+        if not body:
+            mag = str(abs(c))
+        elif abs(c) == 1:
+            mag = body
+        else:
+            mag = f"{abs(c)}*{body}"
+        if not parts:
+            parts.append(mag if c > 0 else "-" + mag)
+        else:
+            parts.append((" + " if c > 0 else " - ") + mag)
+    return "".join(parts)
+
+
+# term dicts with constants, pure-v terms, exponents +-1 and negative ones,
+# and coefficients +-1 as often as any other
+_TERMS = st.dictionaries(
+    st.tuples(st.integers(-3, 3), st.integers(-3, 3)),
+    st.one_of(st.sampled_from([1, -1]),
+              st.integers(-10**6, 10**6).filter(bool)),
+    max_size=12,
+)
+
+
+@pytest.mark.parametrize("t", [
+    {}, {(0, 0): 1}, {(0, 0): -1}, {(0, 0): 12}, {(0, 1): 1}, {(0, -1): -1},
+    {(0, 2): -5}, {(1, 0): -1, (0, 0): 1}, {(-1, -1): 1, (0, 1): -3},
+    {(-7, 3): -1, (2, 0): 1, (2, 1): 2},
+])
+def test_str_equals_the_per_term_reference_on_edge_terms(t):
+    assert str(LaurentPoly._raw(dict(t))) == _reference_str(t)
+
+
+@given(_TERMS)
+@settings(max_examples=300)
+def test_str_equals_the_per_term_reference(t):
+    assert str(LaurentPoly._raw(dict(t))) == _reference_str(t)
+
+
+def _reference_subst_v_qinv(t):
+    out = {}
+    for (i, j), c in t.items():
+        out[i - j, 0] = out.get((i - j, 0), 0) + c
+    return {k: c for k, c in out.items() if c}
+
+
+@pytest.mark.parametrize("t, expected", [
+    # no two terms meet: the substituted dict as it is built
+    ({(1, 0): 2, (0, 2): 3}, {(1, 0): 2, (-2, 0): 3}),
+    # terms meet and add up
+    ({(1, 1): 2, (0, 0): 3, (4, 1): 1}, {(0, 0): 5, (3, 0): 1}),
+    # terms meet and cancel, down to zero
+    ({(-1, 0): 1, (0, 1): -1}, {}),
+    ({(2, 1): 1, (1, 0): -1, (5, 0): 4}, {(5, 0): 4}),
+    ({(3, 2): 2, (1, 0): -2, (2, 1): 1, (0, -1): -1}, {}),
+])
+def test_subst_v_qinv_both_branches(t, expected):
+    assert LaurentPoly._raw(dict(t)).subst_v_qinv()._t == expected
+
+
+@given(_TERMS)
+def test_subst_v_qinv_equals_the_merge(t):
+    assert LaurentPoly._raw(dict(t)).subst_v_qinv()._t == _reference_subst_v_qinv(t)
+
+
+@given(_TERMS, st.booleans())
+def test_den_one_make_keeps_the_normal_form(t, cancel):
+    # the same dicts as _normalize, so the same text, not just the same value
+    n, d = coeff._normalize(dict(t), {(0, 0): 1})
+    s = Scalar._make(dict(t), {(0, 0): 1}, cancel)
+    assert list(s._n._t.items()) == list(n.items())
+    assert list(s._d._t.items()) == list(d.items())
+    assert str(s) == _reference_str(t)
 
 
 _SMALL = st.dictionaries(
@@ -450,6 +546,71 @@ def test_kmul_qint_products_pinned():
         for y in range(1, 41):
             tb = qint(y)._t
             assert kmul(ta, tb) == _schoolbook(ta, tb)
+
+
+def _reference_unpack(x, n, k):
+    """The balanced base-2^k digits of x by one shift per slot, as _unpack
+    reads them at widths that are no machine word."""
+    half = 1 << (k - 1)
+    mask = (1 << k) - 1
+    out = {}
+    for s in range(n):
+        c = x & mask
+        x >>= k
+        if c >= half:
+            c -= mask + 1
+            x += 1
+        if c:
+            out[s] = c
+    return None if x else out
+
+
+@st.composite
+def _digit_runs(draw):
+    """(x, n, k) at a word width k: x from up to six digits, the extremes
+    -2^(k-1) and 2^(k-1) - 1 among them, and some just outside the digit
+    range, which carry; n one digit short of, equal to or past their
+    number."""
+    k = draw(st.sampled_from([8, 16, 32, 64]))
+    half = 1 << (k - 1)
+    digit = st.one_of(
+        st.sampled_from([0, 1, -1, -half, half - 1, half, -half - 1]),
+        st.integers(-half, half - 1),
+    )
+    ds = draw(st.lists(digit, max_size=6))
+    n = draw(st.integers(max(len(ds) - 1, 0), len(ds) + 1))
+    return sum(c << (k * s) for s, c in enumerate(ds)), n, k
+
+
+@given(_digit_runs())
+@settings(max_examples=400)
+def test_unpack_words_equal_the_slot_loop(run):
+    assert _unpack(*run) == _reference_unpack(*run)
+
+
+@pytest.mark.parametrize("k", [8, 16, 32, 64])
+def test_unpack_words_at_the_edges(k):
+    half = 1 << (k - 1)
+    top = 1 << (k * 3)
+    cases = {
+        (0, 3): {},
+        (0, 0): {},
+        # one digit too many, by value and by a top digit of 2^(k-1)
+        (top, 3): None,
+        (half << (2 * k), 3): None,
+        (top, 4): {3: 1},
+        # negative top digits, down to -2^(k-1), and one below that
+        (-(1 << (2 * k)), 3): {2: -1},
+        (-half << (2 * k), 3): {2: -half},
+        (-(half + 1) << (2 * k), 3): None,
+        (-1, 1): {0: -1},
+        # every digit at an extreme of the range
+        ((half - 1) * (1 + (1 << k)), 2): {0: half - 1, 1: half - 1},
+        (-half * (1 + (1 << k)), 2): {0: -half, 1: -half},
+    }
+    for (x, n), expected in cases.items():
+        assert _reference_unpack(x, n, k) == expected
+        assert _unpack(x, n, k) == expected
 
 
 # --- the reduction helpers: exact division and the gcd ---

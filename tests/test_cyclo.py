@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from iqsl2 import cyclo, idp, tensor
+from iqsl2._kernel import kmul
 from iqsl2.coeff import LaurentPoly, Scalar
 from iqsl2.cyclo import (
     from_scalars,
@@ -123,6 +124,43 @@ class TestCheckedSum:
         t = (LaurentPoly.q(2) - 1) ** 15
         assert from_terms(t._t, 1) == (1, 0, 0, {1: 15})
         assert sorted(cyclo._PHI_VALUES) == [(1, 16), (1, 32)]
+
+
+def _kmul_product(exps):
+    """prod Phi_d(x)^e over the (d, e) pairs of exps, by kmul of term dicts."""
+    out = {(0, 0): 1}
+    for d, e in exps:
+        phi = {(i, 0): c for i, c in cyclo._cyclotomic(d)[0].items()}
+        for _ in range(e):
+            out = kmul(out, phi)
+    return {i: c for (i, _), c in out.items()}
+
+
+def _digit_width(exps):
+    """The digit width of _cyclotomic_product before it is rounded up."""
+    norm = 1
+    for d, e in exps:
+        norm *= cyclo._cyclotomic(d)[1] ** e
+    return norm.bit_length() + 1
+
+
+class TestCyclotomicProduct:
+    # up to a digit width of 64 bits the product is read as machine words,
+    # above it by one shift per slot
+    WORDS = [[], [(1, 1)], [(1, 7)], [(5, 2), (7, 1)], [(3, 39)],
+             [(1, 62)], [(2, 30), (4, 32)]]
+    SLOTS = [[(1, 63)], [(3, 40)], [(31, 8), (29, 9), (12, 3)]]
+
+    @pytest.mark.parametrize("exps", WORDS + SLOTS)
+    def test_equals_the_kmul_product(self, exps):
+        assert (_digit_width(exps) <= 64) == (exps in self.WORDS)
+        assert cyclo._cyclotomic_product(exps) == _kmul_product(exps)
+
+    @given(st.dictionaries(st.integers(1, 40), st.integers(1, 6), max_size=5))
+    @settings(deadline=None, max_examples=80)
+    def test_random_products(self, exps):
+        exps = list(exps.items())
+        assert cyclo._cyclotomic_product(exps) == _kmul_product(exps)
 
 
 class TestConversion:

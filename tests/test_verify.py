@@ -391,6 +391,53 @@ class TestTable:
         digest = hashlib.sha256(text.encode()).hexdigest()
         assert digest == self.TABLE_24_SHA256[family]
 
+    # sha256 of the whole order-24 JSON tables, as first pinned with the
+    # per-term text formatter
+    TABLE_24_JSON_SHA256 = {
+        "ev": "37c176b993786ea73b4639a8f10eabd0cc6a58b043d788c5c06fa997baff820c",
+        "odd": "e69494d017ef92820206de0f38f39f0b42f1e4a4c5d47fcd44efd5bea0b3d10e",
+    }
+
+    @pytest.mark.parametrize("family", ["ev", "odd"])
+    def test_order_24_json_table_is_byte_identical(self, family):
+        text = emit_table(family, 24, "json")
+        digest = hashlib.sha256(text.encode()).hexdigest()
+        assert digest == self.TABLE_24_JSON_SHA256[family]
+
+    # gcd calls at order 24: every coefficient is a sum of ratios built in
+    # lowest terms, and only the sums of two ratios (family odd, m and n
+    # odd) are reduced by a gcd, in 29 of them
+    TABLE_24_GCDS = {"ev": 0, "odd": 29}
+
+    @pytest.mark.parametrize("family", ["ev", "odd"])
+    def test_order_24_table_divides_nothing(self, family, monkeypatch):
+        calls = {"gcd": 0, "gcd outside a sum": 0, "div": 0}
+        adding = []
+
+        def spy(name, real):
+            def call(*args):
+                calls[name] += 1
+                if name == "gcd" and not adding:
+                    calls["gcd outside a sum"] += 1
+                return real(*args)
+            return call
+
+        def add(a, b):
+            adding.append(1)
+            try:
+                return real_add(a, b)
+            finally:
+                adding.pop()
+
+        real_add = coeff.Scalar.__add__
+        monkeypatch.setattr(coeff, "_uni_gcd", spy("gcd", coeff._uni_gcd))
+        monkeypatch.setattr(coeff, "_div_exact_raw",
+                            spy("div", coeff._div_exact_raw))
+        monkeypatch.setattr(coeff.Scalar, "__add__", add)
+        emit_table(family, 24, "csv")
+        assert calls == {"gcd": self.TABLE_24_GCDS[family],
+                         "gcd outside a sum": 0, "div": 0}
+
     def test_determinism(self):
         assert emit_table("ev", 5, "csv") == emit_table("ev", 5, "csv")
         assert emit_table("odd", 5, "json") == emit_table("odd", 5, "json")

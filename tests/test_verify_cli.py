@@ -1,9 +1,14 @@
 """Tests for the command-line interface: exit codes, output, file writing."""
 
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
+import iqsl2
 from iqsl2 import cli, verify
 from iqsl2.verify import CheckResult, SuiteReport
 
@@ -281,3 +286,26 @@ class TestExpandCommand:
         assert "exceeds the resource ceiling 4" in err
         rc = cli.main(["expand", kind, "--family", "odd", "--n", "4"])
         assert rc == 0
+
+
+class TestModuleRun:
+    """``python3 -m iqsl2`` runs the same command from a checkout."""
+
+    def _run(self, *args):
+        src = str(pathlib.Path(iqsl2.__file__).parent.parent)
+        return subprocess.run(
+            [sys.executable, "-m", "iqsl2", *args],
+            env={**os.environ, "PYTHONPATH": src},
+            capture_output=True, text=True, timeout=120,
+        )
+
+    def test_table(self):
+        out = self._run("table", "--family", "odd", "--max", "4")
+        assert out.returncode == 0
+        assert out.stderr == ""
+        assert out.stdout == verify.emit_table("odd", 4, "csv")
+
+    def test_usage_error_exits_two(self):
+        out = self._run("table", "--family", "ev", "--max", "-1")
+        assert out.returncode == 2
+        assert out.stderr.startswith("error:")

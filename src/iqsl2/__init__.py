@@ -103,9 +103,7 @@ __all__ = [
 __version__ = "0.1.0"
 
 
-# the memo caches of the package that are dicts, as (module, attribute
-# name), and the power tables, which keep their zeroth power, the seed of
-# their recursion
+# the memo caches of the package that are dicts, as (module, attribute name)
 _MEMOS = [
     (pbw, "_MONO_CACHE"),
     (pbw, "_CDIV_CACHE"),
@@ -122,10 +120,6 @@ _MEMOS = [
     (cyclo, "_PHI_VALUES"),
     (coeff, "_QPOW"),
 ]
-_POWER_TABLES = [
-    (tensor, "_DELTA_E_POW"),
-    (tensor, "_DELTA_F_POW"),
-]
 
 
 def clear_caches():
@@ -133,31 +127,26 @@ def clear_caches():
 
     The caches hold normal-form products, coproducts of monomials, the
     integral numerators of the divided powers, closed and recursive divided
-    powers, the PBW images of the closed divided powers, powers of the
-    coproducts of E and F, the exponent vectors of the images of the closed
-    divided powers, of the coefficients of those coproduct powers and of
-    h-binomials, cyclotomic polynomials and their values, q-powers and
-    quantum integers, factorials and binomials. They only grow, by the
-    orders a process has asked for; clearing them frees that memory and
-    changes no result. ``cache_info`` reports their sizes.
+    powers, the PBW images of the closed divided powers, the exponent
+    vectors of the images of the closed divided powers, of the powers of
+    the coproducts of E and F and of h-binomials, cyclotomic polynomials
+    and their values, q-powers and quantum integers, factorials and
+    binomials. They only grow, by the orders a process has asked for;
+    clearing them frees that memory and changes no result. ``cache_info``
+    reports their sizes.
     """
     for module, name in _MEMOS:
         getattr(module, name).clear()
-    for module, name in _POWER_TABLES:
-        powers = getattr(module, name)
-        one = powers[0]
-        powers.clear()
-        powers[0] = one
     for fn in qcomb._LRU_CACHED:
         fn.cache_clear()
 
 
 def cache_info():
     """The number of entries of every memo cache of the package, keyed by
-    its qualified name (``iqsl2.idp._PBW_VEC_CACHE``, ``iqsl2.qcomb.qint``).
-    A power table holds 1 after ``clear_caches``, every other memo 0."""
+    its qualified name (``iqsl2.idp._PBW_VEC_CACHE``, ``iqsl2.qcomb.qint``);
+    each holds 0 after ``clear_caches``."""
     info = {f"{m.__name__}.{name}": len(getattr(m, name))
-            for m, name in _MEMOS + _POWER_TABLES}
+            for m, name in _MEMOS}
     for fn in qcomb._LRU_CACHED:
         info[f"{fn.__module__}.{fn.__qualname__}"] = fn.cache_info().currsize
     return info

@@ -239,7 +239,8 @@ def from_terms(t, dmax):
 
 def from_scalars(t, dmax):
     """{key: vector} of the dict t of nonzero Scalars with factors Phi_d,
-    d <= dmax; None when a numerator or denominator does not convert."""
+    d <= dmax; None when a numerator or denominator does not convert. The
+    tests compare the closed vectors against it."""
     out = {}
     for key, s in t.items():
         num = from_terms(s.num._t, dmax)

@@ -579,21 +579,19 @@ def _h_binom_vectors(a, c):
     """[v_0, ..., v_c]: v_j is the vector of the coefficient of K^-2j in
     u_h_binom(a, c), (-1)^(c-j) q^(4aj + 2j(j-1)) / (P_j P_(c-j)) by the
     q-binomial theorem in z = q^4, with P_m = prod_{i=1..m} (z^i - 1). As
-    z^i - 1 is the product of Phi_d(q^2) over the d dividing 2i, P_m holds
-    Phi_d once for each i <= m that d / gcd(d, 2) divides.
+    z^i - 1 is the product of Phi_d(q^2) over the d dividing 2i, it is
+    Phi_1(q^2) times the Phi_d of [2i], and P_m holds Phi_1^m and the Phi_d
+    of [2] [4] ... [2m] (``qratio_vector``).
     """
     r = _HBINOM_VEC_CACHE.get((a, c))
     if r is None:
         r = []
         for j in range(c + 1):
-            exps = {}
-            for m in (j, c - j):
-                for d in range(1, 2 * m + 1):
-                    e = m // (d if d % 2 else d // 2)
-                    if e:
-                        exps[d] = exps.get(d, 0) - e
-            r.append((-1 if (c - j) % 2 else 1, 4 * a * j + 2 * j * (j - 1),
-                      0, exps))
+            k = c - j
+            exps = qratio_vector(
+                [], [*range(2, 2 * j + 1, 2), *range(2, 2 * k + 1, 2)])[3]
+            r.append((-1 if k % 2 else 1, 4 * a * j + 2 * j * (j - 1), 0,
+                      {**exps, 1: -c} if c else exps))
         _HBINOM_VEC_CACHE[a, c] = r
     return r
 
@@ -769,8 +767,8 @@ def _pbw_vectors(p, n):
 
 def _theorem_vectors(p, n):
     """comult_theorem(p, n) as {(m1, m2): vector}, from the vectors of the
-    images and the legs with one checked sum per key; None when an image
-    does not convert or a sum is not proved."""
+    images and the legs with one checked sum per key; None when a sum of
+    an image or of the assembly is not proved."""
     terms = {}
     for r in range(n + 1):
         image = _pbw_vectors(p, n - r)
@@ -793,11 +791,10 @@ def _theorem_vectors(p, n):
 
 def _comult_agrees(p, n):
     """True when exponent vectors prove comult_theorem(p, n) ==
-    comult_direct(p, n); False when a conversion or a sum is not proved, or
-    the vectors differ, so that the Scalars must decide."""
+    comult_direct(p, n); False when a sum is not proved or the vectors
+    differ, so that the Scalars must decide."""
     image = _pbw_vectors(p, n)
-    direct = None if image is None else delta_vectors(image)
-    return direct is not None and _theorem_vectors(p, n) == direct
+    return image is not None and _theorem_vectors(p, n) == delta_vectors(image)
 
 
 def comult_direct(p, n):

@@ -6,13 +6,24 @@ acts on generators by
     delta(E) = E x 1 + K x E,      delta(F) = 1 x F + F x K^-1,
     delta(K) = K x K,              delta(K^-1) = K^-1 x K^-1,
 
-and extends to PBW monomials through delta(E)^a delta(K)^b delta(F)^c, with
-the generator powers memoized. A small triple-tensor helper supports the
+and on a PBW monomial by delta(E)^a delta(K)^b delta(F)^c. Each power is
+one q-binomial sum: (K x E)(E x 1) = q^2 (E x 1)(K x E) and
+(F x K^-1)(1 x F) = q^2 (1 x F)(F x K^-1), so
+
+    delta(E)^a = sum_j q^(j(a-j)) [a choose j] E^j K^(a-j) x E^(a-j),
+    delta(F)^c = sum_j q^(-j(c-j)) [c choose j] F^(c-j) x K^(j-c) F^j,
+
+the right leg of the second put in PBW order by F^j K^(j-c) =
+q^(-2j(c-j)) K^(j-c) F^j. Each coefficient is one cyclotomic exponent
+vector (``cyclo.qratio_vector``), and ``delta_vectors`` composes the two
+sums; the Scalar coproduct of a monomial is ``to_scalar`` of its vectors.
+The product of TensorElements, leg by leg in the PBW basis, is independent
+of these sums and checks them. A small triple-tensor helper supports the
 coassociativity checks without a full three-fold element type.
 """
 
 from .coeff import Scalar
-from .cyclo import from_scalars, vmul
+from .cyclo import qratio_vector, to_scalar, vmul
 from .pbw import UElement, _check_monomial, _format_monomial, _mono_mul
 from .sparse import Sparse, _acc, _coerce_scalar, _scalar_arg
 
@@ -88,91 +99,61 @@ class TensorElement(Sparse):
         return " + ".join(parts)
 
 
-_DELTA_GEN = {
-    "E": TensorElement._raw(
-        {((1, 0, 0), _UNIT): _SC_ONE, ((0, 1, 0), (1, 0, 0)): _SC_ONE}
-    ),
-    "F": TensorElement._raw(
-        {(_UNIT, (0, 0, 1)): _SC_ONE, ((0, 0, 1), (0, -1, 0)): _SC_ONE}
-    ),
-    "K": TensorElement._raw({((0, 1, 0), (0, 1, 0)): _SC_ONE}),
-    "Kinv": TensorElement._raw({((0, -1, 0), (0, -1, 0)): _SC_ONE}),
-}
-
-
 def delta_gen(name):
-    """Coproduct of a single generator (Echeck included for convenience)."""
-    t = _DELTA_GEN.get(name)
-    if t is not None:
-        return t
-    if name == "Echeck":
-        return delta(UElement.gen("Echeck"))
-    raise ValueError(f"unknown generator {name!r}")
+    """Coproduct of one generator: E, F, K, Kinv or Echeck."""
+    return delta(UElement.gen(name))
 
 
-_DELTA_E_POW = {0: TensorElement.one()}
-_DELTA_F_POW = {0: TensorElement.one()}
 _DELTA_MONO_CACHE = {}
 
 
-def _delta_E_pow(a):
-    r = _DELTA_E_POW.get(a)
-    if r is None:
-        r = _delta_E_pow(a - 1) * _DELTA_GEN["E"]
-        _DELTA_E_POW[a] = r
-    return r
-
-
-def _delta_F_pow(c):
-    r = _DELTA_F_POW.get(c)
-    if r is None:
-        r = _delta_F_pow(c - 1) * _DELTA_GEN["F"]
-        _DELTA_F_POW[c] = r
-    return r
-
-
 def _delta_mono(m):
+    """The coproduct of the monomial m, on Scalars."""
     r = _DELTA_MONO_CACHE.get(m)
     if r is None:
-        a, b, c = m
-        r = _delta_E_pow(a)
-        if b:
-            kk = TensorElement._raw({((0, b, 0), (0, b, 0)): _SC_ONE})
-            r = r * kk
-        if c:
-            r = r * _delta_F_pow(c)
+        r = TensorElement._raw({k: to_scalar(v) for k, v in
+                                delta_vectors({m: (1, 0, 0, {})}).items()})
         _DELTA_MONO_CACHE[m] = r
     return r
 
 
 # the coefficients of delta(E)^a and delta(F)^c as {(m1, m2): vector},
-# keyed by ("E", a) or ("F", c); None when one did not convert
+# keyed by ("E", a) or ("F", c)
 _DELTA_POW_VEC = {}
 
 
 def _delta_pow_vectors(name, n):
+    """delta(E)^n or delta(F)^n as {(m1, m2): vector}, by the q-binomial
+    theorem (see the module docstring)."""
     key = (name, n)
-    if key not in _DELTA_POW_VEC:
-        # q-binomials times powers of q: Phi_d with d <= n
-        power = _delta_E_pow(n) if name == "E" else _delta_F_pow(n)
-        _DELTA_POW_VEC[key] = from_scalars(power._t, n)
-    return _DELTA_POW_VEC[key]
+    r = _DELTA_POW_VEC.get(key)
+    if r is None:
+        r = {}
+        for j in range(n + 1):
+            k = n - j
+            v = qratio_vector(range(1, n + 1),
+                              [*range(1, j + 1), *range(1, k + 1)])
+            if name == "E":
+                r[(j, k, 0), (k, 0, 0)] = vmul(v, (1, j * k, 0, {}))
+            else:
+                r[(0, 0, k), (0, -k, j)] = vmul(v, (1, -j * k, 0, {}))
+        _DELTA_POW_VEC[key] = r
+    return r
 
 
 def delta_vectors(x):
     """The coproduct of the element {monomial: vector} x, as
-    {(m1, m2): vector}; None when a power of delta(E) or delta(F) does not
-    convert. delta(E)^a holds only E and K, and delta(F)^c only K and F, so
-    delta(E^a K^b F^c) = delta(E)^a (K^b x K^b) delta(F)^c needs no
-    reordering: each coefficient is a product. The key gives back the
-    monomial and both terms (b1 = a2, b3 = 0), so no two terms share it.
+    {(m1, m2): vector}: delta(E^a K^b F^c) = delta(E)^a (K^b x K^b)
+    delta(F)^c, each power its closed q-binomial sum. delta(E)^a holds
+    only E and K, and delta(F)^c only K and F, so the product needs no
+    reordering: each coefficient is a product of vectors, and no sum is
+    checked. The key gives back the monomial and both terms (b1 = a2,
+    b3 = 0), so no two terms share it.
     """
     out = {}
     for (a, b, c), s in x.items():
         es = _delta_pow_vectors("E", a)
         fs = _delta_pow_vectors("F", c)
-        if es is None or fs is None:
-            return None
         for ((a1, b1, _), (a2, b2, _)), ve in es.items():
             sv = vmul(s, ve)
             for ((_, b3, c1), (_, b4, c2)), vf in fs.items():

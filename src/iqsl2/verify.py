@@ -31,11 +31,11 @@ the closed formulas against independent computations:
     The closed coproduct formulas against the coproduct of the PBW image,
     computed inside the tensor square. Both sides are first built on
     cyclotomic exponent vectors (``idp._comult_agrees``, ``cyclo``): a check
-    passes when every conversion and every sum is proved and the two sides
-    are equal. Any other outcome reruns that check on Scalars, which decide
-    it and write the witness of a failure, so the report is the one the
-    Scalars alone give. In specialized mode a generic pass stands, since
-    the denominators are varsigma-free.
+    passes when every sum is proved and the two sides are equal. Any
+    other outcome reruns that check on Scalars, which decide it and write
+    the witness of a failure, so the report is the one the Scalars alone
+    give. In specialized mode a generic pass stands, since the denominators
+    are varsigma-free.
 ``fhy-forms``
     The reversed-order coproduct legs (F-powers on the left) against the
     forward legs, term by term.

@@ -5,7 +5,7 @@ coproduct against its Scalar constructions."""
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from iqsl2 import cyclo, idp, tensor
+from iqsl2 import cyclo, idp, pbw, tensor
 from iqsl2._kernel import kmul
 from iqsl2.coeff import LaurentPoly, Scalar
 from iqsl2.cyclo import (
@@ -222,6 +222,16 @@ class TestCoproductVectors:
                 legs = from_scalars(idp.s_component_reversed(p, n, r)._t, n)
                 assert legs is not None
                 assert idp._leg_vectors(p, n, r) == legs
+
+    def test_h_binomials(self):
+        # the K^-2j coefficients of the h-binomial built in the PBW basis
+        for a in range(-6, 7):
+            for c in range(9):
+                coeffs = pbw.u_h_binom(a, c)._t
+                terms = from_scalars(
+                    {j: coeffs[0, -2 * j, 0] for j in range(c + 1)}, 2 * c)
+                assert terms is not None
+                assert idp._h_binom_vectors(a, c) == list(terms.values())
 
     @pytest.mark.parametrize("p", ["ev", "odd"])
     def test_images(self, p):

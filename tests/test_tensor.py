@@ -6,6 +6,7 @@ from iqsl2.coeff import Scalar
 from iqsl2.pbw import UElement, divided_power, u_gen
 from iqsl2.tensor import (
     TensorElement,
+    _delta_mono,
     delta,
     delta_gen,
     expand_left,
@@ -19,15 +20,32 @@ Ki = u_gen("Kinv")
 ONE = UElement.one()
 
 
+# the coproducts of the generators, as pairs of generators
+DELTA_E = TensorElement.from_pair(E, ONE) + TensorElement.from_pair(K, E)
+DELTA_F = TensorElement.from_pair(ONE, F) + TensorElement.from_pair(F, Ki)
+
+
 def test_delta_on_generators():
-    assert delta_gen("E") == TensorElement.from_pair(E, ONE) + TensorElement.from_pair(
-        K, E
-    )
-    assert delta_gen("F") == TensorElement.from_pair(ONE, F) + TensorElement.from_pair(
-        F, Ki
-    )
+    assert delta_gen("E") == DELTA_E
+    assert delta_gen("F") == DELTA_F
     assert delta_gen("K") == TensorElement.from_pair(K, K)
     assert delta_gen("Kinv") == TensorElement.from_pair(Ki, Ki)
+
+
+def test_closed_delta_is_the_product_of_generator_coproducts():
+    # the q-binomial sums of delta(E)^a and delta(F)^c against products
+    # of the generator pairs in the tensor square
+    e_pow = [TensorElement.one()]
+    f_pow = [TensorElement.one()]
+    for _ in range(6):
+        e_pow.append(e_pow[-1] * DELTA_E)
+        f_pow.append(f_pow[-1] * DELTA_F)
+    for b in (-2, 0, 3):
+        kk = UElement.monomial(0, b, 0)
+        kk = TensorElement.from_pair(kk, kk)
+        for a, ea in enumerate(e_pow):
+            for c, fc in enumerate(f_pow):
+                assert _delta_mono((a, b, c)) == ea * kk * fc, (a, b, c)
 
 
 def test_delta_matches_gen_table():

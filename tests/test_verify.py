@@ -622,8 +622,6 @@ class TestClearCaches:
         (cyclo, "_CYCLOTOMIC_CACHE"), (cyclo, "_PHI_VALUES"),
         (coeff, "_QPOW"),
     )
-    # power tables keep their zeroth power, the seed of their recursion
-    POWERS = ((tensor, "_DELTA_E_POW"), (tensor, "_DELTA_F_POW"))
     LRU = (qcomb.qint, qcomb.qfact, qcomb.qbinom)
 
     def _reports(self):
@@ -638,35 +636,32 @@ class TestClearCaches:
         return out
 
     def _sizes(self):
-        tables = self.MEMOS + self.POWERS
-        sizes = {f"{m.__name__}.{a}": len(getattr(m, a)) for m, a in tables}
+        sizes = {f"{m.__name__}.{a}": len(getattr(m, a))
+                 for m, a in self.MEMOS}
         sizes.update({fn.__name__: fn.cache_info().currsize for fn in self.LRU})
         return sizes
 
     def test_clear_keeps_reports_and_empties_caches(self):
-        tables = self.MEMOS + self.POWERS
-        objects = [getattr(m, a) for m, a in tables]
+        objects = [getattr(m, a) for m, a in self.MEMOS]
         first = self._reports()
         assert all(self._sizes().values())
         iqsl2.clear_caches()
-        powers = {f"{m.__name__}.{a}" for m, a in self.POWERS}
-        assert self._sizes() == {name: int(name in powers) for name in self._sizes()}
+        assert not any(self._sizes().values())
         # cleared in place: the module attributes are the same objects
-        assert all(getattr(m, a) is o for (m, a), o in zip(tables, objects))
+        assert all(getattr(m, a) is o
+                   for (m, a), o in zip(self.MEMOS, objects))
         assert self._reports() == first
 
     def test_cache_info_counts_every_memo(self):
         iqsl2.clear_caches()
         self._reports()
         info = iqsl2.cache_info()
-        names = {f"{m.__name__}.{a}" for m, a in self.MEMOS + self.POWERS}
+        names = {f"{m.__name__}.{a}" for m, a in self.MEMOS}
         assert set(info) == names | {f"iqsl2.qcomb.{fn.__name__}"
                                      for fn in self.LRU}
         assert all(info.values())
         iqsl2.clear_caches()
-        powers = {f"{m.__name__}.{a}" for m, a in self.POWERS}
-        assert iqsl2.cache_info() == {name: int(name in powers)
-                                      for name in info}
+        assert iqsl2.cache_info() == dict.fromkeys(info, 0)
 
     def test_every_memo_that_grows_is_cleared(self):
         # a module-level dict of the package that a run fills is a memo, and
@@ -679,7 +674,7 @@ class TestClearCaches:
             capture_output=True, text=True, check=True,
         )
         grown = json.loads(out.stdout)
-        cleared = {f"{m.__name__}.{a}" for m, a in self.MEMOS + self.POWERS}
+        cleared = {f"{m.__name__}.{a}" for m, a in self.MEMOS}
         assert grown
         assert [names for names in grown if not cleared & set(names)] == []
 

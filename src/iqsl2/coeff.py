@@ -348,18 +348,9 @@ class LaurentPoly:
     def is_varsigma_free(self):
         return all(j == 0 for _, j in self._t)
 
-    def is_monomial(self):
-        return len(self._t) == 1
-
     def is_nonneg(self):
         """True iff every integer coefficient is >= 0."""
         return all(c >= 0 for c in self._t.values())
-
-    def int_content(self):
-        g = 0
-        for c in self._t.values():
-            g = math.gcd(g, c)
-        return g
 
     def __bool__(self):
         return bool(self._t)
@@ -632,7 +623,7 @@ class Scalar:
 
     @classmethod
     def from_int(cls, n):
-        return cls._make({(0, 0): n} if n else {}, dict(_ONE_TERMS))
+        return cls._make({(0, 0): int(n)} if n else {}, dict(_ONE_TERMS))
 
     @classmethod
     def q_power(cls, i):

@@ -87,7 +87,7 @@ from .pbw import UElement, divided_power, u_gen, u_h_binom
 from .qcomb import qfact, qint
 # re-exported: perfbench's tracer looks the name up on this module
 from .qcomb import qbinom  # noqa: F401
-from .sparse import Sparse, _acc, _coerce_scalar, _scalar_arg
+from .sparse import Sparse, _acc
 from .tensor import TensorElement, delta, delta_vectors
 
 EV = "ev"
@@ -123,15 +123,15 @@ class BPolynomial(Sparse):
 
     __slots__ = ()
 
-    def __init__(self, coeffs=None):
-        c = {}
-        if coeffs:
-            for d, s in coeffs.items():
-                d = _check_degree(d)
-                s = _scalar_arg(s)
-                if not s.is_zero():
-                    c[d] = s
-        self._t = c
+    _check_key = staticmethod(_check_degree)
+
+    @staticmethod
+    def _key_mul(d1, d2):
+        return {d1 + d2: _SC_ONE}
+
+    @staticmethod
+    def _format(d):
+        return "" if d == 0 else "B" if d == 1 else f"B^{d}"
 
     @classmethod
     def one(cls):
@@ -143,16 +143,9 @@ class BPolynomial(Sparse):
 
     @classmethod
     def monomial(cls, d, coeff=1):
-        d = _check_degree(d)
-        s = _scalar_arg(coeff)
-        if s.is_zero():
-            return cls.zero()
-        return cls._raw({d: s})
+        return cls({d: coeff})
 
-    def coeffs(self):
-        """Iterate (degree, Scalar) in ascending degree."""
-        for d in sorted(self._t):
-            yield d, self._t[d]
+    coeffs = Sparse.terms
 
     def coeff(self, d):
         return self._t.get(d, _SC_ZERO)
@@ -160,32 +153,6 @@ class BPolynomial(Sparse):
     def degree(self):
         """Largest degree with a nonzero coefficient; -1 for the zero polynomial."""
         return max(self._t) if self._t else -1
-
-    def __mul__(self, other):
-        s = _coerce_scalar(other)
-        if s is not None:
-            return self.scale(s)
-        if not isinstance(other, BPolynomial):
-            return NotImplemented
-        out = {}
-        for d1, s1 in self._t.items():
-            for d2, s2 in other._t.items():
-                _acc(out, d1 + d2, s1 * s2)
-        return BPolynomial._raw(out)
-
-    def __str__(self):
-        if not self._t:
-            return "0"
-        parts = []
-        for d in sorted(self._t):
-            head = f"({self._t[d]})"
-            if d == 0:
-                parts.append(head)
-            elif d == 1:
-                parts.append(f"{head}*B")
-            else:
-                parts.append(f"{head}*B^{d}")
-        return " + ".join(parts)
 
 
 def _factor_index(p, n):

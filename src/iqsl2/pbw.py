@@ -23,7 +23,7 @@ weight vector (K acts by q^m, E and F keep their symbols).
 from .coeff import LaurentPoly, Scalar
 from .errors import RequiresSpecialized
 from .qcomb import qfact, qint
-from .sparse import Sparse, _acc, _coerce_scalar, _scalar_arg
+from .sparse import Sparse, _acc
 
 _SC_ONE = Scalar.one()
 _UNIT = (0, 0, 0)
@@ -121,15 +121,9 @@ class UElement(Sparse):
 
     __slots__ = ()
 
-    def __init__(self, terms=None):
-        t = {}
-        if terms:
-            for m, s in terms.items():
-                m = _check_monomial(m)
-                s = _scalar_arg(s)
-                if not s.is_zero():
-                    t[m] = s
-        self._t = t
+    _check_key = staticmethod(_check_monomial)
+    _key_mul = staticmethod(_mono_mul)
+    _format = staticmethod(_format_monomial)
 
     @classmethod
     def one(cls):
@@ -137,10 +131,7 @@ class UElement(Sparse):
 
     @classmethod
     def monomial(cls, a, b, c, coeff=1):
-        s = _scalar_arg(coeff)
-        if s.is_zero():
-            return cls.zero()
-        return cls._raw({_check_monomial((a, b, c)): s})
+        return cls({(a, b, c): coeff})
 
     @classmethod
     def gen(cls, name):
@@ -152,40 +143,11 @@ class UElement(Sparse):
             raise ValueError(f"unknown generator {name!r}")
         return cls._raw({m: _SC_ONE})
 
-    def terms(self):
-        """Iterate (monomial, Scalar) in lex order on (a, b, c)."""
-        for m in sorted(self._t):
-            yield m, self._t[m]
-
     def coeff(self, a, b, c):
         return self._t.get((a, b, c), Scalar.zero())
 
     def support(self):
         return sorted(self._t)
-
-    def __mul__(self, other):
-        s = _coerce_scalar(other)
-        if s is not None:
-            return self.scale(s)
-        if not isinstance(other, UElement):
-            return NotImplemented
-        out = {}
-        for m1, s1 in self._t.items():
-            for m2, s2 in other._t.items():
-                w = s1 * s2
-                for m, f in _mono_mul(m1, m2).items():
-                    _acc(out, m, w * f)
-        return UElement._raw(out)
-
-    def __str__(self):
-        if not self._t:
-            return "0"
-        parts = []
-        for m in sorted(self._t):
-            head = f"({self._t[m]})"
-            mono = _format_monomial(m)
-            parts.append(f"{head}*{mono}" if mono else head)
-        return " + ".join(parts)
 
 
 def u_gen(name):

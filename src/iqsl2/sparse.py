@@ -1,27 +1,23 @@
-"""Sparse Scalar-coefficient combinations, the arithmetic the element types share.
+"""Sparse Scalar-coefficient combinations, the shape the element types share.
 
 ``BPolynomial`` (keyed by degree in B), ``UElement`` (keyed by PBW monomial)
 and ``TensorElement`` (keyed by pairs of PBW monomials) are all finite
 combinations of basis keys with nonzero Scalar coefficients. ``Sparse`` holds
-the arithmetic that depends only on that shape; each subclass adds its
-constructor validation, accessors, product and printing.
+everything that depends only on that shape: the validating constructor, the
+arithmetic, the product and the printer. Each subclass adds its accessors
+and three hooks on keys: ``_check_key`` validates one, ``_key_mul`` gives the
+product of two as {key: Scalar}, and ``_format`` gives the text of one ("" for
+the unit).
 """
 
-from .coeff import LaurentPoly, Scalar
+from .coeff import Scalar, _coerce
 
-
-def _coerce_scalar(x):
-    """``x`` as a Scalar when it is a Scalar, LaurentPoly or int, else None."""
-    if isinstance(x, Scalar):
-        return x
-    if isinstance(x, (int, LaurentPoly)):
-        return Scalar(x)
-    return None
+_SC_ONE = Scalar.one()
 
 
 def _scalar_arg(x):
     """``x`` as a Scalar; TypeError unless it is a Scalar, LaurentPoly or int."""
-    s = _coerce_scalar(x)
+    s = _coerce(x)
     if s is None:
         raise TypeError(f"{x!r} is not a Scalar, LaurentPoly or int")
     return s
@@ -42,9 +38,20 @@ def _acc(out, k, s):
 
 
 class Sparse:
-    """Finite combination {key: nonzero Scalar}; subclasses define ``one``."""
+    """Finite combination {key: nonzero Scalar}; subclasses define ``one``
+    and the key hooks ``_check_key``, ``_key_mul`` and ``_format``."""
 
     __slots__ = ("_t",)
+
+    def __init__(self, terms=None):
+        t = {}
+        if terms:
+            for k, s in terms.items():
+                k = self._check_key(k)
+                s = _scalar_arg(s)
+                if not s.is_zero():
+                    t[k] = s
+        self._t = t
 
     @classmethod
     def _raw(cls, t):
@@ -58,6 +65,11 @@ class Sparse:
 
     def is_zero(self):
         return not self._t
+
+    def terms(self):
+        """Iterate (key, Scalar) in ascending key order."""
+        for k in sorted(self._t):
+            yield k, self._t[k]
 
     def __bool__(self):
         return bool(self._t)
@@ -107,8 +119,24 @@ class Sparse:
             return self.zero()
         return self._raw({k: v * s for k, v in self._t.items()})
 
+    def __mul__(self, other):
+        s = _coerce(other)
+        if s is not None:
+            return self.scale(s)
+        if type(other) is not type(self):
+            return NotImplemented
+        key_mul = self._key_mul
+        out = {}
+        for k1, s1 in self._t.items():
+            for k2, s2 in other._t.items():
+                w = s1 * s2
+                for k, f in key_mul(k1, k2).items():
+                    # the shared one is a frequent factor: skip its product
+                    _acc(out, k, w if f is _SC_ONE else w * f)
+        return self._raw(out)
+
     def __rmul__(self, other):
-        s = _coerce_scalar(other)
+        s = _coerce(other)
         if s is not None:
             return self.scale(s)
         return NotImplemented
@@ -129,6 +157,16 @@ class Sparse:
             if not v.is_zero():
                 out[k] = v
         return self._raw(out)
+
+    def __str__(self):
+        if not self._t:
+            return "0"
+        parts = []
+        for k in sorted(self._t):
+            head = f"({self._t[k]})"
+            text = self._format(k)
+            parts.append(f"{head}*{text}" if text else head)
+        return " + ".join(parts)
 
     def __repr__(self):
         return f"{type(self).__name__}({self})"

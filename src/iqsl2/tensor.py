@@ -24,8 +24,8 @@ coassociativity checks without a full three-fold element type.
 
 from .coeff import Scalar
 from .cyclo import qratio_vector, to_scalar, vmul
-from .pbw import UElement, _check_monomial, _format_monomial, _mono_mul
-from .sparse import Sparse, _acc, _coerce_scalar, _scalar_arg
+from .pbw import _check_monomial, _format_monomial, _mono_mul
+from .sparse import Sparse, _acc
 
 _SC_ONE = Scalar.one()
 _UNIT = (0, 0, 0)
@@ -36,16 +36,23 @@ class TensorElement(Sparse):
 
     __slots__ = ()
 
-    def __init__(self, terms=None):
-        t = {}
-        if terms:
-            for k, s in terms.items():
-                m1, m2 = k
-                k = (_check_monomial(m1), _check_monomial(m2))
-                s = _scalar_arg(s)
-                if not s.is_zero():
-                    t[k] = s
-        self._t = t
+    @staticmethod
+    def _check_key(k):
+        m1, m2 = k
+        return _check_monomial(m1), _check_monomial(m2)
+
+    @staticmethod
+    def _key_mul(k1, k2):
+        px = _mono_mul(k1[0], k2[0])
+        py = _mono_mul(k1[1], k2[1])
+        return {(mx, my): fy if fx is _SC_ONE else fx * fy
+                for mx, fx in px.items() for my, fy in py.items()}
+
+    @staticmethod
+    def _format(k):
+        left = _format_monomial(k[0]) or "1"
+        right = _format_monomial(k[1]) or "1"
+        return f"({left})⊗({right})"
 
     @classmethod
     def one(cls):
@@ -62,46 +69,8 @@ class TensorElement(Sparse):
                     out[(m1, m2)] = s
         return cls._raw(out)
 
-    def terms(self):
-        for k in sorted(self._t):
-            yield k, self._t[k]
-
     def coeff(self, m1, m2):
         return self._t.get((tuple(m1), tuple(m2)), Scalar.zero())
-
-    def __mul__(self, other):
-        s = _coerce_scalar(other)
-        if s is not None:
-            return self.scale(s)
-        if not isinstance(other, TensorElement):
-            return NotImplemented
-        out = {}
-        for (x1, y1), s1 in self._t.items():
-            for (x2, y2), s2 in other._t.items():
-                w = s1 * s2
-                px = _mono_mul(x1, x2)
-                py = _mono_mul(y1, y2)
-                for mx, fx in px.items():
-                    wf = w * fx
-                    for my, fy in py.items():
-                        _acc(out, (mx, my), wf * fy)
-        return TensorElement._raw(out)
-
-    def __str__(self):
-        if not self._t:
-            return "0"
-        parts = []
-        for m1, m2 in sorted(self._t):
-            s = self._t[(m1, m2)]
-            left = _format_monomial(m1) or "1"
-            right = _format_monomial(m2) or "1"
-            parts.append(f"({s})*({left})⊗({right})")
-        return " + ".join(parts)
-
-
-def delta_gen(name):
-    """Coproduct of one generator: E, F, K, Kinv or Echeck."""
-    return delta(UElement.gen(name))
 
 
 _DELTA_MONO_CACHE = {}

@@ -243,9 +243,24 @@ class TestCoproductVectors:
 
     @pytest.mark.parametrize("p", ["ev", "odd"])
     def test_delta(self, p):
+        # against delta(E)^a (K^b x K^b) delta(F)^c built by TensorElement
+        # products of the generator coproducts, on the plain substitution:
+        # neither side takes a q-binomial sum or a vector from the other
+        one = pbw.UElement.one()
+        e, f, k, ki = (pbw.u_gen(g) for g in ("E", "F", "K", "Kinv"))
+        pair = tensor.TensorElement.from_pair
+        d_e = pair(e, one) + pair(k, e)
+        d_f = pair(one, f) + pair(f, ki)
+        mono_delta = {}
         for n in range(8):
-            image = idp._pbw_closed(p, n)
-            direct = from_scalars(tensor.delta(image)._t, n)
+            image = idp.idp_to_pbw(idp.idp_closed(p, n))
+            direct = tensor.TensorElement.zero()
+            for (a, b, c), s in image.terms():
+                if (a, b, c) not in mono_delta:
+                    kk = pbw.UElement.monomial(0, b, 0)
+                    mono_delta[a, b, c] = d_e ** a * pair(kk, kk) * d_f ** c
+                direct = direct + mono_delta[a, b, c].scale(s)
+            direct = from_scalars(direct._t, n)
             assert direct is not None
             assert tensor.delta_vectors(idp._pbw_vectors(p, n)) == direct
 

@@ -1,10 +1,15 @@
-"""Every private module-level helper in src/iqsl2 is used by src/ itself.
+"""Every private module-level helper in src/iqsl2 is used by src/ itself,
+and every public method by src/ or tests/.
 
 A ``_``-prefixed function, class or assigned name at module level that no
 code in ``src/`` reads, apart from its own definition, is dead: a fork left
 behind by a rewrite, such as a sentinel whose only reader was deleted.
 Tests may still use it, so they do not count as uses. A use is a name or an
 attribute read anywhere, in any module of the package.
+
+A public method of a class in ``src/`` whose name no code in ``src/`` or
+``tests/`` reads, apart from its own definition, is dead too: nothing calls
+it and nothing checks it.
 """
 
 import ast
@@ -13,6 +18,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = sorted(ROOT.glob("src/**/*.py"))
+TESTS = sorted(ROOT.glob("tests/**/*.py"))
 DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 
@@ -55,6 +61,30 @@ def dead_helpers(sources):
     return sorted(dead)
 
 
+def dead_methods(sources, readers):
+    """(module, class.method) of each public method of a module-level class
+    in sources whose name no text in readers reads outside its own
+    definition; both map a module to its text."""
+    used = sum((_names(ast.parse(text)) for text in readers.values()),
+               Counter())
+    dead = []
+    for mod, text in sources.items():
+        for node in ast.parse(text).body:
+            if not isinstance(node, ast.ClassDef):
+                continue
+            for fn in node.body:
+                if (isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+                        and not fn.name.startswith("_")
+                        and used[fn.name] == _names(fn)[fn.name]):
+                    dead.append((mod, f"{node.name}.{fn.name}"))
+    return sorted(dead)
+
+
+def _read(paths):
+    return {str(path.relative_to(ROOT)): path.read_text(encoding="utf-8")
+            for path in paths}
+
+
 def test_checker_finds_dead_helpers():
     sources = {
         "a": (
@@ -83,9 +113,38 @@ def test_checker_finds_dead_helpers():
 
 def test_no_dead_private_helpers():
     assert SRC
-    sources = {
-        str(path.relative_to(ROOT)): path.read_text(encoding="utf-8")
-        for path in SRC
-    }
-    found = [f"{mod}: {name}" for mod, name in dead_helpers(sources)]
+    found = [f"{mod}: {name}" for mod, name in dead_helpers(_read(SRC))]
     assert not found, "private helpers no code in src/ uses:\n" + "\n".join(found)
+
+
+def test_checker_finds_dead_methods():
+    sources = {
+        "a": (
+            "class A:\n"
+            "    def used(self):\n"
+            "        return self.tested()\n"
+            "    def tested(self):\n"
+            "        pass\n"
+            "    def rec(self, n):\n"  # only calls itself: dead
+            "        return self.rec(n - 1) if n else 0\n"
+            "    def _private(self):\n"  # private: not this rule's
+            "        pass\n"
+            "    @property\n"
+            "    def shown(self):\n"
+            "        pass\n"
+            "def f(a):\n"
+            "    return a.used()\n"
+        ),
+    }
+    readers = dict(sources, t="print(A().shown)\n")
+    assert dead_methods(sources, readers) == [("a", "A.rec")]
+    assert dead_methods(sources, sources) == [("a", "A.rec"), ("a", "A.shown")]
+
+
+def test_no_dead_public_methods():
+    assert SRC and TESTS
+    sources = _read(SRC)
+    found = [f"{mod}: {name}"
+             for mod, name in dead_methods(sources, {**sources, **_read(TESTS)})]
+    assert not found, ("public methods no code in src/ or tests/ reads:\n"
+                       + "\n".join(found))

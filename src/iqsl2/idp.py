@@ -81,7 +81,15 @@ from functools import reduce
 
 from .coeff import LaurentPoly, Scalar
 from ._kernel_py import kadd, kmul, kshift, ksub
-from .cyclo import qratio_vector, to_scalar, vmul, vsum
+from .cyclo import (
+    _START,
+    _qratio_finish,
+    _qratio_fold,
+    qratio_vector,
+    to_scalar,
+    vmul,
+    vsum,
+)
 from .errors import NegativeInput
 from .pbw import UElement, divided_power, u_gen, u_h_binom
 from .qcomb import qfact, qint
@@ -343,28 +351,31 @@ _MULT_OFFSETS = {
 def _mult_closed_terms(p, m, n):
     """The closed formula of ``mult_closed`` as {degree: [vector]}: the
     nonzero ratios of quantum integers whose sum is the coefficient, each
-    built by ``cyclo.qratio_vector``; a degree whose terms all vanish is
-    left out."""
+    counted as in ``cyclo.qratio_vector``; a degree whose terms all vanish
+    is left out."""
     s = m + n
     dn, dm, dd = _MULT_OFFSETS[p, m % 2, n % 2]
-    # the prefactor qbinom(s, m) = [s]! / ([m]! [n]!) as indices
-    nums = list(range(1, s + 1))
-    dens = [*range(1, m + 1), *range(1, n + 1)]
-    out = {s: [qratio_vector(nums, dens)]}
+    # the prefactor qbinom(s, m) = [s]! / ([m]! [n]!) as indices; the
+    # counts of the product over i = 1..l are carried from l - 1
+    state = _qratio_fold(_START, range(1, s + 1),
+                         [*range(1, m + 1), *range(1, n + 1)])
+    out = {s: [_qratio_finish(state)]}
     for l in range(1, (m + dm - 1) // 2 + 1):
-        nums += [n + dn - 2 * l, m + dm - 2 * l]
-        dens += [s + dd - 2 * l, 2 * l]
+        state = _qratio_fold(state, (n + dn - 2 * l, m + dm - 2 * l),
+                             (s + dd - 2 * l, 2 * l))
         if p == EV and not m % 2 and not n % 2:
-            terms = [qratio_vector(nums + [s - 2 * l], dens + [s], l)]
+            terms = [_qratio_finish(
+                _qratio_fold(state, (s - 2 * l,), (s,)), l)]
         elif p == ODD and m % 2 and n % 2:
             terms = [
-                qratio_vector(nums + [s - 2 * l, m + 1 - 2 * l],
-                              dens + [s, m + 1], l),
-                qratio_vector(nums + [s + 1 - 2 * l, s + 1 - 2 * l, 2 * l],
-                              dens + [s, n + 1 - 2 * l, m + 1], l),
+                _qratio_finish(_qratio_fold(
+                    state, (s - 2 * l, m + 1 - 2 * l), (s, m + 1)), l),
+                _qratio_finish(_qratio_fold(
+                    state, (s + 1 - 2 * l, s + 1 - 2 * l, 2 * l),
+                    (s, n + 1 - 2 * l, m + 1)), l),
             ]
         else:
-            terms = [qratio_vector(nums, dens, l)]
+            terms = [_qratio_finish(state, l)]
         terms = [x for x in terms if x]
         if terms:
             out[s - 2 * l] = terms
@@ -478,7 +489,7 @@ def _recursive_points(p, bound):
     from f_0 = f_1 = 1, with one ``vsum`` per point and no closed value.
     The rows stop before the first n at which a sum is not proved.
     """
-    one = (1, 0, 0, {})
+    one = (1, 0, 0, 0)
     rows = [[one] * (bound // 2 + 1) for _ in range(min(bound, 1) + 1)]
     for n in range(2, bound + 1):
         corr = qratio_vector([n - 1], [], 1) if _corrected(p, n) else 0
@@ -557,8 +568,9 @@ def _h_binom_vectors(a, c):
             k = c - j
             exps = qratio_vector(
                 [], [*range(2, 2 * j + 1, 2), *range(2, 2 * k + 1, 2)])[3]
+            # Phi_1^-c: the exponent of Phi_1 is the lowest field
             r.append((-1 if k % 2 else 1, 4 * a * j + 2 * j * (j - 1), 0,
-                      {**exps, 1: -c} if c else exps))
+                      exps - c))
         _HBINOM_VEC_CACHE[a, c] = r
     return r
 
@@ -571,7 +583,7 @@ def _leg_vectors(p, n, r):
     out = {}
     for shift, c, a, k, e in _leg_terms(p, n, r):
         f = vmul(qratio_vector([], [*range(1, a + 1), *range(1, k + 1)], a + c),
-                 (1, e - a * a, 0, {}))
+                 (1, e - a * a, 0, 0))
         for j, h in enumerate(_h_binom_vectors(shift, c)):
             out[a, -2 * j - a + r - n, k] = vmul(h, f)
     return out
@@ -668,7 +680,7 @@ def _rmul_B_vectors(terms):
         if c:
             # [c] / (q^2 - 1): Phi_1(q^2) = q^2 - 1 in the denominator
             _, i, j, e = qratio_vector([c], [], 0)
-            e = {**e, 1: -1}
+            e -= 1
             low = out.setdefault((a, b - 2, c - 1), [])
             mid = out.setdefault((a, b, c - 1), [])
             for x in xs:
@@ -698,7 +710,7 @@ def _pbw_vectors(p, n):
     if key in _PBW_VEC_CACHE:
         return _PBW_VEC_CACHE[key]
     if n < 2:
-        terms = {(0, 0, 0): [(1, 0, 0, {})]}
+        terms = {(0, 0, 0): [(1, 0, 0, 0)]}
         if n:
             terms = _rmul_B_vectors(terms)
     else:

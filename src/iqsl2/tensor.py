@@ -81,7 +81,7 @@ def _delta_mono(m):
     r = _DELTA_MONO_CACHE.get(m)
     if r is None:
         r = TensorElement._raw({k: to_scalar(v) for k, v in
-                                delta_vectors({m: (1, 0, 0, {})}).items()})
+                                delta_vectors({m: (1, 0, 0, 0)}).items()})
         _DELTA_MONO_CACHE[m] = r
     return r
 
@@ -103,9 +103,9 @@ def _delta_pow_vectors(name, n):
             v = qratio_vector(range(1, n + 1),
                               [*range(1, j + 1), *range(1, k + 1)])
             if name == "E":
-                r[(j, k, 0), (k, 0, 0)] = vmul(v, (1, j * k, 0, {}))
+                r[(j, k, 0), (k, 0, 0)] = vmul(v, (1, j * k, 0, 0))
             else:
-                r[(0, 0, k), (0, -k, j)] = vmul(v, (1, -j * k, 0, {}))
+                r[(0, 0, k), (0, -k, j)] = vmul(v, (1, -j * k, 0, 0))
         _DELTA_POW_VEC[key] = r
     return r
 

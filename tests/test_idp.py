@@ -4,6 +4,7 @@ multiplication and comultiplication formulas, and the reversed coproduct
 presentation."""
 
 import functools
+import itertools
 from collections import Counter
 
 import pytest
@@ -12,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 from iqsl2 import coeff
 from iqsl2._kernel_py import kmul
 from iqsl2.coeff import LaurentPoly, Scalar
-from iqsl2.cyclo import _cyclotomic, qratio
+from iqsl2.cyclo import _cyclotomic, qratio, qratio_vector
 from iqsl2.errors import DivisionByZero, NegativeInput
 from iqsl2.idp import (
     _MULT_OFFSETS,
@@ -20,6 +21,7 @@ from iqsl2.idp import (
     ODD,
     PARITIES,
     BPolynomial,
+    _mult_closed_terms,
     _numerator,
     _pbw_closed,
     comult_closed,
@@ -235,9 +237,11 @@ class TestQRatio:
             t = {(1 - k, 0): 1}
             for d in range(2, k + 1):
                 if k % d == 0:
-                    phi, norm, divs = _cyclotomic(d)
+                    phi, norm, mask = _cyclotomic(d)
                     assert norm == sum(map(abs, phi.values()))
-                    assert divs == tuple(e for e in range(2, d + 1) if d % e == 0)
+                    # the divisors e > 1 of d, one 16-bit field each
+                    assert mask == sum(1 << 16 * (e - 1)
+                                       for e in range(2, d + 1) if d % e == 0)
                     t = kmul(t, {(2 * i, 0): c for i, c in phi.items()})
             assert t == qint(k)._t, k
             assert str(qratio([k], [])) == str(Scalar(qint(k))), k
@@ -589,6 +593,40 @@ class TestMultAgainstProduct:
                     if not (p == ODD and m % 2 and n % 2):
                         mult_closed(p, m, n)
                         assert not calls, (p, m, n)
+
+
+    def test_carried_counts_are_the_ratios_of_the_full_lists(self):
+        # _mult_closed_terms carries the counts of the ratio from l - 1 to
+        # l; count the whole index lists of each l instead
+        zero_pairs = 0
+        for p, s in itertools.product(PARITIES, range(25)):
+            for m in range(s + 1):
+                n = s - m
+                dn, dm, dd = _MULT_OFFSETS[p, m % 2, n % 2]
+                nums = list(range(1, s + 1))
+                dens = [*range(1, m + 1), *range(1, n + 1)]
+                expected = {s: [qratio_vector(nums, dens)]}
+                for l in range(1, (m + dm - 1) // 2 + 1):
+                    nums += [n + dn - 2 * l, m + dm - 2 * l]
+                    dens += [s + dd - 2 * l, 2 * l]
+                    if p == EV and not m % 2 and not n % 2:
+                        lists = [(nums + [s - 2 * l], dens + [s])]
+                    elif p == ODD and m % 2 and n % 2:
+                        lists = [
+                            (nums + [s - 2 * l, m + 1 - 2 * l],
+                             dens + [s, m + 1]),
+                            (nums + [s + 1 - 2 * l, s + 1 - 2 * l, 2 * l],
+                             dens + [s, n + 1 - 2 * l, m + 1]),
+                        ]
+                    else:
+                        lists = [(nums, dens)]
+                    zero_pairs += sum(0 in a and 0 in b for a, b in lists)
+                    terms = [qratio_vector(a, b, l) for a, b in lists]
+                    if any(terms):
+                        expected[s - 2 * l] = [x for x in terms if x]
+                assert _mult_closed_terms(p, m, n) == expected, (p, m, n)
+        # a zero index in both lists cancels as the pair 0/0
+        assert zero_pairs
 
 
 class TestComultGolden:

@@ -709,6 +709,11 @@ class TestComultVectors:
             "e29db47cd26941e3a03a6beb9f1d88483cb9aef90dc273ef411e284aa39a66af",
         ("comult-even", 14, "generic"):
             "65c3a8d69793cc939e6dafa714dd9d064f966e6f3a176320b71e792b11e570e3",
+        # taken on the exponent vectors before their exponents were packed
+        ("comult-odd", 16, "generic"):
+            "1fa0f464ae750b79bb043d9b20675d88990a9ae056fa89388cc6e9e216d9b5fa",
+        ("comult-even", 16, "generic"):
+            "eb19dd33877ef79e81bbc365846f40f6e1e8f8b4a818cf2747f0a3fed782e2fa",
     }
 
     @staticmethod

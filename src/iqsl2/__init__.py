@@ -117,6 +117,7 @@ _MEMOS = [
     (idp, "_PBW_VEC_CACHE"),
     (idp, "_HBINOM_VEC_CACHE"),
     (cyclo, "_CYCLOTOMIC_CACHE"),
+    (cyclo, "_DIVISOR_MASKS"),
     (cyclo, "_PHI_VALUES"),
     (coeff, "_QPOW"),
 ]
@@ -129,8 +130,8 @@ def clear_caches():
     integral numerators of the divided powers, closed and recursive divided
     powers, the PBW images of the closed divided powers, the exponent
     vectors of the images of the closed divided powers, of the powers of
-    the coproducts of E and F and of h-binomials, cyclotomic polynomials
-    and their values, q-powers and quantum integers, factorials and
+    the coproducts of E and F and of h-binomials, cyclotomic polynomials,
+    their values and the cyclotomic factors of quantum integers, q-powers and quantum integers, factorials and
     binomials. They only grow, by the orders a process has asked for;
     clearing them frees that memory and changes no result. ``cache_info``
     reports their sizes.

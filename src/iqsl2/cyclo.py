@@ -68,15 +68,25 @@ _W = 16
 _EMAX = 1 << 12
 
 # cyclotomic data keyed by d >= 2, filled on first use: Phi_d(x) as a
-# univariate dict {i: c}, its 1-norm, and the packed exponents of
-# prod_{e | d, e > 1} Phi_e, the factors of [d]; and the data of
-# Phi_1(x) = x - 1
+# univariate dict {i: c} and its 1-norm; and the data of Phi_1(x) = x - 1
 _CYCLOTOMIC_CACHE = {}
-_PHI_1 = ({0: -1, 1: 1}, 2, 0)
+_PHI_1 = ({0: -1, 1: 1}, 2)
+
+# the packed exponents of prod_{e | k, e > 1} Phi_e, the factors of [k],
+# keyed by k >= 1 and filled on first use
+_DIVISOR_MASKS = {}
+
+
+def _divisor_mask(k):
+    """The packed divisors e > 1 of k >= 1, sum 2^(16(e-1)): the exponents
+    of [k] = q^(1-k) prod_{e | k, e > 1} Phi_e(q^2). It needs no Phi_e."""
+    m = _DIVISOR_MASKS[k] = sum(1 << (_W * (e - 1))
+                                for e in range(2, k + 1) if k % e == 0)
+    return m
 
 
 def _cyclotomic(d):
-    """(Phi_d, ||Phi_d||_1, packed divisors e > 1 of d) for d >= 1.
+    """(Phi_d, ||Phi_d||_1) for d >= 1.
 
     x^d - 1 is the product of Phi_e(x) over the divisors e of d, so Phi_d
     is its exact quotient by (x - 1) and by Phi_e for the divisors
@@ -90,14 +100,12 @@ def _cyclotomic(d):
     r = _CYCLOTOMIC_CACHE.get(d)
     if r is None:
         k = d + 1
-        divs = [e for e in range(2, d + 1) if d % e == 0]
         val = ((1 << (k * d)) - 1) // ((1 << k) - 1)
-        for e in divs[:-1]:
-            val //= _pack(_cyclotomic(e)[0], k)
+        for e in range(2, d):
+            if not d % e:
+                val //= _pack(_cyclotomic(e)[0], k)
         phi = _unpack(val, d, k)
-        r = (phi, sum(map(abs, phi.values())),
-             sum(1 << (_W * (e - 1)) for e in divs))
-        _CYCLOTOMIC_CACHE[d] = r
+        r = _CYCLOTOMIC_CACHE[d] = phi, sum(map(abs, phi.values()))
     return r
 
 
@@ -115,7 +123,7 @@ def _cyclotomic_product(exps):
     norm = 1
     deg = 0
     for d, e in exps:
-        phi, n1, _ = _cyclotomic(d)
+        phi, n1 = _cyclotomic(d)
         norm *= n1 ** e
         deg += max(phi) * e
     k = norm.bit_length() + 1
@@ -195,7 +203,8 @@ def _qratio_fold(state, nums, dens):
             negative += 1
             k = -k
         shift += 1 - k
-        exps += _cyclotomic(k)[2]
+        m = _DIVISOR_MASKS.get(k)
+        exps += _divisor_mask(k) if m is None else m
     for k in dens:
         if k <= 0:
             if not k:
@@ -204,7 +213,8 @@ def _qratio_fold(state, nums, dens):
             negative += 1
             k = -k
         shift -= 1 - k
-        exps -= _cyclotomic(k)[2]
+        m = _DIVISOR_MASKS.get(k)
+        exps -= _divisor_mask(k) if m is None else m
     return zeros, negative, count + len(nums) + len(dens), shift, exps
 
 

@@ -7,7 +7,14 @@ the closed formulas against independent computations:
     Quantum-integer identities checked as exact Laurent-polynomial equalities:
     the pair-sum and pair-product identities, the three-term cross difference,
     the doubling identity, and the degree-six product balance that underpins
-    the odd-family multiplication formula.
+    the odd-family multiplication formula. Each family is written once over
+    the operations of a domain, and each check is first decided on the
+    Kronecker images of its factors, ints at q = 2^K with K wide enough
+    for the factors actually used (``_kronecker_images``), where equal
+    images mean equal sides. A check whose images differ reruns on
+    LaurentPolys, which decide it and write the witness, so the report is
+    the one the LaurentPolys alone give; a factor that carries varsigma
+    sends the whole suite to LaurentPolys.
 ``pbw-core``
     The normal-form engine: associativity and confluence on randomized words,
     divided-power merge rules, the cross-relation between the twisted raising
@@ -72,9 +79,13 @@ import os
 import random
 import time
 from collections import namedtuple
+from itertools import product
 from json.encoder import encode_basestring
+from types import SimpleNamespace
 
+from ._kernel_py import _pack
 from .coeff import LaurentPoly, Scalar
+from .cyclo import _width
 from .errors import NegativeInput, NotIntegral, ResourceLimit, UnknownSuite
 from .idp import (
     EV,
@@ -284,9 +295,9 @@ def _specialize_map(m):
 # qidentities
 # ---------------------------------------------------------------------------
 
-def _products():
-    """A memoized ``prod(a, b) = qint(a) * qint(b)`` for the checks of one
-    side of one identity.
+def _products(factor):
+    """A memoized ``prod(a, b) = factor(a) * factor(b)`` for the checks of
+    one side of one identity, where ``factor(n)`` is [n] for n >= 0.
 
     Each product is formed once, keyed on (|a|, |b|) with |a| <= |b|, and
     negated when exactly one of a, b is negative, since [-n] = -[n].
@@ -299,72 +310,147 @@ def _products():
             x, y = y, x
         p = memo.get((x, y))
         if p is None:
-            p = memo[x, y] = qint(x) * qint(y)
+            p = memo[x, y] = factor(x) * factor(y)
         return -p if (a < 0) != (b < 0) else p
 
     return prod
+
+
+def _qidentity_families(g_pair, g_cross, g_balance):
+    """The five identity families as (id, parameter tuples, sides), with
+    ``sides(d, lprod, rprod, *params)`` the (lhs, rhs) of one check in the
+    domain d, lprod and rprod the product memos of its two sides.
+
+    A domain has the operations the checks are written in: ``qint(n)``,
+    [n]; ``qint_base(n, m)``, [n] in base q^m; ``products()``, a new
+    product memo of one side of an identity; and ``unit``, which lines a
+    side of one factor up with a side of two.
+    """
+    pair = range(-g_pair, g_pair + 1)
+    cross = range(-g_cross, g_cross + 1)
+
+    # [n+m] + [n-m] = [n] * [2] in base q^m (undefined at m = 0, where the
+    # base collapses to 1)
+    def pair_sum(d, lprod, rprod, n, m):
+        return ((d.qint(n + m) + d.qint(n - m)) * d.unit,
+                d.qint(n) * d.qint_base(2, m))
+
+    # [n+m][n-m] = [n]^2 - [m]^2
+    def pair_product(d, lprod, rprod, n, m):
+        return lprod(n + m, n - m), rprod(n, n) - rprod(m, m)
+
+    # [m][m+n] - [l][l+n] = [m-l][m+l+n]
+    def cross_difference(d, lprod, rprod, m, n, l):
+        return lprod(m, m + n) - lprod(l, l + n), rprod(m - l, m + l + n)
+
+    # [2n] = [2] * [n] in base q^2
+    def doubling(d, lprod, rprod, n):
+        return d.qint(2 * n) * d.unit, d.qint(2) * d.qint_base(n, 2)
+
+    # the degree-six balance behind the odd-family product formula; only
+    # the squares on the lhs repeat
+    def product_balance(d, lprod, rprod, l, k, a):
+        qint = d.qint
+        lhs = (
+            qint(2 * k + 2 * a - 2 * l + 2)
+            * qint(2 * a - 2 * l + 2)
+            * qint(2 * k - 2 * l + 2)
+            + lprod(2 * k + 2 * a - 2 * l + 3, 2 * k + 2 * a - 2 * l + 3)
+            * qint(2 * l)
+            - lprod(2 * k + 1, 2 * k + 1) * qint(2 * l)
+        )
+        rhs = (qint(2 * a - 2 * l + 2) * qint(2 * k + 2)
+               * qint(2 * k + 2 * a + 2))
+        return lhs, rhs
+
+    return (
+        ("qint-pair-sum", ((n, m) for n in pair for m in pair if m),
+         pair_sum),
+        ("qint-pair-product", product(pair, repeat=2), pair_product),
+        ("qint-cross-difference", product(cross, repeat=3), cross_difference),
+        ("qint-doubling", ((n,) for n in pair), doubling),
+        ("qint-product-balance", product(range(g_balance + 1), repeat=3),
+         product_balance),
+    )
+
+
+def _kronecker_images(factors):
+    """(images, unit) for the dict ``factors`` of Laurent polynomials in q:
+    images[key] = V(p) = p(2^K) 2^(K S) for p = factors[key], and the unit
+    2^(K S); None when a factor carries varsigma.
+
+    S is the largest |q-exponent| of the factors, so each V(p) is the value
+    at q = 2^K of the polynomial q^S p, and a product of d images is that
+    of q^(d S) times the product; multiplying by the unit raises d by one.
+    N is the largest 1-norm of the factors, and K, a multiple of 16, has
+    2^(K-1) > 4 N^3. The two sides of a qidentities check are signed sums
+    of at most 4 products in all, each of at most 3 factors, lined up to
+    one d by the unit, so the image of lhs - rhs is the value at 2^K of
+    the polynomial q^(d S) (lhs - rhs), whose coefficients are at most
+    4 N^3 (||fg||_inf <= ||f||_1 ||g||_1). Those coefficients are its
+    balanced base-2^K digits, so equal images mean equal sides. S, N and K
+    come from the factors themselves, not from the formula for [n], so
+    that a corrupted factor widens them.
+    """
+    s = norm = 0
+    for p in factors.values():
+        if not p.is_varsigma_free():
+            return None
+        for i, _, c in p.terms():
+            s = max(s, abs(i))
+        norm = max(norm, sum(abs(c) for _, _, c in p.terms()))
+    k = _width(4 * norm ** 3)
+    images = {key: _pack({i + s: c for i, _, c in p.terms()}, k)
+              for key, p in factors.items()}
+    return images, 1 << (k * s)
+
+
+def _qint_images(g_pair, g_cross, g_balance):
+    """The domain of the Kronecker images (``_kronecker_images``) of every
+    factor of the checks of ``_qidentity_families``, or None when a factor
+    carries varsigma. [n] is packed for every n the grids reach, directly
+    or through a product memo, and [n] in base q^m for each (n, m) they
+    use; a factor outside them raises KeyError, never a wrong verdict."""
+    top = max(2 * g_pair, 3 * g_cross, 4 * g_balance + 3)
+    pair = range(-g_pair, g_pair + 1)
+    factors = {n: qint(n) for n in range(-2 * g_pair, top + 1)}
+    factors.update({(2, m): qint_base(2, m) for m in pair if m})
+    factors.update({(n, 2): qint_base(n, 2) for n in pair})
+    packed = _kronecker_images(factors)
+    if packed is None:
+        return None
+    images, unit = packed
+    get = images.__getitem__
+    return SimpleNamespace(qint=get, qint_base=lambda n, m: images[n, m],
+                           products=lambda: _products(get), unit=unit)
 
 
 def _suite_qidentities(bound, mode):
     g_pair = min(20, bound)
     g_cross = min(12, bound)
     g_balance = min(8, bound)
+    # Each check is decided on the int images of its factors, and reruns
+    # on LaurentPolys only where the images differ (or on every check when
+    # a factor carries varsigma): that rerun decides it and writes its
+    # witness, so the report is the one the LaurentPolys alone give.
+    polys = SimpleNamespace(qint=qint, qint_base=qint_base,
+                            products=lambda: _products(qint), unit=1)
+    images = _qint_images(g_pair, g_cross, g_balance)
     checks = []
-
-    # [n+m] + [n-m] = [n] * [2] in base q^m (undefined at m = 0, where the
-    # base collapses to 1)
-    for n in range(-g_pair, g_pair + 1):
-        for m in range(-g_pair, g_pair + 1):
-            if m == 0:
-                continue
-            lhs = qint(n + m) + qint(n - m)
-            rhs = qint(n) * qint_base(2, m)
-            _eq_check(checks, "qint-pair-sum", (n, m), lhs, rhs)
-
-    # [n+m][n-m] = [n]^2 - [m]^2
-    lprod, rprod = _products(), _products()
-    for n in range(-g_pair, g_pair + 1):
-        for m in range(-g_pair, g_pair + 1):
-            lhs = lprod(n + m, n - m)
-            rhs = rprod(n, n) - rprod(m, m)
-            _eq_check(checks, "qint-pair-product", (n, m), lhs, rhs)
-
-    # [m][m+n] - [l][l+n] = [m-l][m+l+n]
-    lprod, rprod = _products(), _products()
-    for m in range(-g_cross, g_cross + 1):
-        for n in range(-g_cross, g_cross + 1):
-            for l in range(-g_cross, g_cross + 1):
-                lhs = lprod(m, m + n) - lprod(l, l + n)
-                rhs = rprod(m - l, m + l + n)
-                _eq_check(checks, "qint-cross-difference", (m, n, l), lhs, rhs)
-
-    # [2n] = [2] * [n] in base q^2
-    for n in range(-g_pair, g_pair + 1):
-        lhs = qint(2 * n)
-        rhs = qint(2) * qint_base(n, 2)
-        _eq_check(checks, "qint-doubling", (n,), lhs, rhs)
-
-    # the degree-six balance behind the odd-family product formula; only
-    # the squares on the lhs repeat
-    lprod = _products()
-    for l in range(g_balance + 1):
-        for k in range(g_balance + 1):
-            for a in range(g_balance + 1):
-                lhs = (
-                    qint(2 * k + 2 * a - 2 * l + 2)
-                    * qint(2 * a - 2 * l + 2)
-                    * qint(2 * k - 2 * l + 2)
-                    + lprod(2 * k + 2 * a - 2 * l + 3,
-                            2 * k + 2 * a - 2 * l + 3)
-                    * qint(2 * l)
-                    - lprod(2 * k + 1, 2 * k + 1) * qint(2 * l)
-                )
-                rhs = (
-                    qint(2 * a - 2 * l + 2)
-                    * qint(2 * k + 2)
-                    * qint(2 * k + 2 * a + 2)
-                )
-                _eq_check(checks, "qint-product-balance", (l, k, a), lhs, rhs)
+    for cid, grid, sides in _qidentity_families(g_pair, g_cross, g_balance):
+        fast = slow = None
+        if images is not None:
+            fast = images, images.products(), images.products()
+        for params in grid:
+            if fast is not None:
+                lhs, rhs = sides(*fast, *params)
+                if lhs == rhs:
+                    checks.append(CheckResult(cid, params, True))
+                    continue
+            if slow is None:
+                slow = polys, polys.products(), polys.products()
+            lhs, rhs = sides(*slow, *params)
+            _eq_check(checks, cid, params, lhs, rhs)
 
     parameters = {
         "pair_grid": g_pair,

@@ -10,10 +10,11 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from iqsl2 import coeff
+import iqsl2
+from iqsl2 import coeff, cyclo
 from iqsl2._kernel_py import kmul
 from iqsl2.coeff import LaurentPoly, Scalar
-from iqsl2.cyclo import _cyclotomic, qratio, qratio_vector
+from iqsl2.cyclo import _cyclotomic, _divisor_mask, qratio, qratio_vector
 from iqsl2.errors import DivisionByZero, NegativeInput
 from iqsl2.idp import (
     _MULT_OFFSETS,
@@ -237,14 +238,22 @@ class TestQRatio:
             t = {(1 - k, 0): 1}
             for d in range(2, k + 1):
                 if k % d == 0:
-                    phi, norm, mask = _cyclotomic(d)
+                    phi, norm = _cyclotomic(d)
                     assert norm == sum(map(abs, phi.values()))
                     # the divisors e > 1 of d, one 16-bit field each
-                    assert mask == sum(1 << 16 * (e - 1)
-                                       for e in range(2, d + 1) if d % e == 0)
+                    assert _divisor_mask(d) == sum(
+                        1 << 16 * (e - 1)
+                        for e in range(2, d + 1) if d % e == 0)
                     t = kmul(t, {(2 * i, 0): c for i, c in phi.items()})
             assert t == qint(k)._t, k
             assert str(qratio([k], [])) == str(Scalar(qint(k))), k
+
+    def test_exponents_come_from_the_divisors_alone(self):
+        # counting the factors of [800] builds no cyclotomic polynomial
+        iqsl2.clear_caches()
+        mask = sum(1 << 16 * (e - 1) for e in range(2, 801) if 800 % e == 0)
+        assert qratio_vector([800], []) == (1, -799, 0, mask)
+        assert not cyclo._CYCLOTOMIC_CACHE
 
     @given(st.lists(st.integers(-30, 30), max_size=7),
            st.lists(st.integers(-30, 30), max_size=7))

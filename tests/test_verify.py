@@ -8,6 +8,7 @@ import pathlib
 import subprocess
 import sys
 import tracemalloc
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -200,8 +201,10 @@ def _digest(payload):
 
 
 class TestQidentities:
-    """The suite forms each distinct product once per side of an identity;
-    its report and its failures stay those of one product per check."""
+    """The suite decides each check on int images of its factors and
+    reruns on LaurentPolys, forming each distinct product once per side of
+    an identity, only where the images differ; its report and its failures
+    stay those of LaurentPolys alone with one product per check."""
 
     def test_report_is_byte_identical(self):
         # the laurent-identities digest of perfbench/expected.json
@@ -237,7 +240,7 @@ class TestQidentities:
             "9ce2cdcc5f917b6d5406504ea0eb480d7a081e9ee393734673096c2b1ae1f9c6")
 
     def test_products_are_qint_products(self, monkeypatch):
-        prod = verify._products()
+        prod = verify._products(qcomb.qint)
         pairs = [(a, b) for a in range(-6, 7) for b in range(-6, 7)]
         for a, b in pairs:
             p = prod(a, b)
@@ -249,12 +252,105 @@ class TestQidentities:
             prod(a, b)
         assert calls[0] == 0
 
+    def test_int_products_are_packed_qint_products(self):
+        pairs = [(a, b) for a in range(-6, 7) for b in range(-6, 7)]
+        factors = {a: qcomb.qint(a) for a in range(-6, 7)}
+        factors.update({(a, b): qcomb.qint(a) * qcomb.qint(b)
+                        for a, b in pairs})
+        images, unit = verify._kronecker_images(factors)
+        prod = verify._products(images.__getitem__)
+        for a, b in pairs:
+            # a product of two images lies one unit above a packed product
+            assert prod(a, b) == images[a, b] * unit, (a, b)
+
     def test_suite_forms_few_products(self, monkeypatch):
         # 59,431 kernel products when every check formed its own, 6,855
-        # with one memo per side of each identity
+        # with one memo per side of each identity, none when the int
+        # images decide every check
         calls = _kmul_calls(monkeypatch)
         assert len(run_suite("qidentities").checks) == 19716
-        assert calls[0] <= 10_000
+        assert calls[0] == 0
+
+    @staticmethod
+    def _rerun_all(monkeypatch):
+        """Make every int comparison differ, so that every check reruns
+        on LaurentPolys."""
+
+        class Unequal:
+            def __add__(self, other):
+                return self
+
+            __sub__ = __mul__ = __add__
+
+            def __neg__(self):
+                return self
+
+            def __eq__(self, other):
+                return False
+
+        x = Unequal()
+        monkeypatch.setattr(verify, "_qint_images", lambda *grids: (
+            SimpleNamespace(qint=lambda n: x, qint_base=lambda n, m: x,
+                            products=lambda: lambda a, b: x, unit=x)))
+
+    @pytest.mark.parametrize("bound", [*range(1, 9), None])
+    def test_images_give_the_laurent_report(self, monkeypatch, bound):
+        report = run_suite("qidentities", bound)
+        self._rerun_all(monkeypatch)
+        reran = run_suite("qidentities", bound)
+        assert report.parameters == reran.parameters
+        assert report.checks == reran.checks
+        if bound is None:
+            report = report.to_json_dict()
+            report.pop("wall_time_s")
+            assert _digest(report) == (
+                "7744625f9be9c7be8c6099dca13aa4b27034c68c3d00bf7a096fe618e2e9106e")
+
+    def test_width_comes_from_the_factors(self, monkeypatch):
+        # 2^32 - q is 0 at q = 2^32, so images at a fixed K = 32 would miss
+        # it; K taken from the 1-norms of the factors does not
+        qint = verify.qint
+        wide = coeff.LaurentPoly({(0, 0): 2 ** 32, (1, 0): -1})
+
+        def corrupt(n):
+            p = qint(n)
+            if abs(n) == 5:
+                p = p + wide if n > 0 else p - wide
+            return p
+
+        monkeypatch.setattr(verify, "qint", corrupt)
+        failures = run_suite("qidentities").failures()
+        counts = {}
+        for c in failures:
+            counts[c.id] = counts.get(c.id, 0) + 1
+        assert counts == {
+            "qint-pair-sum": 212,
+            "qint-pair-product": 280,
+            "qint-cross-difference": 4544,
+            "qint-product-balance": 115,
+        }
+        # the failing checks with their witnesses, as the LaurentPolys
+        # alone give them
+        assert _digest([c.to_json_dict() for c in failures]) == (
+            "34e50e705d0053f0d12914512bb2d2d491207ed349ee307539f57a890f669c37")
+
+    def test_varsigma_factor_is_decided_on_laurent_polys(self, monkeypatch):
+        # [5] - 1 + varsigma is [5] at varsigma = 1, where an image that
+        # dropped varsigma would find every check equal
+        qint = verify.qint
+        shift = coeff.LaurentPoly({(0, 1): 1, (0, 0): -1})
+
+        def corrupt(n):
+            p = qint(n)
+            if abs(n) == 5:
+                p = p + shift if n > 0 else p - shift
+            return p
+
+        monkeypatch.setattr(verify, "qint", corrupt)
+        report = run_suite("qidentities", 6)
+        assert not report.passed
+        self._rerun_all(monkeypatch)
+        assert run_suite("qidentities", 6).checks == report.checks
 
 
 # any code point but a surrogate, with the characters JSON must escape or
@@ -619,7 +715,8 @@ class TestClearCaches:
         (idp, "_NUMERATOR_CACHE"), (idp, "_CLOSED_CACHE"), (idp, "_REC_CACHE"),
         (idp, "_PBW_CLOSED_CACHE"), (idp, "_PBW_VEC_CACHE"),
         (idp, "_HBINOM_VEC_CACHE"),
-        (cyclo, "_CYCLOTOMIC_CACHE"), (cyclo, "_PHI_VALUES"),
+        (cyclo, "_CYCLOTOMIC_CACHE"), (cyclo, "_DIVISOR_MASKS"),
+        (cyclo, "_PHI_VALUES"),
         (coeff, "_QPOW"),
     )
     LRU = (qcomb.qint, qcomb.qfact, qcomb.qbinom)

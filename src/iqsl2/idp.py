@@ -32,14 +32,14 @@ Both families are B^{(n)} = P_n(B) / [n]! with P_n monic of degree n and
 Laurent-polynomial coefficients: the product of the quadratic factors of
 ``idp_closed``, times B when n is odd. ``_numerator`` memoizes P_n as
 integral term dicts. Because P_n is monic, the back-substitution onto
-divided powers stays integral: step j subtracts rem[j] P_j from numerators
-over one common denominator, and only the output coefficient
-rem[j] [j]! / den is a fraction, reduced once. ``mult_direct`` runs it on
-P_m P_n over [m]! [n]!, ``idp_basis_expand`` on its argument brought over
-one denominator. The denominators of ``mult_direct`` are products of
-quantum integers, which are varsigma-free, so each reduced coefficient,
-and its text, is the one a computation on Scalar coefficients gives (see
-the ``coeff`` docstring).
+divided powers (``idp_basis_expand``) stays integral: its argument is
+brought over one common denominator, step j subtracts rem[j] P_j from the
+numerators, and only the output coefficient rem[j] [j]! / den is a
+fraction, reduced once. ``mult_direct`` runs it on the product of two
+closed divided powers, whose denominators are products of quantum
+integers, which are varsigma-free, so each reduced coefficient, and its
+text, is the one a computation on Scalar coefficients gives (see the
+``coeff`` docstring).
 
 ``mult_closed`` writes each term, prefactor qbinom(m+n, m) and
 (q varsigma)^l included, as one ratio of quantum integers, counted as a
@@ -262,18 +262,20 @@ def _corrected(p, n):
     return n % 2 == (1 if p == EV else 0)
 
 
-def _back_substitute(rem, den, p):
-    """Coefficients c_j with sum_d rem[d] B^d / den = sum_j c_j B^{(j)} in
-    family ``p``, from integral numerators ``rem`` {degree: term dict}
-    (consumed) over one denominator ``den`` (a term dict).
+def idp_basis_expand(x, p):
+    """Coefficients c_j with x = sum_j c_j B^{(j)} in family ``p``.
 
-    Triangular back-substitution from the top degree down. P_j is monic of
-    degree j, so step j subtracts rem[j] P_j, which stays integral, and as
-    B^{(j)} is P_j / [j]!, c_j = rem[j] [j]! / den is the only fraction
-    formed, reduced once. Degrees on the parity lattice of the top degree
-    are always recorded, zeros included; a nonzero coefficient off that
-    lattice is recorded as well.
+    The coefficients of x are brought over one common denominator den, and
+    the integral numerators rem are expanded by triangular
+    back-substitution from the top degree down. P_j is monic of degree j,
+    so step j subtracts rem[j] P_j, which stays integral, and as B^{(j)} is
+    P_j / [j]!, c_j = rem[j] [j]! / den is the only fraction formed,
+    reduced once. Degrees on the parity lattice of the top degree are
+    always recorded, zeros included; a nonzero coefficient off that lattice
+    is recorded as well.
     """
+    _check_order(p)
+    rem, den = _over_one_den(x)
     out = {}
     top = max((d for d, t in rem.items() if t), default=-1)
     lattice = top % 2
@@ -291,16 +293,6 @@ def _back_substitute(rem, den, p):
     return out
 
 
-def idp_basis_expand(x, p):
-    """Coefficients c_j with x = sum_j c_j B^{(j)} in family ``p``.
-
-    The coefficients of x are brought over one common denominator, and the
-    integral numerators are expanded by ``_back_substitute``.
-    """
-    _check_order(p)
-    return _back_substitute(*_over_one_den(x), p)
-
-
 def _over_one_den(x):
     """The coefficients of the BPolynomial x over one common denominator:
     integral numerators {degree: term dict} and the denominator's term dict."""
@@ -312,26 +304,13 @@ def _over_one_den(x):
             den._t)
 
 
-def _numerator_product(p, m, n):
-    """P_m P_n as integral numerators {degree: term dict}."""
-    prod = {}
-    for d1, t1 in _numerator(p, m).items():
-        for d2, t2 in _numerator(p, n).items():
-            prod[d1 + d2] = kadd(prod.get(d1 + d2, {}), kmul(t1, t2))
-    return prod
-
-
 def mult_direct(p, m, n):
     """B^{(m)} B^{(n)} expanded on divided powers from first principles:
-    the product P_m P_n of the monic numerators over [m]! [n]!, by the
-    back-substitution of ``idp_basis_expand``. Same keys, in the same
-    order, as ``idp_basis_expand(idp_closed(p, m) * idp_closed(p, n), p)``.
-    The suites compare it with ``mult_closed`` only where the values at the
-    points do not decide (``_mult_agrees``).
+    the product of the closed divided powers as polynomials in B, expanded
+    by ``idp_basis_expand``. The suites compare it with ``mult_closed``
+    only where the values at the points do not decide (``_mult_agrees``).
     """
-    _check_order(p, m, n)
-    return _back_substitute(_numerator_product(p, m, n),
-                            kmul(qfact(m)._t, qfact(n)._t), p)
+    return idp_basis_expand(idp_closed(p, m) * idp_closed(p, n), p)
 
 
 # (family, m % 2, n % 2) -> offsets (dn, dm, dd) of the closed product: term

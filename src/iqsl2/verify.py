@@ -32,8 +32,7 @@ the closed formulas against independent computations:
     ``idp._recursive_points``). Commutativity needs no sum of its own: when
     the points prove both (m, n) and (n, m), both closed sides equal the
     same product there. Any check the points do not prove reruns on
-    Scalars, as in the comult suites. In specialized mode a generic pass
-    stands, since specialization is a ring map applied to both sides.
+    Scalars, as in the comult suites.
 ``comult-even`` / ``comult-odd``
     The closed coproduct formulas against the coproduct of the PBW image,
     computed inside the tensor square. Both sides are first built on
@@ -41,14 +40,14 @@ the closed formulas against independent computations:
     passes when every sum is proved and the two sides are equal. Any
     other outcome reruns that check on Scalars, which decide it and write
     the witness of a failure, so the report is the one the Scalars alone
-    give. In specialized mode a generic pass stands, since the denominators
-    are varsigma-free.
+    give.
 ``fhy-forms``
     The reversed-order coproduct legs (F-powers on the left) against the
     forward legs, term by term.
 ``proof-recurrences``
-    The four leg recurrences that reduce each coproduct component of one
-    order to components of lower order, as exact PBW identities.
+    The two-term leg recursion in the order n, in its four parity cases of
+    n and r, reducing each coproduct component of one order to components
+    of lower order, as exact PBW identities.
 ``chi``
     The anti-involution: involutivity, anti-multiplicativity, the closed
     images of h and h-binomials, and fixedness of the divided powers at the
@@ -57,6 +56,15 @@ the closed formulas against independent computations:
     Integrality and positivity of all structure constants at the
     distinguished specialization, and per-monomial sign profiles of
     weight-evaluated coproduct legs.
+
+In specialized mode the mult-closed, comult-theorem and reversed-leg
+checks compare after substituting varsigma = q^-1, by one rule in
+``_eq_check`` and ``_map_check``: the generic sides are compared first and
+a pass stands, since specialization is a ring map applied to both sides;
+only sides that differ are specialized and compared again, and that
+comparison writes the witness. Every other check of the first eight
+suites compares generic sides in either mode, which ``parameters`` only
+records; chi and positivity always compare specialized values.
 
 Reports are deterministic: identical invocations produce identical check
 lists (the wall-time field is the only exception).  Every failing check
@@ -264,31 +272,35 @@ _SC_ZERO = Scalar.zero()
 _QVS = Scalar.vs_power(1, 1)
 
 
-def _eq_check(checks, cid, params, lhs, rhs):
-    """Record an equality check whose witness is the serialized difference."""
-    if lhs == rhs:
-        checks.append(CheckResult(cid, tuple(params), True))
-    else:
-        diff = lhs - rhs
-        checks.append(CheckResult(cid, tuple(params), False, str(diff)))
+def _eq_check(checks, cid, params, lhs, rhs, mode="generic"):
+    """Record an equality check whose witness is the serialized difference.
+    A generic pass stands in either mode; in specialized mode sides that
+    differ are specialized and compared again, which decides the check and
+    writes its witness (module docstring)."""
+    passed = lhs == rhs
+    if not passed and mode == "specialized":
+        lhs, rhs = lhs.specialize_varsigma(), rhs.specialize_varsigma()
+        passed = lhs == rhs
+    checks.append(CheckResult(cid, tuple(params), passed,
+                              None if passed else str(lhs - rhs)))
 
 
-def _map_check(checks, cid, params, lhs, rhs, key_prefix):
+def _map_check(checks, cid, params, lhs, rhs, key_prefix, mode="generic"):
     """Record an equality check of key -> Scalar maps, missing entries
     counting as zero; the witness lists each mismatched key after
-    ``key_prefix``."""
+    ``key_prefix``. The mode acts on each key as in ``_eq_check``."""
     bad = []
     for k in sorted(set(lhs) | set(rhs)):
         a = lhs.get(k, _SC_ZERO)
         b = rhs.get(k, _SC_ZERO)
         if not (a == b):
+            if mode == "specialized":
+                a, b = a.specialize_varsigma(), b.specialize_varsigma()
+                if a == b:
+                    continue
             bad.append(f"{key_prefix}{k}: {a} != {b}")
     checks.append(CheckResult(cid, tuple(params), not bad,
                               "; ".join(bad) if bad else None))
-
-
-def _specialize_map(m):
-    return {d: s.specialize_varsigma() for d, s in m.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -693,17 +705,14 @@ def _suite_mult(parity, bound, mode):
     agreed = set()
     for m in range(bound + 1):
         for n in range(bound + 1 - m):
-            # a generic pass implies the specialized one
+            # a generic pass stands in specialized mode (``_map_check``)
             if _mult_agrees(parity, m, n, values):
                 agreed.add((m, n))
                 checks.append(CheckResult("mult-closed", (m, n), True))
                 continue
-            lhs = mult_direct(parity, m, n)
-            rhs = mult_closed(parity, m, n)
-            if mode == "specialized":
-                lhs = _specialize_map(lhs)
-                rhs = _specialize_map(rhs)
-            _map_check(checks, "mult-closed", (m, n), lhs, rhs, "degree ")
+            _map_check(checks, "mult-closed", (m, n),
+                       mult_direct(parity, m, n), mult_closed(parity, m, n),
+                       "degree ", mode)
 
     for m in range(bound + 1):
         for n in range(m, bound + 1 - m):
@@ -729,17 +738,13 @@ def _suite_mult(parity, bound, mode):
 def _suite_comult(parity, bound, mode):
     checks = []
     for n in range(bound + 1):
-        # a generic pass implies the specialized one; the Scalars decide
-        # what the vectors do not prove, and write any witness
+        # a generic pass stands in specialized mode (``_eq_check``); the
+        # Scalars decide what the vectors do not prove, and write any witness
         if _comult_agrees(parity, n):
             checks.append(CheckResult("comult-theorem", (n,), True))
             continue
-        lhs = comult_theorem(parity, n)
-        rhs = comult_direct(parity, n)
-        if mode == "specialized":
-            lhs = lhs.specialize_varsigma()
-            rhs = rhs.specialize_varsigma()
-        _eq_check(checks, "comult-theorem", (n,), lhs, rhs)
+        _eq_check(checks, "comult-theorem", (n,), comult_theorem(parity, n),
+                  comult_direct(parity, n), mode)
     parameters = {"bound": bound, "family": parity, "varsigma": mode}
     return parameters, checks
 
@@ -749,12 +754,9 @@ def _suite_fhy(bound, mode):
     for parity in PARITIES:
         for n in range(bound + 1):
             for r in range(n + 1):
-                lhs = s_component_reversed(parity, n, r)
-                rhs = s_component(parity, n, r)
-                if mode == "specialized":
-                    lhs = lhs.specialize_varsigma()
-                    rhs = rhs.specialize_varsigma()
-                _eq_check(checks, "reversed-leg", (parity, n, r), lhs, rhs)
+                _eq_check(checks, "reversed-leg", (parity, n, r),
+                          s_component_reversed(parity, n, r),
+                          s_component(parity, n, r), mode)
     parameters = {"bound": bound, "varsigma": mode}
     return parameters, checks
 
@@ -769,44 +771,30 @@ def _suite_recurrences(bound, mode):
     ef = u_gen("Echeck") + u_gen("F")
 
     def s(n, r):
-        # order -1 appears formally in the odd-order recurrence at its base
-        # case, always multiplied by a vanishing quantum integer
+        # order -1 appears formally at n = 1, always multiplied by a
+        # vanishing quantum integer
         if n < 0:
             return UElement.zero()
         return s_component(EV, n, r)
 
-    # even order 2l: [2l] S(2l, r) from order 2l - 1
-    for l in range(1, bound // 2 + 1):
-        n = 2 * l
+    # [n] S(n,r) = [n-r] K^-1 S(n-1,r) + (Echeck + F) S(n-1,r-1)
+    #     - [n odd] [n-1] q varsigma S(n-2,r-2)
+    #     + [n+r odd] [n-r+1] q varsigma K^-1 S(n-1,r-2),
+    # even orders first
+    even_odd = ("even", "odd")
+    for n in (*range(2, bound + 1, 2), *range(1, bound + 1, 2)):
         for r in range(n + 3):
             lhs = s(n, r).scale(Scalar(qint(n)))
             rhs = (kinv * s(n - 1, r)).scale(Scalar(qint(n - r))) \
                 + ef * s(n - 1, r - 1)
-            if r % 2 == 0:
-                cid = "leg-recursion-even-r-even"
-            else:
-                cid = "leg-recursion-even-r-odd"
+            if n % 2:
+                rhs = rhs - s(n - 2, r - 2).scale(Scalar(qint(n - 1)) * _QVS)
+            if (n + r) % 2:
                 rhs = rhs + (kinv * s(n - 1, r - 2)).scale(
                     Scalar(qint(n - r + 1)) * _QVS
                 )
-            _eq_check(checks, cid, (n, r), lhs, rhs)
-
-    # odd order 2l + 1: [2l+1] S(2l+1, r) from orders 2l and 2l - 1
-    for l in range((bound - 1) // 2 + 1):
-        n = 2 * l + 1
-        for r in range(n + 3):
-            lhs = s(n, r).scale(Scalar(qint(n)))
-            rhs = (kinv * s(n - 1, r)).scale(Scalar(qint(n - r))) \
-                + ef * s(n - 1, r - 1) \
-                - s(n - 2, r - 2).scale(Scalar(qint(n - 1)) * _QVS)
-            if r % 2 == 0:
-                cid = "leg-recursion-odd-r-even"
-                rhs = rhs + (kinv * s(n - 1, r - 2)).scale(
-                    Scalar(qint(n - r + 1)) * _QVS
-                )
-            else:
-                cid = "leg-recursion-odd-r-odd"
-            _eq_check(checks, cid, (n, r), lhs, rhs)
+            _eq_check(checks, f"leg-recursion-{even_odd[n % 2]}-r-"
+                      f"{even_odd[r % 2]}", (n, r), lhs, rhs)
 
     parameters = {"bound": bound, "varsigma": mode}
     return parameters, checks
@@ -992,9 +980,12 @@ def run_suite(name, bound=None, varsigma_mode="generic"):
     ``bound`` replaces the suite's default grid bound for element-level
     suites, subject to the resource ceiling; for ``qidentities`` the
     per-identity grids are fixed caps and ``bound`` can only shrink them.
-    ``varsigma_mode`` is ``generic`` or ``specialized``; specialized
-    comparisons happen after substituting the inverse-q value.  The ``chi``
-    and ``positivity`` suites are inherently specialized and ignore the mode.
+    ``varsigma_mode`` is ``generic`` or ``specialized``.  In specialized
+    mode the mult-closed, comult-theorem and reversed-leg checks compare
+    after substituting the inverse-q value, with a generic pass standing;
+    every other check compares generic sides, and the mode also selects
+    the default bound.  The ``chi`` and ``positivity`` suites are
+    inherently specialized and ignore the mode.
     """
     if name not in _SUITE_FUNCS:
         raise UnknownSuite(

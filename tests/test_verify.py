@@ -1076,13 +1076,121 @@ class TestMultVectors:
 
     def test_corrupted_offsets_keep_their_witnesses(self, monkeypatch):
         monkeypatch.setitem(idp._MULT_OFFSETS, (idp.EV, 1, 0), (2, 3, 4))
-        report = self._report("mult-even", 8)
-        failures = [(c["id"], c["params"]) for c in report["checks"]
-                    if not c["pass"]]
-        assert len(failures) == 12
-        assert {cid for cid, _ in failures} == {"mult-closed", "mult-symmetry"}
         # as produced on the Scalar path alone
-        assert _digest(report) == (
-            "d47138638c1253e332853427750c6097d6a5323882b379d954bcf8d68f839c21")
+        digests = {
+            "generic": "d47138638c1253e332853427750c6097"
+                       "d6a5323882b379d954bcf8d68f839c21",
+            "specialized": "ba3897c54fbfda2ddccb4f98cba42427"
+                           "55f3c04fb1a25f59ff1adc36c5abd022",
+        }
+        reports = {}
+        for mode, digest in digests.items():
+            report = reports[mode] = self._report("mult-even", 8, mode)
+            failures = [(c["id"], c["params"]) for c in report["checks"]
+                        if not c["pass"]]
+            assert len(failures) == 12
+            assert ({cid for cid, _ in failures}
+                    == {"mult-closed", "mult-symmetry"})
+            assert _digest(report) == digest
         monkeypatch.setattr(idp, "vsum", lambda terms, dmax: None)
-        assert self._report("mult-even", 8) == report
+        for mode, report in reports.items():
+            assert self._report("mult-even", 8, mode) == report
+
+
+# the factor of a corrupted leg or coproduct side: q^2 differs from 1 in
+# both modes, q varsigma only in generic mode, as it is 1 at varsigma = q^-1
+_FACTORS = {"q2": coeff.Scalar.q_power(2), "qvs": coeff.Scalar.vs_power(1, 1)}
+
+
+class TestReferenceRules:
+    """The reports of the suites that the Scalar reference code decides:
+    the leg recursion, the reversed legs, and a coproduct check the vectors
+    do not prove. In specialized mode a difference that vanishes at
+    varsigma = q^-1 passes, and any other failure keeps its witness."""
+
+    _report = staticmethod(TestComultVectors._report)
+
+    CLEAN = {
+        ("fhy-forms", 6, "generic"):
+            "68254022e030108d14db5cee2b36233fa48c68d22baf7a8702b4f5e254f14972",
+        ("fhy-forms", 6, "specialized"):
+            "23ca8077032f7196e8dcdf7ffc3663c3a4c84cd80a3932de48dc146f09887d39",
+        ("proof-recurrences", 8, "generic"):
+            "a3881b0889661f6eb40e7ce78bdc6633cf54e75828eccf6e1e0e0a4169f4d6cf",
+        ("proof-recurrences", 8, "specialized"):
+            "c4b2d0ebf70461c6a8e4a0339f15b69a86b22ff3f361947d7ac9268e4e9945e7",
+        ("proof-recurrences", 12, "generic"):
+            "0bcbb3e38534c46dd3dc40ca39c689b1bb52c31215a2cd4bf37f2d0b8434fb81",
+        ("proof-recurrences", 12, "specialized"):
+            "937b18c4cfab3940585807ea66d8ef5e082709f32a915e075a3b06ef5be2a136",
+    }
+
+    # (suite, bound, mode, factor of S(4, 2), failures) -> digest
+    LEGS = {
+        ("fhy-forms", 6, "generic", "q2", 2):
+            "0a1630d563f2cfdd71ce85c3d520d98d6fbdb65a49d65aba7458d2e9214dec3e",
+        ("fhy-forms", 6, "specialized", "q2", 2):
+            "59a2241af68effd4122ba06ab42a01c2178fab02fda5c67c37d3fa214c25d323",
+        ("proof-recurrences", 8, "generic", "q2", 4):
+            "3623ffa97e0e1880ea7959b2674b180b7e74555254174ed30f1078f90953901e",
+        ("proof-recurrences", 8, "specialized", "q2", 4):
+            "e8044243b03aafb909f20790e0e72bcdc66e6eb30d46776b0463676d11394cae",
+        ("fhy-forms", 6, "generic", "qvs", 2):
+            "dd218394e9e61c1191c0df4f0a389cc481b0f88d6b844f53956bba7875bbeebd",
+        ("fhy-forms", 6, "specialized", "qvs", 0):
+            CLEAN["fhy-forms", 6, "specialized"],
+    }
+
+    # (mode, factor of comult_direct(p, 4), failures) -> digest
+    COMULT = {
+        ("generic", "q2", 1):
+            "ea3fb6cfad4d93108c7e343b0f8d34d64dca06428966dc027994f26a2242c480",
+        ("specialized", "q2", 1):
+            "3ad38b6654824581c46e88ffbe14b73a25eaaca8c92333b53bd2637494439c19",
+        ("generic", "qvs", 1):
+            "43b3bc6ce149f1450a736097c31d22fd7bd47bff6ed0e995eb3b9efe705fc918",
+        # the clean report
+        ("specialized", "qvs", 0):
+            "624878a32469fc54fdbcda4c37063bde91905f14d9407507a7d9bcc8cdc9b163",
+    }
+
+    @staticmethod
+    def _failures(report):
+        return sum(not c["pass"] for c in report["checks"])
+
+    @pytest.mark.parametrize("name,bound,mode", sorted(CLEAN))
+    def test_report_is_byte_identical(self, name, bound, mode):
+        report = self._report(name, bound, mode)
+        assert self._failures(report) == 0
+        assert _digest(report) == self.CLEAN[name, bound, mode]
+
+    @pytest.mark.parametrize("name,bound,mode,factor,failures", sorted(LEGS))
+    def test_corrupted_leg_keeps_its_witnesses(self, name, bound, mode,
+                                               factor, failures, monkeypatch):
+        leg = verify.s_component
+
+        def corrupted(p, n, r):
+            s = leg(p, n, r)
+            return s.scale(_FACTORS[factor]) if (n, r) == (4, 2) else s
+
+        monkeypatch.setattr(verify, "s_component", corrupted)
+        report = self._report(name, bound, mode)
+        assert self._failures(report) == failures
+        assert _digest(report) == self.LEGS[name, bound, mode, factor,
+                                            failures]
+
+    @pytest.mark.parametrize("mode,factor,failures", sorted(COMULT))
+    def test_corrupted_coproduct_keeps_its_witness(self, mode, factor,
+                                                   failures, monkeypatch):
+        agrees, direct = verify._comult_agrees, verify.comult_direct
+
+        def corrupted(p, n):
+            d = direct(p, n)
+            return d.scale(_FACTORS[factor]) if n == 4 else d
+
+        monkeypatch.setattr(verify, "_comult_agrees",
+                            lambda p, n: n != 4 and agrees(p, n))
+        monkeypatch.setattr(verify, "comult_direct", corrupted)
+        report = self._report("comult-odd", 6, mode)
+        assert self._failures(report) == failures
+        assert _digest(report) == self.COMULT[mode, factor, failures]

@@ -98,6 +98,28 @@ from .errors import (
 _ONE_TERMS = {(0, 0): 1}
 
 
+def format_terms(items):
+    """The canonical text (module docstring) of the terms ((i, j), c),
+    c != 0, given ascending in (i, j); "0" when there are none."""
+    parts = []
+    add = parts.append
+    for (i, j), c in items:
+        if c < 0:
+            add(" - " if parts else "-")
+            c = -c
+        elif parts:
+            add(" + ")
+        if c != 1 or not (i or j):
+            add(f"{c}*" if i or j else str(c))
+        if i:
+            add("q" if i == 1 else f"q^{i}")
+            if j:
+                add("*")
+        if j:
+            add("v" if j == 1 else f"v^{j}")
+    return "".join(parts) if parts else "0"
+
+
 def _min_exps(t):
     mi = min(i for i, _ in t)
     mj = min(j for _, j in t)
@@ -452,28 +474,7 @@ class LaurentPoly:
         return None if q is None else LaurentPoly._raw(q)
 
     def __str__(self):
-        t = self._t
-        if not t:
-            return "0"
-        parts = []
-        add = parts.append
-        for k in sorted(t):
-            c = t[k]
-            i, j = k
-            if c < 0:
-                add(" - " if parts else "-")
-                c = -c
-            elif parts:
-                add(" + ")
-            if c != 1 or not (i or j):
-                add(f"{c}*" if i or j else str(c))
-            if i:
-                add("q" if i == 1 else f"q^{i}")
-                if j:
-                    add("*")
-            if j:
-                add("v" if j == 1 else f"v^{j}")
-        return "".join(parts)
+        return format_terms(sorted(self._t.items()))
 
     def __repr__(self):
         return f"LaurentPoly({self})"

@@ -57,7 +57,7 @@ included.
 """
 
 from ._kernel_py import _pack, _unpack
-from .coeff import Scalar
+from .coeff import Scalar, format_terms
 from .errors import DivisionByZero, ResourceLimit
 
 _SC_ZERO = Scalar.zero()
@@ -260,6 +260,26 @@ def to_scalar(x):
          for i, c in _cyclotomic_product(num).items()}
     d = {(2 * i, 0): c for i, c in _cyclotomic_product(den).items()}
     return Scalar._make(n, d, cancel=False)
+
+
+def to_row(x):
+    """(str(to_scalar(x)), integral, positive) of the nonzero vector x, as
+    ``verify.table_rows`` reports a coefficient, with no Scalar: the texts
+    are written from the digits of ``_cyclotomic_product``, which come in
+    ascending order. The fraction is in lowest terms over prod Phi_d(q^2),
+    so it is a Laurent polynomial exactly when no exponent is negative; and
+    varsigma -> q^-1 only shifts its terms, which all carry varsigma^l, so
+    it is then nonnegative exactly when every sign * c is positive."""
+    sign, shift, l, exps = x
+    fields = _fields(exps)
+    num = _cyclotomic_product([(d, e) for d, e in fields if e > 0])
+    text = format_terms(((2 * i + shift, l), sign * c) for i, c in num.items())
+    den = [(d, -e) for d, e in fields if e < 0]
+    if den:
+        den = format_terms(((2 * i, 0), c)
+                           for i, c in _cyclotomic_product(den).items())
+        return f"({text})/({den})", False, False
+    return text, True, all(sign * c > 0 for c in num.values())
 
 
 def qratio(nums, dens):

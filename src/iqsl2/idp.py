@@ -330,8 +330,8 @@ _MULT_OFFSETS = {
 def _mult_closed_terms(p, m, n):
     """The closed formula of ``mult_closed`` as {degree: [vector]}: the
     nonzero ratios of quantum integers whose sum is the coefficient, each
-    counted as in ``cyclo.qratio_vector``; a degree whose terms all vanish
-    is left out."""
+    counted as in ``cyclo.qratio_vector``, degrees descending; a degree
+    whose terms all vanish is left out."""
     s = m + n
     dn, dm, dd = _MULT_OFFSETS[p, m % 2, n % 2]
     # the prefactor qbinom(s, m) = [s]! / ([m]! [n]!) as indices; the

@@ -57,14 +57,14 @@ the closed formulas against independent computations:
     distinguished specialization, and per-monomial sign profiles of
     weight-evaluated coproduct legs.
 
-In specialized mode the mult-closed, comult-theorem and reversed-leg
-checks compare after substituting varsigma = q^-1, by one rule in
-``_eq_check`` and ``_map_check``: the generic sides are compared first and
-a pass stands, since specialization is a ring map applied to both sides;
-only sides that differ are specialized and compared again, and that
-comparison writes the witness. Every other check of the first eight
-suites compares generic sides in either mode, which ``parameters`` only
-records; chi and positivity always compare specialized values.
+In specialized mode every check of the mult and comult suites and the
+reversed-leg checks compare after substituting varsigma = q^-1, by one
+rule in ``_eq_check`` and ``_map_check``: the generic sides are compared
+first and a pass stands, since specialization is a ring map applied to
+both sides; only sides that differ are specialized and compared again,
+and that comparison writes the witness. Every other check of the first
+eight suites compares generic sides in either mode, which ``parameters``
+only records; chi and positivity always compare specialized values.
 
 Reports are deterministic: identical invocations produce identical check
 lists (the wall-time field is the only exception).  Every failing check
@@ -79,7 +79,6 @@ resource ceiling for element suites, tables and expansion is the
 
 from __future__ import annotations
 
-import csv
 import io
 import json
 import math
@@ -93,7 +92,7 @@ from types import SimpleNamespace
 
 from ._kernel_py import _pack
 from .coeff import LaurentPoly, Scalar
-from .cyclo import _width
+from .cyclo import _width, to_row, to_scalar
 from .errors import NegativeInput, NotIntegral, ResourceLimit, UnknownSuite
 from .idp import (
     EV,
@@ -102,6 +101,7 @@ from .idp import (
     _check_order,
     _comult_agrees,
     _mult_agrees,
+    _mult_closed_terms,
     _pbw_closed,
     _point_values,
     _recursive_points,
@@ -699,7 +699,7 @@ def _suite_mult(parity, bound, mode):
             continue
         _eq_check(
             checks, "divided-power-oracle", (n,),
-            idp_closed(parity, n), idp_recursive(parity, n),
+            idp_closed(parity, n), idp_recursive(parity, n), mode,
         )
 
     agreed = set()
@@ -724,7 +724,7 @@ def _suite_mult(parity, bound, mode):
             _map_check(
                 checks, "mult-symmetry", (m, n),
                 mult_closed(parity, m, n), mult_closed(parity, n, m),
-                "degree ",
+                "degree ", mode,
             )
 
     parameters = {"bound": bound, "family": parity, "varsigma": mode}
@@ -981,11 +981,11 @@ def run_suite(name, bound=None, varsigma_mode="generic"):
     suites, subject to the resource ceiling; for ``qidentities`` the
     per-identity grids are fixed caps and ``bound`` can only shrink them.
     ``varsigma_mode`` is ``generic`` or ``specialized``.  In specialized
-    mode the mult-closed, comult-theorem and reversed-leg checks compare
-    after substituting the inverse-q value, with a generic pass standing;
-    every other check compares generic sides, and the mode also selects
-    the default bound.  The ``chi`` and ``positivity`` suites are
-    inherently specialized and ignore the mode.
+    mode the checks of the mult and comult suites and the reversed-leg
+    checks compare after substituting the inverse-q value, with a generic
+    pass standing; every other check compares generic sides, and the mode
+    also selects the default bound.  The ``chi`` and ``positivity`` suites
+    are inherently specialized and ignore the mode.
     """
     if name not in _SUITE_FUNCS:
         raise UnknownSuite(
@@ -1029,6 +1029,11 @@ def table_rows(family, max_total_degree):
     power of degree m + n - 2l.  ``integral`` and ``positive`` report whether
     the coefficient, specialized at the inverse-q value, is a Laurent
     polynomial with integer (respectively nonnegative) coefficients.
+
+    The rows are the terms of ``mult_closed``, written from its vectors
+    (``idp._mult_closed_terms``). A single ratio is written with no Scalar
+    (``cyclo.to_row``); only a sum of two ratios (family "odd", m and n
+    odd) is added, specialized and divided as Scalars.
     """
     if family not in PARITIES:
         raise ValueError(f"unknown family {family!r}")
@@ -1036,40 +1041,45 @@ def table_rows(family, max_total_degree):
         raise NegativeInput("max_total_degree must be >= 0")
     _check_ceiling("max_total_degree", max_total_degree)
     rows = []
+    # the row of each distinct single ratio; at order 24 fewer than half
+    # of them are distinct
+    written = {}
     for m in range(max_total_degree + 1):
         for n in range(max_total_degree + 1 - m):
-            out = mult_closed(family, m, n)
-            for d in sorted(out, reverse=True):
-                l = (m + n - d) // 2
-                s = out[d]
-                sp = s.specialize_varsigma()
-                try:
-                    lp = sp.to_laurent()
-                    integral = True
-                    positive = lp.is_nonneg()
-                except NotIntegral:
-                    integral = False
-                    positive = False
-                rows.append((family, m, n, l, str(s), integral, positive))
+            # degrees descending, so l ascending
+            for d, terms in _mult_closed_terms(family, m, n).items():
+                if len(terms) == 1:
+                    row = written.get(terms[0])
+                    if row is None:
+                        row = written[terms[0]] = to_row(terms[0])
+                else:
+                    s = to_scalar(terms[0]) + to_scalar(terms[1])
+                    if s.is_zero():
+                        continue
+                    try:
+                        lp = s.specialize_varsigma().to_laurent()
+                    except NotIntegral:
+                        row = str(s), False, False
+                    else:
+                        row = str(s), True, lp.is_nonneg()
+                rows.append((family, m, n, (m + n - d) // 2, *row))
     return rows
 
 
+_FLAGS = ("false", "true")
+
+
 def emit_table(family, max_total_degree, fmt="csv"):
-    """Serialize the structure-constant table as CSV or JSON text."""
+    """Serialize the structure-constant table as CSV or JSON text. No
+    field holds a comma, a quote or a line break, so none is quoted."""
     if fmt not in ("csv", "json"):
         raise ValueError(f"unknown table format {fmt!r}")
     rows = table_rows(family, max_total_degree)
     if fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(TABLE_COLUMNS)
-        for row in rows:
-            writer.writerow(
-                [row[0], row[1], row[2], row[3], row[4],
-                 "true" if row[5] else "false",
-                 "true" if row[6] else "false"]
-            )
-        return buf.getvalue()
+        lines = [",".join(TABLE_COLUMNS)]
+        lines += [f"{f},{m},{n},{l},{c},{_FLAGS[i]},{_FLAGS[p]}"
+                  for f, m, n, l, c, i, p in rows]
+        return "\n".join(lines) + "\n"
     payload = {
         "family": family,
         "max_total_degree": max_total_degree,

@@ -13,12 +13,13 @@ from iqsl2.cyclo import (
     from_scalars,
     from_terms,
     qratio_vector,
+    to_row,
     to_scalar,
     vinv,
     vmul,
     vsum,
 )
-from iqsl2.errors import ResourceLimit
+from iqsl2.errors import NotIntegral, ResourceLimit
 from iqsl2.qcomb import qint
 
 DMAX = 30
@@ -468,6 +469,55 @@ class TestConversion:
         t = (LaurentPoly.q(6) - 1)._t  # Phi_1 Phi_3 of q^2
         assert from_terms(t, 3) == (1, 0, 0, pack({1: 1, 3: 1}))
         assert from_terms(t, 2) is None
+
+
+def _scalar_row(x):
+    """(text, integral, positive) of the vector x by the Scalar route of
+    ``verify.table_rows``: the text of ``to_scalar``, then varsigma -> q^-1
+    and the division of the numerator by the denominator."""
+    s = to_scalar(x)
+    try:
+        lp = s.specialize_varsigma().to_laurent()
+    except NotIntegral:
+        return str(s), False, False
+    return str(s), True, lp.is_nonneg()
+
+
+class TestRow:
+    """``to_row`` writes a table row from a vector with no Scalar. No
+    pinned table reaches its denominator or a negative sign, so only these
+    tests cover them."""
+
+    @given(st.lists(st.integers(-12, 12).filter(bool), max_size=6),
+           st.lists(st.integers(-12, 12).filter(bool), max_size=6),
+           st.integers(0, 6), vectors(j=0))
+    @settings(max_examples=100, deadline=None)
+    def test_is_the_scalar_row(self, nums, dens, l, y):
+        # y brings Phi_1, fields of either sign, a sign and an odd shift
+        x = qratio_vector(nums, dens, l)
+        assert to_row(x) == _scalar_row(x)
+        x = vmul(x, y)
+        assert to_row(x) == _scalar_row(x)
+
+    # (nums, dens, l, sign, shift) -> (integral, positive)
+    FLAGS = {
+        ((3, 4), (), 2, 1, 0): (True, True),
+        ((3, 4), (), 0, -1, 1): (True, False),
+        ((-3, -5), (), 1, 1, 0): (True, True),
+        ((-3,), (), 0, 1, 0): (True, False),
+        ((4,), (2,), 3, 1, -1): (True, True),
+        ((3,), (2,), 1, 1, 0): (False, False),
+        ((), (3,), 0, -1, 0): (False, False),
+        ((), (), 5, -1, 3): (True, False),
+    }
+
+    @pytest.mark.parametrize("key", sorted(FLAGS))
+    def test_flags(self, key):
+        nums, dens, l, sign, shift = key
+        x = vmul(qratio_vector(nums, dens, l), (sign, shift, 0, 0))
+        row = to_row(x)
+        assert row == _scalar_row(x)
+        assert row[1:] == self.FLAGS[key]
 
 
 class TestCoproductVectors:

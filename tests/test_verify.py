@@ -1,5 +1,6 @@
 """Tests for the verification suites, table emitter, and expansion helpers."""
 
+import csv
 import hashlib
 import io
 import json
@@ -474,6 +475,19 @@ class TestTable:
                 if positive:
                     assert integral
 
+    @pytest.mark.parametrize("family", ["ev", "odd"])
+    def test_csv_is_the_csv_writer_output(self, family):
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(TABLE_COLUMNS)
+        for row in table_rows(family, 12):
+            writer.writerow([*row[:5], *("true" if flag else "false"
+                                         for flag in row[5:])])
+        assert emit_table(family, 12, "csv") == buf.getvalue()
+        # so no field of the order-24 table needs quoting either
+        texts = {row[4] for row in table_rows(family, 24)}
+        assert not any(set(text) & set(',"\r\n') for text in texts)
+
     # sha256 of the whole order-24 CSV tables, as first emitted by the
     # multiply-then-gcd construction of the structure constants
     TABLE_24_SHA256 = {
@@ -552,7 +566,8 @@ class TestTable:
 
 def test_bad_format_or_basis_raises_before_any_work(monkeypatch):
     calls = []
-    for name in ("mult_closed", "idp_closed", "_pbw_closed"):
+    for name in ("mult_closed", "_mult_closed_terms", "idp_closed",
+                 "_pbw_closed"):
         monkeypatch.setattr(verify, name, lambda *a, _n=name: calls.append(_n))
     with pytest.raises(ValueError, match="unknown table format"):
         emit_table("odd", 24, "xml")
@@ -1076,12 +1091,14 @@ class TestMultVectors:
 
     def test_corrupted_offsets_keep_their_witnesses(self, monkeypatch):
         monkeypatch.setitem(idp._MULT_OFFSETS, (idp.EV, 1, 0), (2, 3, 4))
-        # as produced on the Scalar path alone
+        # as produced on the Scalar path alone; the specialized report
+        # writes the mult-symmetry witnesses, like those of mult-closed,
+        # from the specialized sides
         digests = {
             "generic": "d47138638c1253e332853427750c6097"
                        "d6a5323882b379d954bcf8d68f839c21",
-            "specialized": "ba3897c54fbfda2ddccb4f98cba42427"
-                           "55f3c04fb1a25f59ff1adc36c5abd022",
+            "specialized": "a191c76d95026d2323193d2c23a7b1c0"
+                           "d795a2ab01077d232ed211336b11f2c1",
         }
         reports = {}
         for mode, digest in digests.items():
@@ -1095,6 +1112,48 @@ class TestMultVectors:
         monkeypatch.setattr(idp, "vsum", lambda terms, dmax: None)
         for mode, report in reports.items():
             assert self._report("mult-even", 8, mode) == report
+
+    # (mode, check id, failures) -> digest of mult-even 8 with one closed
+    # side times q varsigma where the points are not asked: mult_closed at
+    # (5, 3), which mult-closed (5, 3) and mult-symmetry (3, 5) compare, or
+    # idp_closed at n = 4, which divided-power-oracle (4) compares.
+    # Specialized, both differences vanish at varsigma = q^-1, and the
+    # report is the clean one
+    CORRUPTED_QVS = {
+        ("generic", "mult-symmetry", 2):
+            "308ff10cf41f60c48707117a669ea019818793c29d1484f33ca72294bc30ea3e",
+        ("generic", "divided-power-oracle", 1):
+            "995f5f28035a1959e53608e3d7bfd67f08063ea6545078c2bf27ae980c4d5569",
+        ("specialized", "mult-symmetry", 0):
+            "325e80a6782f0b401cf449a42df5dc3b2b754ac8ceb6ea97fc5b611913502f50",
+        ("specialized", "divided-power-oracle", 0):
+            "325e80a6782f0b401cf449a42df5dc3b2b754ac8ceb6ea97fc5b611913502f50",
+    }
+
+    @pytest.mark.parametrize("mode,cid,failures", sorted(CORRUPTED_QVS))
+    def test_a_difference_vanishing_at_the_specialization(
+            self, mode, cid, failures, monkeypatch):
+        qvs = coeff.Scalar.vs_power(1, 1)
+        if cid == "mult-symmetry":
+            agrees, closed = verify._mult_agrees, verify.mult_closed
+            monkeypatch.setattr(
+                verify, "_mult_agrees",
+                lambda p, m, n, values: (m, n) not in ((3, 5), (5, 3))
+                and agrees(p, m, n, values))
+            monkeypatch.setattr(
+                verify, "mult_closed",
+                lambda p, m, n: {d: s * qvs for d, s in closed(p, m, n).items()}
+                if (m, n) == (5, 3) else closed(p, m, n))
+        else:
+            closed = verify.idp_closed
+            monkeypatch.setattr(verify, "_recursive_points", lambda p, b: [])
+            monkeypatch.setattr(
+                verify, "idp_closed",
+                lambda p, n: closed(p, n).scale(qvs) if n == 4
+                else closed(p, n))
+        report = self._report("mult-even", 8, mode)
+        assert sum(not c["pass"] for c in report["checks"]) == failures
+        assert _digest(report) == self.CORRUPTED_QVS[mode, cid, failures]
 
 
 # the factor of a corrupted leg or coproduct side: q^2 differs from 1 in

@@ -131,10 +131,10 @@ def clear_caches():
     powers, the PBW images of the closed divided powers, the exponent
     vectors of the images of the closed divided powers, of the powers of
     the coproducts of E and F and of h-binomials, cyclotomic polynomials,
-    their values and the cyclotomic factors of quantum integers, q-powers and quantum integers, factorials and
-    binomials. They only grow, by the orders a process has asked for;
-    clearing them frees that memory and changes no result. ``cache_info``
-    reports their sizes.
+    their values and the cyclotomic factors of quantum integers, q-powers
+    and quantum integers, factorials and binomials. They only grow, by the
+    orders a process has asked for; clearing them frees that memory and
+    changes no result. ``cache_info`` reports their sizes.
     """
     for module, name in _MEMOS:
         getattr(module, name).clear()

@@ -13,33 +13,32 @@ as a Scalar in lowest terms with no gcd.
 
 The exponents are packed into one int, exps = sum_d e_d 2^(16(d-1)): e_d is
 the balanced 16-bit field d - 1, in [-2^15, 2^15). The packing is linear,
-so a product adds the ints (``vmul``), an inverse negates one (``vinv``),
-and equal exponents are equal ints. It is exact as long as every field
-stays in range: the balanced base-2^16 digits of an int are unique, and an
-int sum of in-range vectors whose fields add to in-range values is the
-packing of those values, whatever carries the int addition made between
-fields on the way. The fields are read back as the words of (exps + H) ^ H,
-H the word 2^15 in every field (``_fields``), the trick ``_unpack`` uses.
+so a product adds the ints (``vmul``) and equal exponents are equal ints.
+It is exact as long as every field stays in range: the balanced base-2^16
+digits of an int are unique, and an int sum of in-range vectors whose
+fields add to in-range values is the packing of those values, whatever
+carries the int addition made between fields on the way. The fields are
+read back as the words of (exps + H) ^ H, H the word 2^15 in every field
+(``_fields``), the trick ``_unpack`` uses.
 
 The field bound. A vector born here, by ``qratio_vector`` or as the
-result of ``vsum`` or ``from_terms``, has every e_d in [-2^12, 2^12); a
-larger one raises ResourceLimit instead of carrying into the next field.
-``qratio_vector`` bounds |e_d| by its number of indices, and ``vsum`` and
-``_prove`` check the fields of what they return (``_born``). The callers
-multiply at most four born vectors before they sum or compare them (a B
-step: the image times 1/([n][n-1]) and two factors [c]/(q^2 - 1); the
-assembly: image, leg ratio and h-binomial), so every field they sum or
-compare lies in [-2^14, 2^14), which ``vsum`` checks of its terms, well
-inside the 16-bit field. The constructions at order n take at most 4n + 10
-indices in one ratio, so the limit lies near n = 1000; the checks up to the
-default ceiling n = 24 have |e_d| <= 12 and d <= 35.
+result of ``vsum``, has every e_d in [-2^12, 2^12); a larger one raises
+ResourceLimit instead of carrying into the next field. ``qratio_vector``
+bounds |e_d| by its number of indices, and ``vsum`` and ``_prove`` check
+the fields of what they return (``_born``). The callers multiply at most
+four born vectors before they sum or compare them (a B step: the image
+times 1/([n][n-1]) and two factors [c]/(q^2 - 1); the assembly: image, leg
+ratio and h-binomial), so every field they sum or compare lies in
+[-2^14, 2^14), which ``vsum`` checks of its terms, well inside the 16-bit
+field. The constructions at order n take at most 4n + 10 indices in one
+ratio, so the limit lies near n = 1000; the checks up to the default
+ceiling n = 24 have |e_d| <= 12 and d <= 35.
 
 A sum (``vsum``) first collects like terms, keyed on (i, exps), into int
 coefficients: a sum that cancels exactly is 0 with no evaluation, one
 term left with coefficient +-1 is that term, and any other single term is
-no vector. What is left, and the conversion of a term dict
-(``from_terms``), is proved by evaluation at q = 2^k, the argument the
-``coeff`` docstring makes for GCDHEU. Write the sum of terms
+no vector. What is left is proved by evaluation at q = 2^k (``_prove``),
+the argument the ``coeff`` docstring makes for GCDHEU. Write the sum of terms
 c_t q^(a_t) prod_d Phi_d^(e_(t,d)) as q^A prod_d Phi_d^(E_d) N, with A and
 E_d the least exponents over the terms (column minima of their fields),
 so that N is a polynomial in q. The coefficients of a product are at most
@@ -236,12 +235,15 @@ def _qratio_finish(state, l=0):
 
 
 def qratio_vector(nums, dens, l=0):
-    """The vector of (q varsigma)^l times ``qratio(nums, dens)``.
+    """The vector of (q varsigma)^l times the product of the quantum
+    integers [k] over ``nums`` divided by the product over ``dens``.
 
     e_d counts the numerator indices that d divides minus the denominator
     indices that d divides, the q-shift sums 1 - |k| over the numerator
-    minus the same sum over the denominator, each negative index flips the
-    sign, and zero indices cancel as in ``qratio``. The counts are linear,
+    minus the same sum over the denominator, and each negative index flips
+    the sign. Zero indices cancel in pairs, one from each list, so a
+    removable 0/0 drops out; a zero index left over gives 0 in the
+    numerator and DivisionByZero in the denominator. The counts are linear,
     so the indices fold one at a time (``_qratio_fold``), and a caller that
     grows its index lists can carry the state.
     """
@@ -282,30 +284,9 @@ def to_row(x):
     return text, True, all(sign * c > 0 for c in num.values())
 
 
-def qratio(nums, dens):
-    """Product of quantum integers over ``nums`` divided by the product over
-    ``dens``, the arguments being lists of integer indices.
-
-    Indices common to both lists cancel multiset-wise, by absolute value
-    with the sign of [-k] = -[k] kept apart. Cancelling by index keeps a
-    removable 0/0 exact: a 0 appearing on both sides drops out as the pair
-    it is. After cancellation a remaining 0 numerator index gives the zero
-    Scalar, and a remaining 0 denominator index is a genuine division by
-    zero. The rest is counted in cyclotomic factors (``qratio_vector``), so
-    the result is built in lowest terms and no gcd runs.
-    """
-    return to_scalar(qratio_vector(nums, dens))
-
-
 def vmul(x, y):
     """The product of the nonzero vectors x and y."""
     return x[0] * y[0], x[1] + y[1], x[2] + y[2], x[3] + y[3]
-
-
-def vinv(x):
-    """The inverse of the nonzero vector x."""
-    sign, i, j, exps = x
-    return sign, -i, -j, -exps
 
 
 # Phi_d(4^k), the value of Phi_d(q^2) at q = 2^k, keyed by (d, k);
@@ -357,32 +338,6 @@ def _prove(value_at, bound, shift, j, exps, ds):
             return val, shift + s, j, _born(exps + found)
         k = _width(max(bound, norm))
     return None
-
-
-def from_terms(t, dmax):
-    """The vector of the nonzero term dict t with factors Phi_d, d <= dmax;
-    None when t is not proved to be of that shape."""
-    j = next(iter(t))[1]
-    if any(jj != j for _, jj in t):
-        return None
-    lo = min(i for i, _ in t)
-    poly = {i - lo: c for (i, _), c in t.items()}
-    return _prove(lambda k: _pack(poly, k), max(map(abs, t.values())), lo, j,
-                  0, range(1, dmax + 1))
-
-
-def from_scalars(t, dmax):
-    """{key: vector} of the dict t of nonzero Scalars with factors Phi_d,
-    d <= dmax; None when a numerator or denominator does not convert. The
-    tests compare the closed vectors against it."""
-    out = {}
-    for key, s in t.items():
-        num = from_terms(s.num._t, dmax)
-        den = from_terms(s.den._t, dmax)
-        if num is None or den is None:
-            return None
-        out[key] = vmul(num, vinv(den))
-    return out
 
 
 def vsum(terms, dmax):

@@ -851,7 +851,12 @@ def _suite_chi(bound, mode):
 # ---------------------------------------------------------------------------
 
 def _laurent_sign(p):
-    """+1 / -1 when all coefficients share a sign, 0 for zero, None mixed."""
+    """+1 / -1 when all coefficients share a sign, 0 for zero, None mixed.
+
+    The weight checks take it of ``s.num * s.den`` for a varsigma-free
+    Scalar s: a sign found is the sign of s at every real q > 0, and mixed
+    coefficients leave it undecided, printed as "?".
+    """
     if p.is_zero():
         return 0
     if p.is_nonneg():
@@ -859,39 +864,6 @@ def _laurent_sign(p):
     if (-p).is_nonneg():
         return -1
     return None
-
-
-_AXIS_MULTIPLIERS = (
-    LaurentPoly.one() + LaurentPoly.monomial(2),
-    LaurentPoly.one() + LaurentPoly.monomial(1),
-)
-
-
-def _axis_sign(p, tries=24):
-    """Sign of a Laurent polynomial on the positive real axis.
-
-    A fully reduced representative can alternate (cyclotomic factors such as
-    q^4 - q^2 + 1) while the value still factors as a q-power times a ratio
-    of nonnegative polynomials; multiplying by a nonnegative-coefficient
-    polynomial exposes that presentation.  Returns None when no multiplier
-    within the search budget settles the sign.
-    """
-    if p.is_zero():
-        return 0
-    for mult in _AXIS_MULTIPLIERS:
-        test = p
-        for _ in range(tries):
-            s = _laurent_sign(test)
-            if s is not None:
-                return s
-            test = test * mult
-    return None
-
-
-def _scalar_sign(s):
-    """Sign of the value of a varsigma-free Scalar for real q > 0, decided
-    constructively; None when undecided."""
-    return _axis_sign(s.num * s.den)
 
 
 def _suite_positivity(bound, mode):
@@ -927,7 +899,8 @@ def _suite_positivity(bound, mode):
                     profile = []
                     ok = True
                     for (ae, be, ce) in sorted(w.support()):
-                        sgn = _scalar_sign(w.coeff(ae, be, ce))
+                        c = w.coeff(ae, be, ce)
+                        sgn = _laurent_sign(c.num * c.den)
                         if sgn is None:
                             ok = False
                             sym = "?"
@@ -1129,35 +1102,3 @@ def expand_comult(parity, n, form="theorem"):
     if form == "direct":
         return str(comult_direct(parity, n))
     raise ValueError(f"unknown form {form!r}")
-
-
-# ---------------------------------------------------------------------------
-# golden rendering
-# ---------------------------------------------------------------------------
-
-def format_mult(parity, m, n):
-    """One-line rendering of a closed product in the divided-power basis."""
-    out = mult_closed(parity, m, n)
-    parts = [f"({out[d]})*B^({d})" for d in sorted(out, reverse=True)]
-    rhs = " + ".join(parts) if parts else "0"
-    return f"B^({m})*B^({n})= {rhs}"
-
-
-def golden_mult_lines(parity):
-    """The displayed products of one family at the documented small orders."""
-    lines = []
-    if parity == EV:
-        pairs = [(m, n) for m in (2, 3, 4)
-                 for a in (1, 2, 3) for n in (2 * a - 1, 2 * a)]
-    else:
-        pairs = [(m, n) for m in (2, 3, 4)
-                 for a in (0, 1, 2, 3) for n in (2 * a, 2 * a + 1)]
-    for m, n in sorted(set(pairs)):
-        lines.append(format_mult(parity, m, n))
-    return lines
-
-
-def golden_comult_lines(parity):
-    """The displayed coproducts of one family at orders two and three."""
-    return [f"n={n}: {expand_comult(parity, n, 'theorem')}"
-            for n in (2, 3)]

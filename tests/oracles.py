@@ -1,0 +1,78 @@
+"""Constructions that only the tests use: conversions of term dicts and
+Scalars to cyclotomic exponent vectors, the inverse of a vector, the
+Scalar of a ratio of quantum integers, and the lines of the golden files.
+
+Not a test module: the tests import it by name.
+"""
+
+from iqsl2._kernel_py import _pack
+from iqsl2.cyclo import _prove, qratio_vector, to_scalar, vmul
+from iqsl2.idp import EV, mult_closed
+from iqsl2.verify import expand_comult
+
+
+def vinv(x):
+    """The inverse of the nonzero vector x."""
+    sign, i, j, exps = x
+    return sign, -i, -j, -exps
+
+
+def from_terms(t, dmax):
+    """The vector of the nonzero term dict t with factors Phi_d, d <= dmax;
+    None when t is not proved to be of that shape, by the evaluation of
+    ``cyclo._prove``."""
+    j = next(iter(t))[1]
+    if any(jj != j for _, jj in t):
+        return None
+    lo = min(i for i, _ in t)
+    poly = {i - lo: c for (i, _), c in t.items()}
+    return _prove(lambda k: _pack(poly, k), max(map(abs, t.values())), lo, j,
+                  0, range(1, dmax + 1))
+
+
+def from_scalars(t, dmax):
+    """{key: vector} of the dict t of nonzero Scalars with factors Phi_d,
+    d <= dmax; None when a numerator or denominator does not convert. The
+    tests compare the closed vectors against it."""
+    out = {}
+    for key, s in t.items():
+        num = from_terms(s.num._t, dmax)
+        den = from_terms(s.den._t, dmax)
+        if num is None or den is None:
+            return None
+        out[key] = vmul(num, vinv(den))
+    return out
+
+
+def qratio(nums, dens):
+    """The Scalar of the product of quantum integers over ``nums`` divided
+    by the product over ``dens``, in lowest terms with no gcd."""
+    return to_scalar(qratio_vector(nums, dens))
+
+
+def format_mult(parity, m, n):
+    """One-line rendering of a closed product in the divided-power basis."""
+    out = mult_closed(parity, m, n)
+    parts = [f"({out[d]})*B^({d})" for d in sorted(out, reverse=True)]
+    rhs = " + ".join(parts) if parts else "0"
+    return f"B^({m})*B^({n})= {rhs}"
+
+
+def golden_mult_lines(parity):
+    """The displayed products of one family at the documented small orders."""
+    lines = []
+    if parity == EV:
+        pairs = [(m, n) for m in (2, 3, 4)
+                 for a in (1, 2, 3) for n in (2 * a - 1, 2 * a)]
+    else:
+        pairs = [(m, n) for m in (2, 3, 4)
+                 for a in (0, 1, 2, 3) for n in (2 * a, 2 * a + 1)]
+    for m, n in sorted(set(pairs)):
+        lines.append(format_mult(parity, m, n))
+    return lines
+
+
+def golden_comult_lines(parity):
+    """The displayed coproducts of one family at orders two and three."""
+    return [f"n={n}: {expand_comult(parity, n, 'theorem')}"
+            for n in (2, 3)]

@@ -12,11 +12,8 @@ import pathlib
 import pytest
 
 from iqsl2.idp import PARITIES, idp_closed, idp_recursive
-from iqsl2.verify import (
-    golden_comult_lines,
-    golden_mult_lines,
-    run_suite,
-)
+from iqsl2.verify import run_suite
+from oracles import golden_comult_lines, golden_mult_lines
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
 

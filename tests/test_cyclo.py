@@ -9,18 +9,10 @@ from hypothesis import given, settings, strategies as st
 from iqsl2 import cyclo, idp, pbw, tensor
 from iqsl2._kernel import kmul
 from iqsl2.coeff import LaurentPoly, Scalar
-from iqsl2.cyclo import (
-    from_scalars,
-    from_terms,
-    qratio_vector,
-    to_row,
-    to_scalar,
-    vinv,
-    vmul,
-    vsum,
-)
+from iqsl2.cyclo import qratio_vector, to_row, to_scalar, vmul, vsum
 from iqsl2.errors import NotIntegral, ResourceLimit
 from iqsl2.qcomb import qint
+from oracles import from_scalars, from_terms, vinv
 
 DMAX = 30
 

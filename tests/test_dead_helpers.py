@@ -1,11 +1,16 @@
 """Every private module-level helper in src/iqsl2 is used by src/ itself,
-and every public method by src/ or tests/.
+every public module-level function or class by src/ or the package's
+``__all__``, and every public method by src/ or tests/.
 
 A ``_``-prefixed function, class or assigned name at module level that no
 code in ``src/`` reads, apart from its own definition, is dead: a fork left
 behind by a rewrite, such as a sentinel whose only reader was deleted.
 Tests may still use it, so they do not count as uses. A use is a name or an
 attribute read anywhere, in any module of the package.
+
+A public module-level function or class that no code in ``src/`` reads
+and that ``iqsl2.__all__`` does not list serves only the tests, which is
+no use of the package: it belongs under ``tests/`` (``tests/oracles.py``).
 
 A public method of a class in ``src/`` whose name no code in ``src/`` or
 ``tests/`` reads, apart from its own definition, is dead too: nothing calls
@@ -15,6 +20,8 @@ it and nothing checks it.
 import ast
 from collections import Counter
 from pathlib import Path
+
+import iqsl2
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = sorted(ROOT.glob("src/**/*.py"))
@@ -59,6 +66,19 @@ def dead_helpers(sources):
                         and name != "_" and used[name] == _names(node)[name]):
                     dead.append((mod, name))
     return sorted(dead)
+
+
+def dead_public(sources, exported):
+    """(module, name) of each public module-level function or class in
+    sources, mapping module to its text, that no source reads outside its
+    own definition and that ``exported`` does not hold."""
+    trees = {mod: ast.parse(text) for mod, text in sources.items()}
+    used = sum((_names(tree) for tree in trees.values()), Counter())
+    return sorted((mod, node.name) for mod, tree in trees.items()
+                  for node in tree.body
+                  if isinstance(node, DEFS) and not node.name.startswith("_")
+                  and node.name not in exported
+                  and used[node.name] == _names(node)[node.name])
 
 
 def dead_methods(sources, readers):
@@ -115,6 +135,37 @@ def test_no_dead_private_helpers():
     assert SRC
     found = [f"{mod}: {name}" for mod, name in dead_helpers(_read(SRC))]
     assert not found, "private helpers no code in src/ uses:\n" + "\n".join(found)
+
+
+def test_checker_finds_dead_public_names():
+    sources = {
+        "a": (
+            "def exported():\n"       # listed: kept
+            "    pass\n"
+            "def rec(n):\n"           # only calls itself: dead
+            "    return rec(n - 1) if n else 0\n"
+            "def helper():\n"         # read by b
+            "    pass\n"
+            "class Oracle:\n"         # read by no source: dead
+            "    pass\n"
+            "def _private():\n"       # private: not this rule's
+            "    pass\n"
+            "CONSTANT = 1\n"          # assigned: not this rule's
+        ),
+        "b": "from a import helper\nhelper()\n",
+    }
+    assert dead_public(sources, {"exported"}) == [("a", "Oracle"),
+                                                  ("a", "rec")]
+    assert dead_public(sources, {"exported", "Oracle", "rec"}) == []
+
+
+def test_no_dead_public_names():
+    assert SRC
+    found = [f"{mod}: {name}"
+             for mod, name in dead_public(_read(SRC), set(iqsl2.__all__))]
+    assert not found, ("public functions and classes that no code in src/"
+                       " reads and iqsl2.__all__ does not list:\n"
+                       + "\n".join(found))
 
 
 def test_checker_finds_dead_methods():

@@ -14,7 +14,7 @@ import iqsl2
 from iqsl2 import coeff, cyclo
 from iqsl2._kernel_py import kmul
 from iqsl2.coeff import LaurentPoly, Scalar
-from iqsl2.cyclo import _cyclotomic, _divisor_mask, qratio, qratio_vector
+from iqsl2.cyclo import _cyclotomic, _divisor_mask, qratio_vector
 from iqsl2.errors import DivisionByZero, NegativeInput
 from iqsl2.idp import (
     _MULT_OFFSETS,
@@ -41,6 +41,7 @@ from iqsl2.idp import (
 from iqsl2.pbw import UElement, chi, divided_power, u_gen, u_h_binom
 from iqsl2.qcomb import qbinom, qfact, qint
 from iqsl2.tensor import TensorElement
+from oracles import qratio
 
 QVS = Scalar.vs_power(1, 1)
 

@@ -27,12 +27,11 @@ from iqsl2.verify import (
     emit_table,
     expand_comult,
     expand_idp,
-    golden_comult_lines,
-    golden_mult_lines,
     resource_ceiling,
     run_suite,
     table_rows,
 )
+from oracles import golden_comult_lines, golden_mult_lines
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
 
@@ -1253,3 +1252,47 @@ class TestReferenceRules:
         report = self._report("comult-odd", 6, mode)
         assert self._failures(report) == failures
         assert _digest(report) == self.COMULT[mode, factor, failures]
+
+
+class TestPositivity:
+    """The positivity reports, and the sign of a weight coefficient read
+    from the coefficients of its numerator times its denominator."""
+
+    # perfbench digest form, taken while the sign search multiplied an
+    # undecided coefficient by 1 + q^2 and 1 + q; the report is the same in
+    # both modes
+    REPORTS = {
+        6: (420,
+            "9cde0e10101dfa46b97f8d043e0dcf14509d9d260fbb188ec3585ffb1e862e63"),
+        24: (1014,
+             "d4f95ce72a40253b75d2e800d722d8ac80b9021d79f7b9efcccf36f5cc4cc19c"),
+    }
+
+    @pytest.mark.parametrize("mode", ["generic", "specialized"])
+    @pytest.mark.parametrize("bound", sorted(REPORTS))
+    def test_report_is_byte_identical(self, bound, mode):
+        report = TestComultVectors._report("positivity", bound, mode)
+        assert (len(report["checks"]), _digest(report)) == self.REPORTS[bound]
+
+    def test_a_mixed_sign_coefficient_is_undecided(self, monkeypatch):
+        # the coefficient of E^0 F^0 at weight 1 times q^2 - 1: a root at
+        # q = 1 leaves mixed signs after any multiplier with nonnegative
+        # coefficients, so the sign search could not decide it either
+        weight_eval = verify.weight_eval
+
+        def mixed(leg, m):
+            w = weight_eval(leg, m)
+            c = w.coeff(0, 0, 0) * (coeff.LaurentPoly.q(2) - 2)
+            return w + UElement.monomial(0, 0, 0, c) if m == 1 else w
+
+        monkeypatch.setattr(verify, "weight_eval", mixed)
+        for mode in ("generic", "specialized"):
+            failures = run_suite("positivity", 2, mode).failures()
+            # as produced with the sign search
+            assert [(c.id, c.params, c.witness) for c in failures] == [
+                ("weight-sign-profile", ("odd", 0, 0, 1), "E^0*F^0:?"),
+                ("weight-sign-profile", ("odd", 1, 0, 1), "E^0*F^0:?"),
+                ("weight-sign-profile", ("odd", 2, 0, 1), "E^0*F^0:?"),
+                ("weight-sign-profile", ("odd", 2, 2, 1),
+                 "E^0*F^0:? E^0*F^2:+ E^1*F^1:+ E^2*F^0:+"),
+            ]

@@ -425,28 +425,32 @@ def _vanishes(terms, dmax):
     return not terms or vsum(terms, dmax) == 0
 
 
-def _mult_closed_points(p, m, n, values):
+def _mult_closed_points(terms, m, n, values):
     """The closed side sum_d c_d B^{(d)} / B^{(m+n) mod 2} of ``mult_closed``
-    at X_i, i = 0..floor((m+n)/2), from the table ``values`` of
-    ``_point_values``: for each point the nonzero terms of
-    ``_mult_closed_terms`` times the value of their B^{(d)}."""
-    terms = _mult_closed_terms(p, m, n).items()
-    return [[vmul(x, values[d][i]) for d, xs in terms if values[d][i]
+    at X_i, i = 0..floor((m+n)/2), from ``terms``, the closed terms
+    ``_mult_closed_terms(p, m, n)``, and the table ``values`` of
+    ``_point_values``: for each point the terms times the value of their
+    B^{(d)}."""
+    return [[vmul(x, values[d][i]) for d, xs in terms.items() if values[d][i]
              for x in xs]
             for i in range((m + n) // 2 + 1)]
 
 
-def _mult_agrees(p, m, n, values):
-    """True when the points prove mult_closed(p, m, n) == mult_direct(p, m,
-    n); False when a sum at a point is nonzero or not proved.
+def _mult_agrees(terms, m, n, values):
+    """True when the points prove that the closed terms ``terms`` of
+    ``_mult_closed_terms(p, m, n)`` give B^{(m)} B^{(n)}, that is
+    mult_closed(p, m, n) == mult_direct(p, m, n); False when a sum at a
+    point is nonzero or not proved.
 
     Divided by B^{(m+n) mod 2}, the product B^{(m)} B^{(n)} is the product
     of the two values, times X when m and n are both odd. Every term of
     each point carries varsigma^floor((m+n)/2), so ``vsum`` never refuses a
     sum for its varsigma exponent, and its indices i +- j stay below
-    2 (m+n).
+    2 (m+n). The answer reads only ``terms``, ``values[m]``, ``values[n]``,
+    the parities of m and n and m + n, all symmetric in m and n, so equal
+    terms of (m, n) and (n, m) share it (``verify._suite_mult``).
     """
-    for i, right in enumerate(_mult_closed_points(p, m, n, values)):
+    for i, right in enumerate(_mult_closed_points(terms, m, n, values)):
         left = _vprod(values[m][i], values[n][i])
         if m % 2 and n % 2:
             left = _vprod(left, _x_point(i))

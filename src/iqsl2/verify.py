@@ -29,10 +29,11 @@ the closed formulas against independent computations:
     of B, are polynomials in X = B^2 of degree floor(s/2), s the total
     order, compared at the points X_i = q varsigma [i]^2, i <= floor(s/2),
     where every value is a cyclotomic exponent vector (``idp._mult_agrees``,
-    ``idp._recursive_points``). Commutativity needs no sum of its own: when
-    the points prove both (m, n) and (n, m), both closed sides equal the
-    same product there. Any check the points do not prove reruns on
-    Scalars, as in the comult suites.
+    ``idp._recursive_points``). A pair (n, m) whose closed terms equal
+    those of (m, n) shares its decision, made once. Commutativity needs no
+    sum of its own: when the points prove both (m, n) and (n, m), both
+    closed sides equal the same product there. Any check the points do not
+    prove reruns on Scalars, as in the comult suites.
 ``comult-even`` / ``comult-odd``
     The closed coproduct formulas against the coproduct of the PBW image,
     computed inside the tensor square. Both sides are first built on
@@ -703,10 +704,20 @@ def _suite_mult(parity, bound, mode):
         )
 
     agreed = set()
+    # the decision of each distinct (min(m, n), max(m, n), closed terms),
+    # which is all it reads of the pair (``_mult_agrees``): (n, m) reuses
+    # that of (m, n) when their closed terms are equal
+    decided = {}
     for m in range(bound + 1):
         for n in range(bound + 1 - m):
+            terms = _mult_closed_terms(parity, m, n)
+            key = (min(m, n), max(m, n),
+                   tuple((d, tuple(xs)) for d, xs in terms.items()))
+            ok = decided.get(key)
+            if ok is None:
+                ok = decided[key] = _mult_agrees(terms, m, n, values)
             # a generic pass stands in specialized mode (``_map_check``)
-            if _mult_agrees(parity, m, n, values):
+            if ok:
                 agreed.add((m, n))
                 checks.append(CheckResult("mult-closed", (m, n), True))
                 continue
@@ -1006,7 +1017,8 @@ def table_rows(family, max_total_degree):
     The rows are the terms of ``mult_closed``, written from its vectors
     (``idp._mult_closed_terms``). A single ratio is written with no Scalar
     (``cyclo.to_row``); only a sum of two ratios (family "odd", m and n
-    odd) is added, specialized and divided as Scalars.
+    odd) is added, specialized and divided as Scalars. Each distinct tuple
+    of ratios is written once, a sum that vanishes as no row.
     """
     if family not in PARITIES:
         raise ValueError(f"unknown family {family!r}")
@@ -1014,29 +1026,37 @@ def table_rows(family, max_total_degree):
         raise NegativeInput("max_total_degree must be >= 0")
     _check_ceiling("max_total_degree", max_total_degree)
     rows = []
-    # the row of each distinct single ratio; at order 24 fewer than half
-    # of them are distinct
+    # the row of each distinct tuple of ratios, None for no row; at order
+    # 24 fewer than half of the single ratios and 70 of the 125 pairs of
+    # family "odd" are distinct
     written = {}
     for m in range(max_total_degree + 1):
         for n in range(max_total_degree + 1 - m):
             # degrees descending, so l ascending
             for d, terms in _mult_closed_terms(family, m, n).items():
-                if len(terms) == 1:
-                    row = written.get(terms[0])
-                    if row is None:
-                        row = written[terms[0]] = to_row(terms[0])
-                else:
-                    s = to_scalar(terms[0]) + to_scalar(terms[1])
-                    if s.is_zero():
-                        continue
-                    try:
-                        lp = s.specialize_varsigma().to_laurent()
-                    except NotIntegral:
-                        row = str(s), False, False
-                    else:
-                        row = str(s), True, lp.is_nonneg()
-                rows.append((family, m, n, (m + n - d) // 2, *row))
+                key = tuple(terms)
+                if key not in written:
+                    written[key] = _table_row(terms)
+                row = written[key]
+                if row is not None:
+                    rows.append((family, m, n, (m + n - d) // 2, *row))
     return rows
+
+
+def _table_row(terms):
+    """(coefficient, integral, positive) of the sum of the nonzero ratios
+    ``terms``, one or two, as ``table_rows`` reports it; None when the sum
+    vanishes."""
+    if len(terms) == 1:
+        return to_row(terms[0])
+    s = to_scalar(terms[0]) + to_scalar(terms[1])
+    if s.is_zero():
+        return None
+    try:
+        lp = s.specialize_varsigma().to_laurent()
+    except NotIntegral:
+        return str(s), False, False
+    return str(s), True, lp.is_nonneg()
 
 
 _FLAGS = ("false", "true")

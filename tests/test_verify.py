@@ -515,8 +515,9 @@ class TestTable:
 
     # gcd calls at order 24: every coefficient is a sum of ratios built in
     # lowest terms, and only the sums of two ratios (family odd, m and n
-    # odd) are reduced by a gcd, in 29 of them
-    TABLE_24_GCDS = {"ev": 0, "odd": 29}
+    # odd) are reduced by a gcd, in 22 of the 70 distinct pairs, each
+    # added once
+    TABLE_24_GCDS = {"ev": 0, "odd": 22}
 
     @pytest.mark.parametrize("family", ["ev", "odd"])
     def test_order_24_table_divides_nothing(self, family, monkeypatch):
@@ -546,6 +547,27 @@ class TestTable:
         emit_table(family, 24, "csv")
         assert calls == {"gcd": self.TABLE_24_GCDS[family],
                          "gcd outside a sum": 0, "div": 0}
+
+    def test_a_corrupted_pair_of_ratios_changes_only_its_row(self,
+                                                             monkeypatch):
+        # the rows are keyed on the whole tuple of ratios: the pair of
+        # (5, 3) at l = 1 with its second ratio times q^2 is no longer that
+        # of (3, 5), and is written on its own
+        expected = table_rows("odd", 8)
+        terms = verify._mult_closed_terms
+
+        def corrupted(p, m, n):
+            out = terms(p, m, n)
+            if (m, n) == (5, 3):
+                first, second = out[6]
+                out[6] = [first, cyclo.vmul(second, (1, 2, 0, 0))]
+            return out
+
+        monkeypatch.setattr(verify, "_mult_closed_terms", corrupted)
+        rows = table_rows("odd", 8)
+        assert len(rows) == len(expected)
+        changed = [(a[:4], b[:4]) for a, b in zip(expected, rows) if a != b]
+        assert changed == [(("odd", 5, 3, 1), ("odd", 5, 3, 1))]
 
     def test_determinism(self):
         assert emit_table("ev", 5, "csv") == emit_table("ev", 5, "csv")
@@ -1034,26 +1056,28 @@ class TestMultVectors:
         assert len(direct) == 66 and oracle == [(n,) for n in range(2, 11)]
 
     def test_symmetry_takes_the_mult_closed_proofs(self, monkeypatch):
-        # the closed sides are built at the points once per pair, by
-        # mult-closed, and no check reaches the Scalars
+        # the closed sides are built at the points once per distinct closed
+        # terms, by mult-closed: (n, m) shares the decision of (m, n), whose
+        # terms it equals, and no check reaches the Scalars
         agreed, sides = [], []
         agrees = verify._mult_agrees
         points = idp._mult_closed_points
 
-        def spy_agrees(p, m, n, values):
+        def spy_agrees(terms, m, n, values):
             agreed.append((m, n))
-            return agrees(p, m, n, values)
+            return agrees(terms, m, n, values)
 
-        def spy_points(p, m, n, values):
+        def spy_points(terms, m, n, values):
             sides.append((m, n))
-            return points(p, m, n, values)
+            return points(terms, m, n, values)
 
         monkeypatch.setattr(verify, "_mult_agrees", spy_agrees)
         monkeypatch.setattr(idp, "_mult_closed_points", spy_points)
         closed = self._spy(monkeypatch, "mult_closed")
         digest = _digest(self._report("mult-even", 16))
         assert digest == self.REPORTS["mult-even", 16, "generic"]
-        pairs = [(m, n) for m in range(17) for n in range(17 - m)]
+        pairs = [(m, n) for m in range(17) for n in range(m, 17 - m)]
+        assert len(pairs) == 81
         assert agreed == pairs and sides == pairs and closed == []
 
     def test_an_unproved_pair_reruns_its_symmetry_on_scalars(self,
@@ -1061,15 +1085,77 @@ class TestMultVectors:
         agrees = verify._mult_agrees
         monkeypatch.setattr(
             verify, "_mult_agrees",
-            lambda p, m, n, values: (m, n) != (3, 5)
-            and agrees(p, m, n, values))
+            lambda terms, m, n, values: (m, n) != (3, 5)
+            and agrees(terms, m, n, values))
         direct = self._spy(monkeypatch, "mult_direct")
         closed = self._spy(monkeypatch, "mult_closed")
         digest = _digest(self._report("mult-even", 16))
         assert digest == self.REPORTS["mult-even", 16, "generic"]
-        # mult-closed (3, 5), then both sides of mult-symmetry (3, 5)
-        assert direct == [(3, 5)]
-        assert closed == [(3, 5), (3, 5), (5, 3)]
+        # (5, 3) shares the decision of (3, 5), whose closed terms it
+        # equals: mult-closed (3, 5) and (5, 3), then both sides of
+        # mult-symmetry (3, 5)
+        assert direct == [(3, 5), (5, 3)]
+        assert closed == [(3, 5), (5, 3), (3, 5), (5, 3)]
+
+    # (_mult_agrees calls, idp.vsum calls) at bound 16, specialized: one
+    # decision for each of the 81 distinct closed terms of the 153 pairs,
+    # and the sums of the divided-power oracle
+    WORK_16 = {"mult-even": (81, 352), "mult-odd": (81, 360)}
+
+    @pytest.mark.parametrize("name", sorted(WORK_16))
+    def test_each_distinct_product_is_decided_once(self, name, monkeypatch):
+        calls = {"agrees": 0, "vsum": 0}
+
+        def spy(name, real):
+            def call(*args):
+                calls[name] += 1
+                return real(*args)
+            return call
+
+        monkeypatch.setattr(verify, "_mult_agrees",
+                            spy("agrees", verify._mult_agrees))
+        monkeypatch.setattr(idp, "vsum", spy("vsum", idp.vsum))
+        digest = _digest(self._report(name, 16, "specialized"))
+        assert digest == self.REPORTS[name, 16, "specialized"]
+        assert (calls["agrees"], calls["vsum"]) == self.WORK_16[name]
+
+    # mult-even 8 with the top ratio of the closed terms of (5, 3) alone
+    # times q^2, as produced with one decision per pair
+    CORRUPTED_TERMS = {
+        "generic": "0f7ff2edcb4c1d441d40323bc08915de"
+                   "1a52bbcb2f311f25d91678963f4472cf",
+        "specialized": "fa53514e6aaa73c40c459d295f36fcf1"
+                       "5b0927bb3b8b09574d7b9921d6806e08",
+    }
+
+    @pytest.mark.parametrize("mode", sorted(CORRUPTED_TERMS))
+    def test_corrupted_terms_of_one_pair_are_decided_alone(self, mode,
+                                                          monkeypatch):
+        # the decision is keyed on the closed terms, so (5, 3), whose terms
+        # no longer equal those of (3, 5), cannot take its pass
+        terms = idp._mult_closed_terms
+
+        def corrupted(p, m, n):
+            out = terms(p, m, n)
+            if (m, n) == (5, 3):
+                out[8] = [cyclo.vmul(out[8][0], (1, 2, 0, 0))]
+            return out
+
+        monkeypatch.setattr(idp, "_mult_closed_terms", corrupted)
+        monkeypatch.setattr(verify, "_mult_closed_terms", corrupted)
+        report = self._report("mult-even", 8, mode)
+        failures = [(c["id"], c["params"]) for c in report["checks"]
+                    if not c["pass"]]
+        assert failures == [("mult-closed", [5, 3]), ("mult-symmetry", [3, 5])]
+        assert _digest(report) == self.CORRUPTED_TERMS[mode]
+        monkeypatch.setattr(idp, "vsum", lambda terms, dmax: None)
+        assert self._report("mult-even", 8, mode) == report
+
+    def test_decisions_are_kept_by_no_module_cache(self):
+        run_suite("mult-even", 16)
+        info = iqsl2.cache_info()
+        run_suite("mult-even", 16)
+        assert iqsl2.cache_info() == info
 
     def test_a_shifted_factor_index_gives_the_scalar_report(self,
                                                            monkeypatch):
@@ -1137,8 +1223,8 @@ class TestMultVectors:
             agrees, closed = verify._mult_agrees, verify.mult_closed
             monkeypatch.setattr(
                 verify, "_mult_agrees",
-                lambda p, m, n, values: (m, n) not in ((3, 5), (5, 3))
-                and agrees(p, m, n, values))
+                lambda terms, m, n, values: (m, n) not in ((3, 5), (5, 3))
+                and agrees(terms, m, n, values))
             monkeypatch.setattr(
                 verify, "mult_closed",
                 lambda p, m, n: {d: s * qvs for d, s in closed(p, m, n).items()}

@@ -106,7 +106,7 @@ __version__ = "0.1.0"
 # the memo caches of the package that are dicts, as (module, attribute name)
 _MEMOS = [
     (pbw, "_MONO_CACHE"),
-    (pbw, "_CDIV_CACHE"),
+    (pbw, "_COMMUTE_VEC_CACHE"),
     (pbw, "_HBINOM_CACHE"),
     (tensor, "_DELTA_MONO_CACHE"),
     (tensor, "_DELTA_POW_VEC"),
@@ -129,12 +129,13 @@ def clear_caches():
     The caches hold normal-form products, coproducts of monomials, the
     integral numerators of the divided powers, closed and recursive divided
     powers, the PBW images of the closed divided powers, the exponent
-    vectors of the images of the closed divided powers, of the powers of
-    the coproducts of E and F and of h-binomials, cyclotomic polynomials,
-    their values and the cyclotomic factors of quantum integers, q-powers
-    and quantum integers, factorials and binomials. They only grow, by the
-    orders a process has asked for; clearing them frees that memory and
-    changes no result. ``cache_info`` reports their sizes.
+    vectors of the terms of F^c E^a, of the images of the closed divided
+    powers, of the powers of the coproducts of E and F and of h-binomials,
+    cyclotomic polynomials, their values and the cyclotomic factors of
+    quantum integers, q-powers and quantum integers, factorials and
+    binomials. They only grow, by the orders a process has asked for;
+    clearing them frees that memory and changes no result. ``cache_info``
+    reports their sizes.
     """
     for module, name in _MEMOS:
         getattr(module, name).clear()

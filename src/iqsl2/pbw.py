@@ -5,13 +5,14 @@ relations are
 
     K E = q^2 E K,   K F = q^-2 F K,   E F - F E = (K - K^-1)/(q - q^-1),
 
-and every product is rewritten into the basis through the commutation
-identity E F^c = F^c E + [c] F^{c-1} (q^{1-c} K - q^{c-1} K^-1)/(q - q^-1).
-Products of basis monomials are memoized, which makes repeated
-right-multiplications cheap. The PBW images of the divided powers of
-B = F + varsigma E K^-1 are built on cyclotomic exponent vectors in
-``idp``, by this identity; the products here are the plain construction
-those images are checked against.
+and the product of two basis monomials is read from one closed formula:
+the divided-power commutation formula for F^c E^a (Lusztig, Introduction
+to Quantum Groups), written in this order, with one cyclotomic exponent
+vector per term E^x K^k F^y (``_commute_vectors``). E^a K^b F^c times
+E^a' K^b' F^c' is then, term by term, E^(a+x) K^(b+k+b') F^(y+c') times
+q^(2(bx + b'y)), and each coefficient is ``to_scalar`` of one vector: no
+rewriting and no sum. Both the terms and the products are memoized. The
+B step of the PBW images in ``idp`` reads the same terms.
 
 Beyond the algebra itself this module carries the operators the divided
 power laws need: the Cartan-type element h = (K^-2 - 1)/(q^2 - 1) and its
@@ -21,8 +22,11 @@ weight vector (K acts by q^m, E and F keep their symbols).
 """
 
 from .coeff import LaurentPoly, Scalar
+from .cyclo import qratio_vector, to_scalar, vmul
 from .errors import RequiresSpecialized
-from .qcomb import qfact, qint
+from .qcomb import qfact
+# re-exported: perfbench's tracer looks the name up on this module
+from .qcomb import qint  # noqa: F401
 from .sparse import Sparse, _acc
 
 _SC_ONE = Scalar.one()
@@ -35,64 +39,60 @@ _GEN_MONO = {
     "Kinv": (0, -1, 0),
 }
 
+# the terms of F^c E^a as {(x, k, y): vector} for E^x K^k F^y, keyed by (c, a)
+_COMMUTE_VEC_CACHE = {}
+
+
+def _commute_vectors(c, a):
+    """F^c E^a in PBW order, by the divided-power commutation formula
+
+        F^c E^a = sum_t (-1)^t [c]! [a]! / ([c-t]! [a-t]!)
+                  E^(a-t) [K; a+c-t-1; t] F^(c-t),
+        [K; N; t] = prod_{s=1..t} (K q^(N-s+1) - K^-1 q^(s-N-1))
+                                  / (q^s - q^-s).
+
+    By the q-binomial theorem [K; N; t] is the sum over j = 0..t of
+    (-1)^j q^(tN - t(t-1)/2 + j(t-1) - 2jN) K^(t-2j) / ([j]! [t-j]!
+    (q - q^-1)^t), and q - q^-1 is q^-1 Phi_1(q^2). Each (t, j) gives its
+    own monomial, so every coefficient is one vector.
+    """
+    r = _COMMUTE_VEC_CACHE.get((c, a))
+    if r is None:
+        r = {}
+        for t in range(min(a, c) + 1):
+            n = a + c - t - 1
+            for j in range(t + 1):
+                v = qratio_vector(
+                    [*range(1, c + 1), *range(1, a + 1)],
+                    [*range(1, c - t + 1), *range(1, a - t + 1),
+                     *range(1, j + 1), *range(1, t - j + 1)])
+                e = t * n - t * (t - 1) // 2 + j * (t - 1) - 2 * j * n + t
+                r[a - t, t - 2 * j, c - t] = vmul(
+                    v, (-1 if (t + j) % 2 else 1, e, 0, -t))
+        _COMMUTE_VEC_CACHE[c, a] = r
+    return r
+
+
 # normal form of m1 * m2, keyed by the monomial pair
 _MONO_CACHE = {}
 
-# [c] / (q - q^-1), keyed by c
-_CDIV_CACHE = {}
-
-
-def _cdiv(c):
-    s = _CDIV_CACHE.get(c)
-    if s is None:
-        s = Scalar(qint(c), LaurentPoly.q(1) - LaurentPoly.q(-1))
-        _CDIV_CACHE[c] = s
-    return s
-
-
-def _rmul_E(t):
-    """Right-multiply a normal-form dict by E."""
-    out = {}
-    for (a, b, c), s in t.items():
-        _acc(out, (a + 1, b, c), s * Scalar.q_power(2 * b))
-        if c:
-            w = s * _cdiv(c)
-            _acc(out, (a, b - 1, c - 1), w * Scalar.q_power(1 - c))
-            _acc(out, (a, b + 1, c - 1), -(w * Scalar.q_power(c - 1)))
-    return out
-
-
-def _rmul_K(t, sign):
-    return {
-        (a, b + sign, c): s * Scalar.q_power(2 * c * sign)
-        for (a, b, c), s in t.items()
-    }
-
-
-def _rmul_F(t):
-    return {(a, b, c + 1): s for (a, b, c), s in t.items()}
-
 
 def _mono_mul(m1, m2):
-    """Normal form of m1 * m2 as a dict {monomial: Scalar}."""
+    """Normal form of m1 * m2 as a dict {monomial: Scalar}, by
+    K^b E^x = q^(2bx) E^x K^b and F^y K^b' = q^(2b'y) K^b' F^y."""
     if m1 == _UNIT:
         return {m2: _SC_ONE}
     if m2 == _UNIT:
         return {m1: _SC_ONE}
     key = (m1, m2)
     r = _MONO_CACHE.get(key)
-    if r is not None:
-        return r
-    a2, b2, c2 = m2
-    if c2 > 0:
-        r = _rmul_F(_mono_mul(m1, (a2, b2, c2 - 1)))
-    elif b2 > 0:
-        r = _rmul_K(_mono_mul(m1, (a2, b2 - 1, 0)), 1)
-    elif b2 < 0:
-        r = _rmul_K(_mono_mul(m1, (a2, b2 + 1, 0)), -1)
-    else:
-        r = _rmul_E(_mono_mul(m1, (a2 - 1, 0, 0)))
-    _MONO_CACHE[key] = r
+    if r is None:
+        a, b, c = m1
+        a2, b2, c2 = m2
+        r = {(a + x, b + k + b2, y + c2):
+             to_scalar(vmul(v, (1, 2 * (b * x + b2 * y), 0, 0)))
+             for (x, k, y), v in _commute_vectors(c, a2).items()}
+        _MONO_CACHE[key] = r
     return r
 
 

@@ -1,13 +1,18 @@
 """Constructions that only the tests use: conversions of term dicts and
 Scalars to cyclotomic exponent vectors, the inverse of a vector, the
-Scalar of a ratio of quantum integers, and the lines of the golden files.
+Scalar of a ratio of quantum integers, the lines of the golden files, and
+the PBW normal form by the defining relations alone.
 
 Not a test module: the tests import it by name.
 """
 
+from iqsl2 import pbw, tensor
 from iqsl2._kernel_py import _pack
+from iqsl2.coeff import LaurentPoly, Scalar
 from iqsl2.cyclo import _prove, qratio_vector, to_scalar, vmul
 from iqsl2.idp import EV, mult_closed
+from iqsl2.qcomb import qint
+from iqsl2.sparse import _acc
 from iqsl2.verify import expand_comult
 
 
@@ -76,3 +81,52 @@ def golden_comult_lines(parity):
     """The displayed coproducts of one family at orders two and three."""
     return [f"n={n}: {expand_comult(parity, n, 'theorem')}"
             for n in (2, 3)]
+
+
+# the reference normal form of m1 * m2, keyed by the monomial pair
+_MONO_CACHE = {}
+
+
+def _rmul_e(t):
+    """Right-multiply a normal-form dict by E, by K E = q^2 E K and
+    E F^c = F^c E + [c] F^(c-1) (q^(1-c) K - q^(c-1) K^-1) / (q - q^-1)."""
+    out = {}
+    cdiv = LaurentPoly.q(1) - LaurentPoly.q(-1)
+    for (a, b, c), s in t.items():
+        _acc(out, (a + 1, b, c), s * Scalar.q_power(2 * b))
+        if c:
+            w = s * Scalar(qint(c), cdiv)
+            _acc(out, (a, b - 1, c - 1), w * Scalar.q_power(1 - c))
+            _acc(out, (a, b + 1, c - 1), -(w * Scalar.q_power(c - 1)))
+    return out
+
+
+def mono_mul(m1, m2):
+    """The normal form of the PBW monomials m1 * m2 as {monomial: Scalar},
+    on Scalars, by right multiplication with one generator at a time: the
+    reference that ``pbw._mono_mul``, a closed formula, is compared with."""
+    if m2 == (0, 0, 0):
+        return {m1: Scalar.one()}
+    key = (m1, m2)
+    r = _MONO_CACHE.get(key)
+    if r is None:
+        a2, b2, c2 = m2
+        if c2 > 0:
+            r = {(a, b, c + 1): s
+                 for (a, b, c), s in mono_mul(m1, (a2, b2, c2 - 1)).items()}
+        elif b2:
+            sign = 1 if b2 > 0 else -1
+            r = {(a, b + sign, c): s * Scalar.q_power(2 * c * sign)
+                 for (a, b, c), s in mono_mul(m1, (a2, b2 - sign, 0)).items()}
+        else:
+            r = _rmul_e(mono_mul(m1, (a2 - 1, 0, 0)))
+        _MONO_CACHE[key] = r
+    return r
+
+
+def oracle_products(monkeypatch):
+    """Make the products of UElements and TensorElements take their
+    monomial products from ``mono_mul``, so that the plain constructions
+    share no step with the closed commutation formula."""
+    monkeypatch.setattr(pbw.UElement, "_key_mul", staticmethod(mono_mul))
+    monkeypatch.setattr(tensor, "_mono_mul", mono_mul)

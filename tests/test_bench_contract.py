@@ -13,7 +13,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-from iqsl2 import _kernel, idp, qcomb, tensor
+from iqsl2 import _kernel, cli, idp, pbw, qcomb, tensor, verify
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -33,6 +33,11 @@ def test_warmup_child_prints_the_roadmap_digests_last():
 
 def test_names_the_benchmark_takes_by_value():
     assert callable(qcomb.qint.cache_info)  # the child reads its hit ratio
-    assert callable(tensor._mono_mul)
-    assert callable(idp.qbinom)
-    assert callable(_kernel.kmul)
+    # every name that perfbench's tests take by value
+    for fn in (idp.qint, idp.qfact, idp.qbinom, verify.qint, verify.qbinom,
+               pbw.qint, pbw.qfact, tensor._mono_mul, idp.delta,
+               verify.delta, cli.run_suite, _kernel.kmul):
+        assert callable(fn)
+    # the memos the tracer swaps for counting dicts
+    assert isinstance(pbw._MONO_CACHE, dict)
+    assert isinstance(idp._CLOSED_CACHE, dict)

@@ -12,7 +12,7 @@ from iqsl2.coeff import LaurentPoly, Scalar
 from iqsl2.cyclo import qratio_vector, to_row, to_scalar, vmul, vsum
 from iqsl2.errors import NotIntegral, ResourceLimit
 from iqsl2.qcomb import qint
-from oracles import from_scalars, from_terms, vinv
+from oracles import from_scalars, from_terms, oracle_products, vinv
 
 DMAX = 30
 
@@ -534,18 +534,23 @@ class TestCoproductVectors:
                 assert idp._h_binom_vectors(a, c) == list(terms.values())
 
     @pytest.mark.parametrize("p", ["ev", "odd"])
-    def test_images(self, p):
-        # against the plain substitution, which shares no step with them
+    def test_images(self, p, monkeypatch):
+        # against the plain substitution, its products on the reference
+        # normal form so that it shares no step with the B step on vectors,
+        # which reads the commutation formula of pbw._mono_mul
+        oracle_products(monkeypatch)
         for n in range(13):
             image = from_scalars(idp.idp_to_pbw(idp.idp_closed(p, n))._t, n)
             assert image is not None
             assert idp._pbw_vectors(p, n) == image
 
     @pytest.mark.parametrize("p", ["ev", "odd"])
-    def test_delta(self, p):
+    def test_delta(self, p, monkeypatch):
         # against delta(E)^a (K^b x K^b) delta(F)^c built by TensorElement
-        # products of the generator coproducts, on the plain substitution:
-        # neither side takes a q-binomial sum or a vector from the other
+        # products of the generator coproducts, on the plain substitution,
+        # all products on the reference normal form: neither side takes a
+        # q-binomial sum, a commutation formula or a vector from the other
+        oracle_products(monkeypatch)
         one = pbw.UElement.one()
         e, f, k, ki = (pbw.u_gen(g) for g in ("E", "F", "K", "Kinv"))
         pair = tensor.TensorElement.from_pair

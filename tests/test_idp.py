@@ -41,7 +41,7 @@ from iqsl2.idp import (
 from iqsl2.pbw import UElement, chi, divided_power, u_gen, u_h_binom
 from iqsl2.qcomb import qbinom, qfact, qint
 from iqsl2.tensor import TensorElement
-from oracles import qratio
+from oracles import oracle_products, qratio
 
 QVS = Scalar.vs_power(1, 1)
 
@@ -772,9 +772,12 @@ class TestPBWImage:
         assert idp_to_pbw(idp_closed(EV, 2)) == expected
 
     @pytest.mark.parametrize("p", PARITIES)
-    def test_closed_image_matches_plain_uelement_arithmetic(self, p):
-        # independent of the exponent vectors: B^d by UElement products,
-        # which go through _mono_mul on Scalar coefficients
+    def test_closed_image_matches_plain_uelement_arithmetic(self, p,
+                                                            monkeypatch):
+        # independent of the exponent vectors: B^d by UElement products on
+        # the reference normal form, which multiplies by one generator at
+        # a time on Scalar coefficients
+        oracle_products(monkeypatch)
         powers = plain_b_powers(10)
         for n in range(11):
             x = UElement.zero()

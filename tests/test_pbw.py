@@ -1,7 +1,12 @@
-"""PBW rewriting: pinned relations, normal form laws, chi, h-binomials."""
+"""PBW rewriting: pinned relations, normal form laws, the closed
+commutation formula against the defining relations, chi, h-binomials."""
+
+import itertools
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from iqsl2 import pbw
 from iqsl2.coeff import LaurentPoly, Scalar
 from iqsl2.errors import RequiresSpecialized
 from iqsl2.pbw import (
@@ -14,6 +19,7 @@ from iqsl2.pbw import (
     weight_eval,
 )
 from iqsl2.qcomb import qbinom, qfact, qint
+from oracles import mono_mul
 
 E = u_gen("E")
 F = u_gen("F")
@@ -60,6 +66,46 @@ class TestRelations:
 
     def test_echeck_definition(self):
         assert ECH == (E * Ki).scale(sc(LaurentPoly.vs()))
+
+
+def _assert_reference_product(m1, m2):
+    """pbw._mono_mul(m1, m2) equals the reference normal form, term by
+    term, as values and as canonical text."""
+    got, ref = pbw._mono_mul(m1, m2), mono_mul(m1, m2)
+    assert got.keys() == ref.keys(), (m1, m2)
+    for m, s in ref.items():
+        assert got[m] == s and str(got[m]) == str(s), (m1, m2, m)
+
+
+class TestClosedCommutation:
+    """The products of ``pbw``, read from the closed formula for F^c E^a,
+    against ``oracles.mono_mul``, which multiplies by one generator at a
+    time with the defining relations."""
+
+    def test_pinned_grid(self):
+        # the formula reads c and a' (F^c E^a') and the K shifts read b
+        # and b'; a and c' only offset the result
+        for a, c2 in ((0, 0), (2, 1)):
+            for c, a2 in itertools.product(range(6), repeat=2):
+                for b, b2 in itertools.product((-2, 0, 1, 3), repeat=2):
+                    _assert_reference_product((a, b, c), (a2, b2, c2))
+
+    def test_every_commutation_the_suites_reach(self):
+        # F^c E^a for c, a <= 12, and for min(c, a) <= 2 up to 24: every
+        # (c, a) the B step (F^c E) and the suites up to order 24 read
+        pairs = {(c, a) for c in range(13) for a in range(13)}
+        pairs |= {(c, a) for c in range(25) for a in range(3)}
+        pairs |= {(c, a) for c in range(3) for a in range(25)}
+        for c, a in sorted(pairs):
+            _assert_reference_product((0, 0, c), (a, 0, 0))
+
+    MONOMIALS = st.tuples(st.integers(0, 6), st.integers(-4, 4),
+                          st.integers(0, 6))
+
+    @given(MONOMIALS, MONOMIALS)
+    @settings(max_examples=100, deadline=None)
+    def test_random_monomials(self, m1, m2):
+        _assert_reference_product(m1, m2)
 
 
 def _rand_element(rng, nterms=3, with_vs=True):

@@ -630,11 +630,16 @@ class TestExpand:
             "c8f377551e5a7404735e3f81fdf9d48dc8dfec6ac82cba206348302e3f14f6a6")
 
     # sha256 of the text, as produced before the PBW images were built on
-    # integral numerators
+    # integral numerators; the fhy form, taken while the normal form was
+    # built by recursion, is the same text as the theorem form
     TEXT_SHA256 = {
         ("comult", "ev"):
             "5dcb6f76014bfd87d6a386060c58c59ec53ef21cfa78bc67f5057c1ad8ffb9ce",
         ("comult", "odd"):
+            "d7c05a5e9a301a341f425fa8e66d168763dd6ee59ac22aeb3db49106e836002f",
+        ("fhy", "ev"):
+            "5dcb6f76014bfd87d6a386060c58c59ec53ef21cfa78bc67f5057c1ad8ffb9ce",
+        ("fhy", "odd"):
             "d7c05a5e9a301a341f425fa8e66d168763dd6ee59ac22aeb3db49106e836002f",
         ("idp", "ev"):
             "5c026d8e842ec489185b9105bdc66a3f021366e9ce8f3f9724a30464d86e394c",
@@ -645,6 +650,7 @@ class TestExpand:
     @pytest.mark.parametrize("parity", ["ev", "odd"])
     def test_text_is_byte_identical_at_a_nontrivial_order(self, parity):
         texts = {"comult": expand_comult(parity, 8, "theorem"),
+                 "fhy": expand_comult(parity, 8, "fhy"),
                  "idp": expand_idp(parity, 12, "pbw")}
         for kind, text in texts.items():
             digest = hashlib.sha256(text.encode()).hexdigest()
@@ -746,7 +752,8 @@ class TestClearCaches:
     SUITES_RUN = (("comult-odd", 3), ("mult-even", 4), ("pbw-core", 3),
                   ("chi", 1))
     MEMOS = (
-        (pbw, "_MONO_CACHE"), (pbw, "_CDIV_CACHE"), (pbw, "_HBINOM_CACHE"),
+        (pbw, "_MONO_CACHE"), (pbw, "_COMMUTE_VEC_CACHE"),
+        (pbw, "_HBINOM_CACHE"),
         (tensor, "_DELTA_MONO_CACHE"), (tensor, "_DELTA_POW_VEC"),
         (idp, "_NUMERATOR_CACHE"), (idp, "_CLOSED_CACHE"), (idp, "_REC_CACHE"),
         (idp, "_PBW_CLOSED_CACHE"), (idp, "_PBW_VEC_CACHE"),
@@ -1248,9 +1255,10 @@ _FACTORS = {"q2": coeff.Scalar.q_power(2), "qvs": coeff.Scalar.vs_power(1, 1)}
 
 class TestReferenceRules:
     """The reports of the suites that the Scalar reference code decides:
-    the leg recursion, the reversed legs, and a coproduct check the vectors
-    do not prove. In specialized mode a difference that vanishes at
-    varsigma = q^-1 passes, and any other failure keeps its witness."""
+    the leg recursion, the reversed legs, the relations of the PBW normal
+    form, chi, and a coproduct check the vectors do not prove. In
+    specialized mode a difference that vanishes at varsigma = q^-1 passes,
+    and any other failure keeps its witness."""
 
     _report = staticmethod(TestComultVectors._report)
 
@@ -1267,6 +1275,15 @@ class TestReferenceRules:
             "0bcbb3e38534c46dd3dc40ca39c689b1bb52c31215a2cd4bf37f2d0b8434fb81",
         ("proof-recurrences", 12, "specialized"):
             "937b18c4cfab3940585807ea66d8ef5e082709f32a915e075a3b06ef5be2a136",
+        # taken while the normal form was built by recursion
+        ("pbw-core", 12, "generic"):
+            "5edd92ac5ba93108b074b80fec5c19cff210accd9135763c860834e46d18bcb1",
+        ("pbw-core", 12, "specialized"):
+            "669ce7a3aa913ea766e5994bc010cf5a3bcaf674b10733eff9e14b8397424c5b",
+        ("chi", 12, "generic"):
+            "a3ec17506be4b3cda4f28492d995f858f8446200fb360cb8336f67795702fb7e",
+        ("chi", 12, "specialized"):
+            "a3ec17506be4b3cda4f28492d995f858f8446200fb360cb8336f67795702fb7e",
     }
 
     # (suite, bound, mode, factor of S(4, 2), failures) -> digest

@@ -107,7 +107,7 @@ __version__ = "0.1.0"
 _MEMOS = [
     (pbw, "_MONO_CACHE"),
     (pbw, "_COMMUTE_VEC_CACHE"),
-    (pbw, "_HBINOM_CACHE"),
+    (pbw, "_HBINOM_VEC_CACHE"),
     (tensor, "_DELTA_MONO_CACHE"),
     (tensor, "_DELTA_POW_VEC"),
     (idp, "_NUMERATOR_CACHE"),
@@ -115,7 +115,6 @@ _MEMOS = [
     (idp, "_REC_CACHE"),
     (idp, "_PBW_CLOSED_CACHE"),
     (idp, "_PBW_VEC_CACHE"),
-    (idp, "_HBINOM_VEC_CACHE"),
     (cyclo, "_CYCLOTOMIC_CACHE"),
     (cyclo, "_DIVISOR_MASKS"),
     (cyclo, "_PHI_VALUES"),
@@ -130,12 +129,12 @@ def clear_caches():
     integral numerators of the divided powers, closed and recursive divided
     powers, the PBW images of the closed divided powers, the exponent
     vectors of the terms of F^c E^a, of the images of the closed divided
-    powers, of the powers of the coproducts of E and F and of h-binomials,
-    cyclotomic polynomials, their values and the cyclotomic factors of
-    quantum integers, q-powers and quantum integers, factorials and
-    binomials. They only grow, by the orders a process has asked for;
-    clearing them frees that memory and changes no result. ``cache_info``
-    reports their sizes.
+    powers, of the powers of the coproducts of E and F and of the
+    h-binomials (``pbw._HBINOM_VEC_CACHE``), cyclotomic polynomials, their
+    values and the cyclotomic factors of quantum integers, q-powers and
+    quantum integers, factorials and binomials. They only grow, by the
+    orders a process has asked for; clearing them frees that memory and
+    changes no result. ``cache_info`` reports their sizes.
     """
     for module, name in _MEMOS:
         getattr(module, name).clear()

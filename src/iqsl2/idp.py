@@ -75,8 +75,9 @@ the PBW basis, is the second construction of the images: the vector image
 of order ``_ANCHOR`` must equal it, and it gives the image of an order the
 vectors do not prove. Both read the commutation formula of ``pbw``, so the
 anchor checks how the B step reads it, not the formula itself. The
-reversed legs, built by products in the PBW basis, are the independent
-construction of the legs.
+reversed legs, products on vectors by the same rule, are the second
+construction of the legs; both read ``pbw._h_binom_vectors``, at other
+shifts and orders.
 """
 
 from functools import reduce
@@ -93,7 +94,8 @@ from .cyclo import (
     vsum,
 )
 from .errors import NegativeInput
-from .pbw import UElement, _commute_vectors, divided_power, u_gen, u_h_binom
+from .pbw import (UElement, _commute_vectors, _h_binom_vectors,
+                  _mono_vectors, u_gen)
 from .qcomb import qfact, qint
 # re-exported: perfbench's tracer looks the name up on this module
 from .qcomb import qbinom  # noqa: F401
@@ -383,11 +385,30 @@ def mult_closed(p, m, n):
     only where the points do not.
     """
     _check_order(p, m, n)
+    return _scalar_sums(_mult_closed_terms(p, m, n))
+
+
+def _scalar_sums(terms):
+    """{key: Scalar} of {key: [vector]}: the sum of ``to_scalar`` of the
+    terms of each key, without the keys whose sum is 0."""
     out = {}
-    for d, terms in _mult_closed_terms(p, m, n).items():
-        t = sum(map(to_scalar, terms[1:]), to_scalar(terms[0]))
-        if not t.is_zero():
-            out[d] = t
+    for key, t in terms.items():
+        s = sum(map(to_scalar, t[1:]), to_scalar(t[0]))
+        if not s.is_zero():
+            out[key] = s
+    return out
+
+
+def _vsums(terms, dmax):
+    """{key: vector} of {key: [vector]}: the ``vsum`` of the terms of each
+    key, without the keys whose sum is 0; None when a sum is not proved."""
+    out = {}
+    for key, t in terms.items():
+        v = vsum(t, dmax)
+        if v is None:
+            return None
+        if v:
+            out[key] = v
     return out
 
 
@@ -534,32 +555,6 @@ def _leg_terms(p, n, r):
             yield shift, c, a, k, x + (r - 2 * c) * (r - n) - a * k
 
 
-# the vectors of the coefficients of u_h_binom(a, c), keyed by (a, c)
-_HBINOM_VEC_CACHE = {}
-
-
-def _h_binom_vectors(a, c):
-    """[v_0, ..., v_c]: v_j is the vector of the coefficient of K^-2j in
-    u_h_binom(a, c), (-1)^(c-j) q^(4aj + 2j(j-1)) / (P_j P_(c-j)) by the
-    q-binomial theorem in z = q^4, with P_m = prod_{i=1..m} (z^i - 1). As
-    z^i - 1 is the product of Phi_d(q^2) over the d dividing 2i, it is
-    Phi_1(q^2) times the Phi_d of [2i], and P_m holds Phi_1^m and the Phi_d
-    of [2] [4] ... [2m] (``qratio_vector``).
-    """
-    r = _HBINOM_VEC_CACHE.get((a, c))
-    if r is None:
-        r = []
-        for j in range(c + 1):
-            k = c - j
-            exps = qratio_vector(
-                [], [*range(2, 2 * j + 1, 2), *range(2, 2 * k + 1, 2)])[3]
-            # Phi_1^-c: the exponent of Phi_1 is the lowest field
-            r.append((-1 if k % 2 else 1, 4 * a * j + 2 * j * (j - 1), 0,
-                      exps - c))
-        _HBINOM_VEC_CACHE[a, c] = r
-    return r
-
-
 def _leg_vectors(p, n, r):
     """S_{n,r} as {monomial: vector}, 0 <= r <= n: the terms of
     ``s_component`` with each factor's vector in closed form. The
@@ -583,28 +578,32 @@ def s_component_reversed(p, n, r):
 
     where Y = 3c, G = floor((r-2)/2) in the exponent style that pairs with
     X = c(2c-1) above, and Y = c, G = floor((r-1)/2) in the other.
+
+    With k = r-2c-a and b = r-n-2j for the term of K^-2j of the
+    h-binomial, F^a K^b = q^(2ab) K^b F^a and Echeck^{(k)} =
+    varsigma^k q^(-k(k-1)) E^k K^-k / [k]!; K^b F^a E^k K^-k is read from
+    ``pbw._mono_vectors``, and the Scalars summed (``_scalar_sums``).
     """
     _check_order(p, n)
     if r < 0 or r > n:
         return UElement.zero()
     style = _leg_exponent_style(p, n)
     g = (r - 2) // 2 if style else (r - 1) // 2
-    kpow = UElement.monomial(0, r - n, 0)
-    out = {}
+    terms = {}
     for c in range(r // 2 + 1):
         y = 3 * c if style else c
-        hb = u_h_binom(1 - c + g, c)
-        qvs_c = Scalar.vs_power(c, c)
-        if c % 2:
-            qvs_c = -qvs_c
+        hb = _h_binom_vectors(1 - c + g, c)
         for a in range(r - 2 * c + 1):
-            e = y - (r - 2 * c) * (r - n) + a * (r - 2 * c - a)
-            term = (divided_power("F", a) * hb * kpow
-                    * divided_power("Echeck", r - 2 * c - a))
-            f = Scalar.q_power(e) * qvs_c
-            for m, v in term._t.items():
-                _acc(out, m, v * f)
-    return UElement._raw(out)
+            k = r - 2 * c - a
+            e = y - (r - 2 * c) * (r - n) + a * k - k * k
+            f = vmul(qratio_vector([], [*range(1, a + 1), *range(1, k + 1)],
+                                   c + k), (-1 if c % 2 else 1, e, 0, 0))
+            for j, h in enumerate(hb):
+                b = r - n - 2 * j
+                x = vmul(vmul(h, f), (1, 2 * a * b, 0, 0))
+                for m, v in _mono_vectors((0, b, a), (k, -k, 0)).items():
+                    terms.setdefault(m, []).append(vmul(v, x))
+    return UElement._raw(_scalar_sums(terms))
 
 
 def comult_closed(p, n):
@@ -707,15 +706,8 @@ def _pbw_vectors(p, n):
             _, i, j, e = qratio_vector([idx, idx], [n, n - 1], 1)
             for m, x in prev.items():
                 terms.setdefault(m, []).append(vmul(x, (-1, i, j, e)))
-    r = {}
-    for m, t in terms.items():
-        # the denominators divide (q^2 - 1)^floor(n/2) [n]!: Phi_d, d <= n
-        v = vsum(t, n)
-        if v is None:
-            r = None
-            break
-        if v:
-            r[m] = v
+    # the denominators divide (q^2 - 1)^floor(n/2) [n]!: Phi_d, d <= n
+    r = _vsums(terms, n)
     if n == _ANCHOR and r is not None and (
             {m: to_scalar(x) for m, x in r.items()}
             != idp_to_pbw(idp_closed(p, n))._t):
@@ -738,15 +730,8 @@ def _theorem_vectors(p, n):
         for m1, x in image.items():
             for m2, y in leg.items():
                 terms.setdefault((m1, m2), []).append(vmul(x, y))
-    out = {}
-    for key, t in terms.items():
-        # the coefficients of both sides hold Phi_d with d <= n only
-        v = vsum(t, n)
-        if v is None:
-            return None
-        if v:
-            out[key] = v
-    return out
+    # the coefficients of both sides hold Phi_d with d <= n only
+    return _vsums(terms, n)
 
 
 def _comult_agrees(p, n):

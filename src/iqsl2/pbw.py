@@ -10,15 +10,17 @@ the divided-power commutation formula for F^c E^a (Lusztig, Introduction
 to Quantum Groups), written in this order, with one cyclotomic exponent
 vector per term E^x K^k F^y (``_commute_vectors``). E^a K^b F^c times
 E^a' K^b' F^c' is then, term by term, E^(a+x) K^(b+k+b') F^(y+c') times
-q^(2(bx + b'y)), and each coefficient is ``to_scalar`` of one vector: no
-rewriting and no sum. Both the terms and the products are memoized. The
-B step of the PBW images in ``idp`` reads the same terms.
+q^(2(bx + b'y)) (``_mono_vectors``), and each coefficient is ``to_scalar``
+of one vector: no rewriting and no sum. The terms and the Scalar products
+are memoized. The B step of the PBW images and the reversed coproduct legs
+in ``idp`` read the same vectors.
 
 Beyond the algebra itself this module carries the operators the divided
 power laws need: the Cartan-type element h = (K^-2 - 1)/(q^2 - 1) and its
-shifted binomials, the bar-twisted anti-involution chi (E, F, K fixed,
-coefficients barred, defined on varsigma-free input), and evaluation on a
-weight vector (K acts by q^m, E and F keep their symbols).
+shifted binomials (``_h_binom_vectors``), the bar-twisted anti-involution
+chi (E, F, K fixed, coefficients barred, defined on varsigma-free input),
+and evaluation on a weight vector (K acts by q^m, E and F keep their
+symbols).
 """
 
 from .coeff import LaurentPoly, Scalar
@@ -73,13 +75,22 @@ def _commute_vectors(c, a):
     return r
 
 
+def _mono_vectors(m1, m2):
+    """Normal form of m1 * m2 as {monomial: vector}, by
+    K^b E^x = q^(2bx) E^x K^b and F^y K^b' = q^(2b'y) K^b' F^y."""
+    a, b, c = m1
+    a2, b2, c2 = m2
+    return {(a + x, b + k + b2, y + c2):
+            vmul(v, (1, 2 * (b * x + b2 * y), 0, 0))
+            for (x, k, y), v in _commute_vectors(c, a2).items()}
+
+
 # normal form of m1 * m2, keyed by the monomial pair
 _MONO_CACHE = {}
 
 
 def _mono_mul(m1, m2):
-    """Normal form of m1 * m2 as a dict {monomial: Scalar}, by
-    K^b E^x = q^(2bx) E^x K^b and F^y K^b' = q^(2b'y) K^b' F^y."""
+    """``_mono_vectors(m1, m2)`` with each vector made a Scalar."""
     if m1 == _UNIT:
         return {m2: _SC_ONE}
     if m2 == _UNIT:
@@ -87,11 +98,7 @@ def _mono_mul(m1, m2):
     key = (m1, m2)
     r = _MONO_CACHE.get(key)
     if r is None:
-        a, b, c = m1
-        a2, b2, c2 = m2
-        r = {(a + x, b + k + b2, y + c2):
-             to_scalar(vmul(v, (1, 2 * (b * x + b2 * y), 0, 0)))
-             for (x, k, y), v in _commute_vectors(c, a2).items()}
+        r = {m: to_scalar(v) for m, v in _mono_vectors(m1, m2).items()}
         _MONO_CACHE[key] = r
     return r
 
@@ -179,31 +186,39 @@ def u_h():
     return UElement._raw({(0, -2, 0): inv, _UNIT: -inv})
 
 
-_HBINOM_CACHE = {}
+# the vectors of the coefficients of the shifted h-binomial, keyed by (a, c)
+_HBINOM_VEC_CACHE = {}
+
+
+def _h_binom_vectors(a, c):
+    """[v_0, ..., v_c]: v_j is the vector of the coefficient of K^-2j in
+    prod_{i=1..c} (z^(a+i-1) K^-2 - 1)/(z^i - 1), z = q^4, which is
+    (-1)^(c-j) q^(4aj + 2j(j-1)) / (P_j P_(c-j)) by the q-binomial theorem
+    in z, with P_m = prod_{i=1..m} (z^i - 1). As z^i - 1 is the product of
+    Phi_d(q^2) over the d dividing 2i, it is Phi_1(q^2) times the Phi_d of
+    [2i], and P_m holds Phi_1^m and the Phi_d of [2] [4] ... [2m].
+    """
+    r = _HBINOM_VEC_CACHE.get((a, c))
+    if r is None:
+        r = []
+        for j in range(c + 1):
+            k = c - j
+            exps = qratio_vector(
+                [], [*range(2, 2 * j + 1, 2), *range(2, 2 * k + 1, 2)])[3]
+            # Phi_1^-c: the exponent of Phi_1 is the lowest field
+            r.append((-1 if k % 2 else 1, 4 * a * j + 2 * j * (j - 1), 0,
+                      exps - c))
+        _HBINOM_VEC_CACHE[a, c] = r
+    return r
 
 
 def u_h_binom(a, n):
     """Shifted h-binomial: product over i = 1..n of
-    (q^{4a+4i-4} K^-2 - 1)/(q^{4i} - 1)."""
+    (q^{4a+4i-4} K^-2 - 1)/(q^{4i} - 1), ``to_scalar`` of its vectors."""
     if n < 0:
         raise ValueError("h-binomial of negative order")
-    key = (a, n)
-    r = _HBINOM_CACHE.get(key)
-    if r is None:
-        if n == 0:
-            r = UElement.one()
-        else:
-            prev = u_h_binom(a, n - 1)
-            d = LaurentPoly.q(4 * n) - LaurentPoly.one()
-            factor = UElement._raw(
-                {
-                    (0, -2, 0): Scalar(LaurentPoly.q(4 * a + 4 * n - 4), d),
-                    _UNIT: Scalar(-LaurentPoly.one(), d),
-                }
-            )
-            r = prev * factor
-        _HBINOM_CACHE[key] = r
-    return r
+    return UElement._raw({(0, -2 * j, 0): to_scalar(v)
+                          for j, v in enumerate(_h_binom_vectors(a, n))})
 
 
 def chi(x):

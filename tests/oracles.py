@@ -1,7 +1,8 @@
 """Constructions that only the tests use: conversions of term dicts and
 Scalars to cyclotomic exponent vectors, the inverse of a vector, the
-Scalar of a ratio of quantum integers, the lines of the golden files, and
-the PBW normal form by the defining relations alone.
+Scalar of a ratio of quantum integers, the lines of the golden files, the
+PBW normal form by the defining relations alone, and the h-binomials as
+products of their factors.
 
 Not a test module: the tests import it by name.
 """
@@ -130,3 +131,28 @@ def oracle_products(monkeypatch):
     share no step with the closed commutation formula."""
     monkeypatch.setattr(pbw.UElement, "_key_mul", staticmethod(mono_mul))
     monkeypatch.setattr(tensor, "_mono_mul", mono_mul)
+
+
+# the reference h-binomials, keyed by (a, n)
+_HBINOM_CACHE = {}
+
+
+def h_binom(a, n):
+    """The shifted h-binomial, product over i = 1..n of
+    (q^(4a+4i-4) K^-2 - 1)/(q^(4i) - 1), one factor at a time on Scalars:
+    the reference that ``pbw._h_binom_vectors``, a closed formula, is
+    compared with."""
+    key = (a, n)
+    r = _HBINOM_CACHE.get(key)
+    if r is None:
+        if n == 0:
+            r = pbw.UElement.one()
+        else:
+            d = LaurentPoly.q(4 * n) - LaurentPoly.one()
+            factor = pbw.UElement({
+                (0, -2, 0): Scalar(LaurentPoly.q(4 * a + 4 * n - 4), d),
+                (0, 0, 0): Scalar(-LaurentPoly.one(), d),
+            })
+            r = h_binom(a, n - 1) * factor
+        _HBINOM_CACHE[key] = r
+    return r

@@ -12,7 +12,13 @@ from iqsl2.coeff import LaurentPoly, Scalar
 from iqsl2.cyclo import qratio_vector, to_row, to_scalar, vmul, vsum
 from iqsl2.errors import NotIntegral, ResourceLimit
 from iqsl2.qcomb import qint
-from oracles import from_scalars, from_terms, oracle_products, vinv
+from oracles import (
+    from_scalars,
+    from_terms,
+    h_binom,
+    oracle_products,
+    vinv,
+)
 
 DMAX = 30
 
@@ -524,14 +530,21 @@ class TestCoproductVectors:
                 assert idp._leg_vectors(p, n, r) == legs
 
     def test_h_binomials(self):
-        # the K^-2j coefficients of the h-binomial built in the PBW basis
-        for a in range(-6, 7):
-            for c in range(9):
-                coeffs = pbw.u_h_binom(a, c)._t
-                terms = from_scalars(
-                    {j: coeffs[0, -2 * j, 0] for j in range(c + 1)}, 2 * c)
-                assert terms is not None
-                assert idp._h_binom_vectors(a, c) == list(terms.values())
+        # against the product of the factors on Scalars, value and text of
+        # each coefficient, at every (shift, order) that the legs, the
+        # reversed legs, pbw-core and chi reach up to order 24
+        reached = {(a, n) for a in range(-7, 6) for n in range(5)}
+        for r in range(25):
+            for g in {(r - 2) // 2, (r - 1) // 2}:
+                for c in range(r // 2 + 1):
+                    reached |= {(-g, c), (1 - c + g, c)}
+        for a, c in sorted(reached):
+            want = h_binom(a, c)._t
+            got = {(0, -2 * j, 0): to_scalar(v)
+                   for j, v in enumerate(pbw._h_binom_vectors(a, c))}
+            assert got == want, (a, c)
+            assert {m: str(s) for m, s in got.items()} == {
+                m: str(s) for m, s in want.items()}, (a, c)
 
     @pytest.mark.parametrize("p", ["ev", "odd"])
     def test_images(self, p, monkeypatch):

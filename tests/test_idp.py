@@ -4,6 +4,7 @@ multiplication and comultiplication formulas, and the reversed coproduct
 presentation."""
 
 import functools
+import hashlib
 import itertools
 from collections import Counter
 
@@ -744,6 +745,21 @@ class TestComultTheorem:
             assert s_component_reversed(p, n, r) == s_component(p, n, r), (
                 p, n, r,
             )
+
+    # sha256 of the texts of the reversed legs of orders 0..12, one a line,
+    # as produced while they were built by Scalar products
+    REVERSED_SHA256 = {
+        EV: "33cfd64eeabeead1ac09743d052693d1014a6f2ff54bdeddd67be95b358119d7",
+        ODD: "774275dd8dda9ced9856b8e96d66eb79a24b3781640f0584933d0f7f933df452",
+    }
+
+    @pytest.mark.parametrize("p", PARITIES)
+    def test_reversed_text_is_byte_identical(self, p):
+        h = hashlib.sha256()
+        for n in range(13):
+            for r in range(n + 1):
+                h.update(f"{s_component_reversed(p, n, r)}\n".encode())
+        assert h.hexdigest() == self.REVERSED_SHA256[p]
 
     @pytest.mark.parametrize("p", PARITIES)
     def test_reversed_assembly(self, p):

@@ -1,6 +1,7 @@
 """PBW rewriting: pinned relations, normal form laws, the closed
 commutation formula against the defining relations, chi, h-binomials."""
 
+import hashlib
 import itertools
 
 import pytest
@@ -210,6 +211,16 @@ class TestCartan:
         f1 = Ki * Ki - ONE
         f2 = (Ki * Ki).scale(sc(q(4))) - ONE
         assert u_h_binom(0, 2) == (f1 * f2).scale(sc(LaurentPoly.one(), den))
+
+    def test_h_binom_text_is_byte_identical(self):
+        # sha256 of the texts, one a line, as produced by the product of the
+        # factors on Scalars
+        h = hashlib.sha256()
+        for a in range(-12, 13):
+            for n in range(13):
+                h.update(f"{u_h_binom(a, n)}\n".encode())
+        assert h.hexdigest() == (
+            "96dcd57ef266b7f8611749d48abb3a7ad4cade107803edfe25a48e7a60a93f70")
 
     def test_h_commutation_with_f_and_echeck(self):
         # [h; a]_n F = F [h; a+1]_n and [h; a]_n Echeck = Echeck [h; a-1]_n

@@ -657,11 +657,17 @@ class TestExpand:
             assert digest == self.TEXT_SHA256[kind, parity], kind
 
     # sha256 of the text, as produced while the images and the legs had a
-    # second construction on Scalars
+    # second construction on Scalars; the fhy form, taken while the
+    # reversed legs were built by Scalar products, is the same text as the
+    # direct form
     HIGH_TEXT_SHA256 = {
         ("direct", "ev"):
             "86e1a62a7350cbbd43a667fb2e3242b6855a1376bb1007f107f6560623b02897",
         ("direct", "odd"):
+            "f41ab4c1a2a5fd839fa12d55cb2a6e0185a2f834a3f4cc04d1044cc6097a14db",
+        ("fhy", "ev"):
+            "86e1a62a7350cbbd43a667fb2e3242b6855a1376bb1007f107f6560623b02897",
+        ("fhy", "odd"):
             "f41ab4c1a2a5fd839fa12d55cb2a6e0185a2f834a3f4cc04d1044cc6097a14db",
         ("idp", "ev"):
             "edfd63dbf4afef3f192c9fc50a150862b062737b7df8ee5ea99dadb83304c806",
@@ -672,6 +678,7 @@ class TestExpand:
     @pytest.mark.parametrize("parity", ["ev", "odd"])
     def test_text_is_byte_identical_at_a_higher_order(self, parity):
         texts = {"direct": expand_comult(parity, 10, "direct"),
+                 "fhy": expand_comult(parity, 10, "fhy"),
                  "idp": expand_idp(parity, 16, "pbw")}
         for kind, text in texts.items():
             digest = hashlib.sha256(text.encode()).hexdigest()
@@ -753,11 +760,10 @@ class TestClearCaches:
                   ("chi", 1))
     MEMOS = (
         (pbw, "_MONO_CACHE"), (pbw, "_COMMUTE_VEC_CACHE"),
-        (pbw, "_HBINOM_CACHE"),
+        (pbw, "_HBINOM_VEC_CACHE"),
         (tensor, "_DELTA_MONO_CACHE"), (tensor, "_DELTA_POW_VEC"),
         (idp, "_NUMERATOR_CACHE"), (idp, "_CLOSED_CACHE"), (idp, "_REC_CACHE"),
         (idp, "_PBW_CLOSED_CACHE"), (idp, "_PBW_VEC_CACHE"),
-        (idp, "_HBINOM_VEC_CACHE"),
         (cyclo, "_CYCLOTOMIC_CACHE"), (cyclo, "_DIVISOR_MASKS"),
         (cyclo, "_PHI_VALUES"),
         (coeff, "_QPOW"),
@@ -817,6 +823,13 @@ class TestClearCaches:
         cleared = {f"{m.__name__}.{a}" for m, a in self.MEMOS}
         assert grown
         assert [names for names in grown if not cleared & set(names)] == []
+
+    def test_reversed_legs_take_no_scalar_product(self):
+        # the reversed legs are products on vectors, so the checks of
+        # fhy-forms fill no memo of Scalar normal forms
+        iqsl2.clear_caches()
+        assert run_suite("fhy-forms", 6).passed
+        assert pbw._MONO_CACHE == {}
 
     def test_clear_reaches_lru_caches_behind_rebound_names(self, monkeypatch):
         # a profiler may rebind the module names to plain wrappers, which
@@ -953,9 +966,10 @@ class TestComultVectors:
         assert fallbacks == [7, 8, 9, 10]
 
     def test_reversed_legs_check_the_forward_legs(self, monkeypatch):
-        # the forward legs have one construction, from exponent vectors; the
-        # reversed legs, built by products in the PBW basis, must catch a
-        # wrong coefficient of it, and so must the coproduct check
+        # both presentations of the legs read the same h-binomial vectors,
+        # at other shifts and orders, so the reversed legs still catch a
+        # wrong coefficient of them; the direct side of the coproduct check
+        # takes no h-binomial at all
         h_binom = idp._h_binom_vectors
 
         def corrupted(a, c):
@@ -1267,6 +1281,11 @@ class TestReferenceRules:
             "68254022e030108d14db5cee2b36233fa48c68d22baf7a8702b4f5e254f14972",
         ("fhy-forms", 6, "specialized"):
             "23ca8077032f7196e8dcdf7ffc3663c3a4c84cd80a3932de48dc146f09887d39",
+        # taken while the reversed legs were built by Scalar products
+        ("fhy-forms", 10, "generic"):
+            "fd339c48fe93d3739a095c4598aabbb854be3b4432c1ce9e79dc77248daf40c8",
+        ("fhy-forms", 10, "specialized"):
+            "2454c8febfe686c3e5a447b569d9dcd49e54c7eb838f866d6edbce6475bf723c",
         ("proof-recurrences", 8, "generic"):
             "a3881b0889661f6eb40e7ce78bdc6633cf54e75828eccf6e1e0e0a4169f4d6cf",
         ("proof-recurrences", 8, "specialized"):

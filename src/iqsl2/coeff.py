@@ -100,24 +100,22 @@ _ONE_TERMS = {(0, 0): 1}
 
 def format_terms(items):
     """The canonical text (module docstring) of the terms ((i, j), c),
-    c != 0, given ascending in (i, j); "0" when there are none."""
+    c != 0, given ascending in (i, j); "0" when there are none. Each term
+    is written as one string, signed; the join turns "+ -" into "-"."""
     parts = []
     add = parts.append
     for (i, j), c in items:
-        if c < 0:
-            add(" - " if parts else "-")
-            c = -c
-        elif parts:
-            add(" + ")
-        if c != 1 or not (i or j):
-            add(f"{c}*" if i or j else str(c))
         if i:
-            add("q" if i == 1 else f"q^{i}")
+            m = "q" if i == 1 else f"q^{i}"
             if j:
-                add("*")
-        if j:
-            add("v" if j == 1 else f"v^{j}")
-    return "".join(parts) if parts else "0"
+                m += "*v" if j == 1 else f"*v^{j}"
+        elif j:
+            m = "v" if j == 1 else f"v^{j}"
+        else:
+            add(str(c))
+            continue
+        add(m if c == 1 else "-" + m if c == -1 else f"{c}*{m}")
+    return " + ".join(parts).replace(" + -", " - ") if parts else "0"
 
 
 def _min_exps(t):

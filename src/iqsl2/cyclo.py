@@ -9,7 +9,9 @@ Distinct Phi_d(x) are coprime irreducibles and none vanishes at 0, so
 equal values have equal vectors. For k >= 1, [k] = q^(1-k) prod_{d | k,
 d > 1} Phi_d(q^2) and [-k] = -[k], so a ratio of quantum integers is a
 vector by counting (``qratio_vector``), and ``to_scalar`` writes a vector
-as a Scalar in lowest terms with no gcd.
+as a Scalar in lowest terms with no gcd. ``to_row`` writes the table row of
+a vector, and ``sum_row`` that of a sum of vectors over one common
+denominator, with no Scalar.
 
 The exponents are packed into one int, exps = sum_d e_d 2^(16(d-1)): e_d is
 the balanced 16-bit field d - 1, in [-2^15, 2^15). The packing is linear,
@@ -54,6 +56,9 @@ is guessed, and the caller decides with Scalars. The Phi_d tried are those
 up to the caller's bound and those that any term carries, cancelled terms
 included.
 """
+
+from itertools import repeat
+from operator import add, mul, neg
 
 from ._kernel_py import _pack, _unpack
 from .coeff import Scalar, format_terms
@@ -108,6 +113,19 @@ def _cyclotomic(d):
     return r
 
 
+def _size(exps):
+    """(prod ||Phi_d||_1^e, sum deg(Phi_d) e) over the (d, e) pairs of
+    ``exps`` (e > 0): a bound on the coefficients of the product, and its
+    degree."""
+    norm = 1
+    deg = 0
+    for d, e in exps:
+        phi, n1 = _cyclotomic(d)
+        norm *= n1 ** e
+        deg += max(phi) * e
+    return norm, deg
+
+
 def _cyclotomic_product(exps):
     """prod Phi_d(x)^e over the (d, e) pairs of ``exps`` (e > 0), as {i: c}.
 
@@ -119,12 +137,7 @@ def _cyclotomic_product(exps):
     machine word, so that the values come from the memo of ``_phi_value``
     and ``_unpack`` reads the digits as words.
     """
-    norm = 1
-    deg = 0
-    for d, e in exps:
-        phi, n1 = _cyclotomic(d)
-        norm *= n1 ** e
-        deg += max(phi) * e
+    norm, deg = _size(exps)
     k = norm.bit_length() + 1
     val = 1
     if k <= 64:
@@ -264,24 +277,111 @@ def to_scalar(x):
     return Scalar._make(n, d, cancel=False)
 
 
+def _text(poly, shift, l, sign=1):
+    """The canonical text of sign q^shift varsigma^l poly(q^2), for the
+    univariate dict poly {i: c} in ascending order. The terms reach
+    ``format_terms`` through C iterators, so no Python frame runs per
+    term."""
+    keys = zip(map(add, map(mul, poly, repeat(2)), repeat(shift)), repeat(l))
+    cs = poly.values()
+    return format_terms(zip(keys, cs if sign > 0 else map(neg, cs)))
+
+
 def to_row(x):
     """(str(to_scalar(x)), integral, positive) of the nonzero vector x, as
     ``verify.table_rows`` reports a coefficient, with no Scalar: the texts
-    are written from the digits of ``_cyclotomic_product``, which come in
-    ascending order. The fraction is in lowest terms over prod Phi_d(q^2),
-    so it is a Laurent polynomial exactly when no exponent is negative; and
-    varsigma -> q^-1 only shifts its terms, which all carry varsigma^l, so
-    it is then nonnegative exactly when every sign * c is positive."""
+    are written by ``_text`` from the digits of ``_cyclotomic_product``,
+    which come in ascending order. The fraction is in lowest terms over
+    prod Phi_d(q^2), so it is a Laurent polynomial exactly when no exponent
+    is negative; and varsigma -> q^-1 only shifts its terms, which all
+    carry varsigma^l, so it is then nonnegative exactly when every
+    sign * c is positive: the least c for sign 1, the greatest for -1."""
     sign, shift, l, exps = x
     fields = _fields(exps)
     num = _cyclotomic_product([(d, e) for d, e in fields if e > 0])
-    text = format_terms(((2 * i + shift, l), sign * c) for i, c in num.items())
+    text = _text(num, shift, l, sign)
     den = [(d, -e) for d, e in fields if e < 0]
     if den:
-        den = format_terms(((2 * i, 0), c)
-                           for i, c in _cyclotomic_product(den).items())
+        den = _text(_cyclotomic_product(den), 0, 0)
         return f"({text})/({den})", False, False
-    return text, True, all(sign * c > 0 for c in num.values())
+    cs = num.values()
+    return text, True, min(cs) > 0 if sign > 0 else max(cs) < 0
+
+
+def sum_row(terms):
+    """The row (text, True, positive), as ``to_row`` writes it, of the sum
+    of the nonzero vectors ``terms`` when that sum is proved to be a
+    Laurent polynomial; 0 when it vanishes; None otherwise, so that the
+    caller adds Scalars: when the sum is no Laurent polynomial, when that
+    is not proved, and always when the terms differ in l or in the parity
+    of their shifts. A sum left as None is not 0: terms that differ so
+    cannot cancel, and the first evaluation decides 0. No Scalar and no
+    gcd.
+
+    Let F = min(0, e_t) field by field and lo the least shift. Then the sum
+    is q^lo varsigma^l N(q^2) / D(q^2), with D = prod_d Phi_d^(-F_d) and
+    N = sum_t s_t x^((i_t - lo)/2) prod_d Phi_d^(e_t - F) polynomials in
+    x = q^2 (the shifts have one parity). N has coefficients of at most
+    B = sum_t prod_d ||Phi_d||_1^(e_t - F). At x = 2^k with 2^(k-1) > B:
+    V = N(2^k) = 0 means N = 0, its balanced digits; a remainder of V mod
+    D(2^k) proves that D does not divide N, as N = Q D gives
+    V = Q(2^k) D(2^k). Otherwise Q, the balanced digits of V / D(2^k), has
+    Q D - N vanish at 2^k with coefficients of at most
+    ||Q||_1 ||D||_1 + B. When that is below 2^(k-1), N = Q D and the sum
+    is the Laurent polynomial q^lo varsigma^l Q(q^2), nonnegative after
+    varsigma -> q^-1 exactly when every digit is positive. When D = 1, Q
+    is N itself. Otherwise k widens to cover the bound, at most twice; a
+    quotient with more digits than deg N - deg D + 1 is not proved.
+    """
+    l = terms[0][2]
+    lo = min(t[1] for t in terms)
+    if any(t[2] != l or (t[1] - lo) % 2 for t in terms):
+        return None
+    fields = [_fields(t[3]) for t in terms]
+    floor = {}
+    for f in fields:
+        for d, e in f:
+            if e < floor.get(d, 0):
+                floor[d] = e
+    den = [(d, -e) for d, e in floor.items()]
+    # each term of N as (sign, x-shift, its (d, e) pairs over the floor)
+    parts = []
+    bound = deg = 0
+    for (sign, i, _, _), f in zip(terms, fields):
+        rest = dict(den)
+        for d, e in f:
+            rest[d] = rest.get(d, 0) + e
+        rest = [(d, e) for d, e in rest.items() if e]
+        a = (i - lo) // 2
+        norm, g = _size(rest)
+        bound += norm
+        deg = max(deg, a + g)
+        parts.append((sign, a, rest))
+    dnorm, ddeg = _size(den)
+    k = _width(bound)
+    for _ in range(3):
+        val = 0
+        for sign, a, rest in parts:
+            x = sign << (k * a)
+            for d, e in rest:
+                x *= _phi_value(d, k // 2) ** e
+            val += x
+        if not val:
+            return 0
+        dval = 1
+        for d, e in den:
+            dval *= _phi_value(d, k // 2) ** e
+        quo, rem = divmod(val, dval)
+        if rem:
+            return None
+        q = _unpack(quo, deg - ddeg + 1, k)
+        if q is None:
+            return None
+        need = sum(map(abs, q.values())) * dnorm + bound
+        if not den or need.bit_length() < k:
+            return _text(q, lo, l), True, min(q.values()) > 0
+        k = _width(need)
+    return None
 
 
 def vmul(x, y):
@@ -290,7 +390,7 @@ def vmul(x, y):
 
 
 # Phi_d(4^k), the value of Phi_d(q^2) at q = 2^k, keyed by (d, k);
-# _cyclotomic_product reads Phi_d(2^w) at a word width w as (d, w/2)
+# _cyclotomic_product and sum_row read Phi_d(x) at x = 2^w as (d, w/2)
 _PHI_VALUES = {}
 
 

@@ -72,8 +72,9 @@ decides the coproduct theorem on the same vectors, with the coproduct
 monomial by monomial (``tensor.delta_vectors``) and one checked sum per key
 of the assembly. The plain substitution ``idp_to_pbw``, by products in
 the PBW basis, is the second construction of the images: the vector image
-of order ``_ANCHOR`` must equal it, and it gives the image of an order the
-vectors do not prove. Both read the commutation formula of ``pbw``, so the
+of order ``_ANCHOR`` must equal it, and it gives the image of an order
+above ``_ANCHOR`` that the vectors do not prove (an unproved order up to
+``_ANCHOR`` raises). Both read the commutation formula of ``pbw``, so the
 anchor checks how the B step reads it, not the formula itself. The
 reversed legs, products on vectors by the same rule, are the second
 construction of the legs; both read ``pbw._h_binom_vectors``, at other
@@ -684,8 +685,10 @@ def _pbw_vectors(p, n):
     """The image of B^{(n)} = B^{(n-2)} (B^2 - q varsigma [idx]^2) / ([n]
     [n-1]), with B^{(0)} = 1 and B^{(1)} = B, one factor at a time: the
     terms of B^{(n-2)} B B and of the correction are summed once per
-    monomial. AssertionError when the image of order ``_ANCHOR`` differs
-    from ``idp_to_pbw``."""
+    monomial. AssertionError when a sum of an order up to ``_ANCHOR`` is
+    not proved, or the image of order ``_ANCHOR`` differs from
+    ``idp_to_pbw``: the low orders hold for every correct B step, so an
+    unproved one is a fault, not a case for the fallback."""
     key = (p, n)
     if key in _PBW_VEC_CACHE:
         return _PBW_VEC_CACHE[key]
@@ -708,9 +711,10 @@ def _pbw_vectors(p, n):
                 terms.setdefault(m, []).append(vmul(x, (-1, i, j, e)))
     # the denominators divide (q^2 - 1)^floor(n/2) [n]!: Phi_d, d <= n
     r = _vsums(terms, n)
-    if n == _ANCHOR and r is not None and (
-            {m: to_scalar(x) for m, x in r.items()}
-            != idp_to_pbw(idp_closed(p, n))._t):
+    if n <= _ANCHOR and r is None:
+        raise AssertionError(f"the vector image of B^({n}) is not proved")
+    if n == _ANCHOR and ({m: to_scalar(x) for m, x in r.items()}
+                         != idp_to_pbw(idp_closed(p, n))._t):
         raise AssertionError(
             f"the vector image of B^({n}) is not the PBW image")
     _PBW_VEC_CACHE[key] = r

@@ -93,7 +93,7 @@ from types import SimpleNamespace
 
 from ._kernel_py import _pack
 from .coeff import LaurentPoly, Scalar
-from .cyclo import _width, to_row, to_scalar
+from .cyclo import _width, sum_row, to_row, to_scalar
 from .errors import NegativeInput, NotIntegral, ResourceLimit, UnknownSuite
 from .idp import (
     EV,
@@ -1015,10 +1015,13 @@ def table_rows(family, max_total_degree):
     polynomial with integer (respectively nonnegative) coefficients.
 
     The rows are the terms of ``mult_closed``, written from its vectors
-    (``idp._mult_closed_terms``). A single ratio is written with no Scalar
-    (``cyclo.to_row``); only a sum of two ratios (family "odd", m and n
-    odd) is added, specialized and divided as Scalars. Each distinct tuple
-    of ratios is written once, a sum that vanishes as no row.
+    (``idp._mult_closed_terms``) with no Scalar: a single ratio by
+    ``cyclo.to_row``, a sum of two ratios (family "odd", m and n odd) by
+    ``cyclo.sum_row``, which proves it a Laurent polynomial by one exact
+    quotient of values. Only a sum that ``sum_row`` leaves unproved is
+    added, specialized and divided as Scalars; no sum of either family up
+    to order 24 is. Each distinct tuple of ratios is written once, a sum
+    that vanishes as no row.
     """
     if family not in PARITIES:
         raise ValueError(f"unknown family {family!r}")
@@ -1046,12 +1049,14 @@ def table_rows(family, max_total_degree):
 def _table_row(terms):
     """(coefficient, integral, positive) of the sum of the nonzero ratios
     ``terms``, one or two, as ``table_rows`` reports it; None when the sum
-    vanishes."""
+    vanishes. Scalars decide only a sum that ``sum_row`` does not prove,
+    which is not 0."""
     if len(terms) == 1:
         return to_row(terms[0])
+    row = sum_row(terms)
+    if row is not None:
+        return row or None
     s = to_scalar(terms[0]) + to_scalar(terms[1])
-    if s.is_zero():
-        return None
     try:
         lp = s.specialize_varsigma().to_laurent()
     except NotIntegral:

@@ -1,8 +1,9 @@
 """Constructions that only the tests use: conversions of term dicts and
 Scalars to cyclotomic exponent vectors, the inverse of a vector, the
 Scalar of a ratio of quantum integers, the lines of the golden files, the
-PBW normal form by the defining relations alone, and the h-binomials as
-products of their factors.
+PBW normal form by the defining relations alone, the h-binomials as
+products of their factors, and the canonical text of terms written one
+part at a time.
 
 Not a test module: the tests import it by name.
 """
@@ -54,6 +55,30 @@ def qratio(nums, dens):
     """The Scalar of the product of quantum integers over ``nums`` divided
     by the product over ``dens``, in lowest terms with no gcd."""
     return to_scalar(qratio_vector(nums, dens))
+
+
+def format_terms_reference(items):
+    """The canonical text of the terms ((i, j), c), c != 0, given ascending
+    in (i, j), written one part at a time: the sign or the joiner, the
+    coefficient, then the powers. The reference that ``coeff.format_terms``,
+    one signed string per term, is compared with."""
+    parts = []
+    add = parts.append
+    for (i, j), c in items:
+        if c < 0:
+            add(" - " if parts else "-")
+            c = -c
+        elif parts:
+            add(" + ")
+        if c != 1 or not (i or j):
+            add(f"{c}*" if i or j else str(c))
+        if i:
+            add("q" if i == 1 else f"q^{i}")
+            if j:
+                add("*")
+        if j:
+            add("v" if j == 1 else f"v^{j}")
+    return "".join(parts) if parts else "0"
 
 
 def format_mult(parity, m, n):

@@ -16,6 +16,7 @@ from iqsl2.errors import (
     RequiresSpecialized,
 )
 from iqsl2.qcomb import qint
+from oracles import format_terms_reference
 
 q = LaurentPoly.q
 vs = LaurentPoly.vs
@@ -205,6 +206,24 @@ def test_str_equals_the_per_term_reference_on_edge_terms(t):
 @settings(max_examples=300)
 def test_str_equals_the_per_term_reference(t):
     assert str(LaurentPoly._raw(dict(t))) == _reference_str(t)
+
+
+@pytest.mark.parametrize("t", [
+    {}, {(0, 0): 1}, {(0, 0): -1}, {(0, 0): -12}, {(1, 0): 1}, {(1, 0): -1},
+    {(0, 1): 1}, {(0, 1): -1}, {(1, 1): -1}, {(-1, 0): 1, (0, 0): -1},
+    {(0, -2): -3, (0, 1): 1, (1, -1): 1, (3, 0): -1},
+])
+def test_format_terms_equals_the_reference_on_edge_terms(t):
+    items = sorted(t.items())
+    assert coeff.format_terms(items) == format_terms_reference(items)
+
+
+@given(_TERMS)
+@settings(max_examples=300)
+def test_format_terms_equals_the_reference(t):
+    # constants, +-1, q^1, v^1, v-only terms and negative exponents
+    items = sorted(t.items())
+    assert coeff.format_terms(iter(items)) == format_terms_reference(items)
 
 
 def _reference_subst_v_qinv(t):

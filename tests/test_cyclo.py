@@ -9,7 +9,14 @@ from hypothesis import given, settings, strategies as st
 from iqsl2 import cyclo, idp, pbw, tensor
 from iqsl2._kernel import kmul
 from iqsl2.coeff import LaurentPoly, Scalar
-from iqsl2.cyclo import qratio_vector, to_row, to_scalar, vmul, vsum
+from iqsl2.cyclo import (
+    qratio_vector,
+    sum_row,
+    to_row,
+    to_scalar,
+    vmul,
+    vsum,
+)
 from iqsl2.errors import NotIntegral, ResourceLimit
 from iqsl2.qcomb import qint
 from oracles import (
@@ -473,7 +480,17 @@ def _scalar_row(x):
     """(text, integral, positive) of the vector x by the Scalar route of
     ``verify.table_rows``: the text of ``to_scalar``, then varsigma -> q^-1
     and the division of the numerator by the denominator."""
-    s = to_scalar(x)
+    return _scalar_text_row(to_scalar(x))
+
+
+def _scalar_sum_row(terms):
+    """The row of the sum of the vectors ``terms`` by the Scalar route:
+    ``to_scalar`` of each, added; None when the sum vanishes."""
+    s = sum(map(to_scalar, terms[1:]), to_scalar(terms[0]))
+    return None if s.is_zero() else _scalar_text_row(s)
+
+
+def _scalar_text_row(s):
     try:
         lp = s.specialize_varsigma().to_laurent()
     except NotIntegral:
@@ -516,6 +533,63 @@ class TestRow:
         row = to_row(x)
         assert row == _scalar_row(x)
         assert row[1:] == self.FLAGS[key]
+
+
+class TestSumRow:
+    """``sum_row`` writes the row of a sum of ratios, or proves that it
+    vanishes, with no Scalar; what it leaves unproved takes the Scalar
+    path of ``verify._table_row``."""
+
+    @staticmethod
+    def check(terms):
+        want = _scalar_sum_row(terms)
+        row = sum_row(terms)
+        if row == 0:
+            assert want is None
+        elif row is not None:
+            assert row == want and row[1]
+        else:
+            l, parity = terms[0][2], terms[0][1] % 2
+            mixed = any(t[2] != l or t[1] % 2 != parity for t in terms)
+            assert want is not None and (mixed or not want[1])
+        return row
+
+    @given(vectors(), vectors(), st.integers(-4, 4))
+    @settings(max_examples=150, deadline=None)
+    def test_is_the_scalar_sum(self, x, y, t):
+        # as drawn, the terms often differ in l or in shift parity
+        self.check([x, y])
+        # y on the l and the shift parity of x
+        same = (y[0], x[1] + 2 * t, x[2], y[3])
+        self.check([x, same])
+        self.check([x, (-x[0], *x[1:])])
+        self.check([x, x])
+        # one step off in l, or in the shift
+        assert sum_row([x, (same[0], same[1], same[2] + 1, same[3])]) is None
+        assert sum_row([x, (same[0], same[1] + 1, *same[2:])]) is None
+
+    @given(st.integers(1, 9), st.integers(1, 9), vectors(j=0),
+           st.integers(0, 3))
+    @settings(max_examples=100, deadline=None)
+    def test_an_integral_sum_over_a_denominator(self, m, n, z, l):
+        # q^n [m] / [m+n] + q^-m [n] / [m+n] = 1, times z: the sum has the
+        # factors of [m + n] in D, divided out; z brings fields of either
+        # sign, so the sum is integral only when z is
+        x = vmul(qratio_vector([m], [m + n], l), (1, n, 0, 0))
+        y = vmul(qratio_vector([n], [m + n], l), (1, -m, 0, 0))
+        one = str(LaurentPoly.monomial(l, l))
+        assert self.check([x, y]) == (one, True, True)
+        row = self.check([vmul(x, z), vmul(y, z)])
+        if not any(e < 0 for _, e in cyclo._fields(z[3])):
+            assert row is not None
+
+    def test_the_pairs_of_the_order_24_table(self):
+        pairs = {tuple(terms) for m in range(25) for n in range(25 - m)
+                 for terms in idp._mult_closed_terms(idp.ODD, m, n).values()
+                 if len(terms) == 2}
+        assert len(pairs) == 70
+        for terms in pairs:
+            assert self.check(list(terms)) is not None
 
 
 class TestCoproductVectors:

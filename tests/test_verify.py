@@ -513,11 +513,10 @@ class TestTable:
         digest = hashlib.sha256(text.encode()).hexdigest()
         assert digest == self.TABLE_24_JSON_SHA256[family]
 
-    # gcd calls at order 24: every coefficient is a sum of ratios built in
-    # lowest terms, and only the sums of two ratios (family odd, m and n
-    # odd) are reduced by a gcd, in 22 of the 70 distinct pairs, each
-    # added once
-    TABLE_24_GCDS = {"ev": 0, "odd": 22}
+    # gcd calls at order 24: every coefficient is a ratio built in lowest
+    # terms, or a sum of two ratios (family odd, m and n odd) proved to be
+    # a Laurent polynomial on the vectors, so no row takes a gcd
+    TABLE_24_GCDS = {"ev": 0, "odd": 0}
 
     @pytest.mark.parametrize("family", ["ev", "odd"])
     def test_order_24_table_divides_nothing(self, family, monkeypatch):
@@ -547,6 +546,20 @@ class TestTable:
         emit_table(family, 24, "csv")
         assert calls == {"gcd": self.TABLE_24_GCDS[family],
                          "gcd outside a sum": 0, "div": 0}
+
+    @pytest.mark.parametrize("family", ["ev", "odd"])
+    def test_order_24_table_takes_no_scalar(self, family, monkeypatch):
+        # every row of both families is written from the vectors: a single
+        # ratio by to_row, each of the 70 distinct pairs of family odd by
+        # sum_row, so no row falls back to the Scalar sum
+        def scalar_path(*args):
+            raise AssertionError("a table row took the Scalar path")
+
+        monkeypatch.setattr(verify, "to_scalar", scalar_path)
+        monkeypatch.setattr(coeff.Scalar, "__add__", scalar_path)
+        text = emit_table(family, 24, "csv")
+        digest = hashlib.sha256(text.encode()).hexdigest()
+        assert digest == self.TABLE_24_SHA256[family]
 
     def test_a_corrupted_pair_of_ratios_changes_only_its_row(self,
                                                              monkeypatch):
@@ -901,6 +914,13 @@ class TestComultVectors:
             fallbacks.append(n)
             return theorem(p, n)
 
+        # the images up to order _ANCHOR must be proved (an unproved one
+        # raises, see test_an_unproved_low_order_image_is_loud), so they
+        # are built before the sums are stubbed; every sum of the
+        # assembly is still unproved
+        for p in (idp.EV, idp.ODD):
+            for n in range(idp._ANCHOR + 1):
+                idp._pbw_vectors(p, n)
         monkeypatch.setattr(idp, "vsum", lambda terms, dmax: None)
         monkeypatch.setattr(verify, "comult_theorem", spy)
         assert self._report(name, 8) == expected
@@ -945,6 +965,23 @@ class TestComultVectors:
         monkeypatch.setattr(idp, "_rmul_B_vectors", wrong_step)
         with pytest.raises(AssertionError, match="is not the PBW image"):
             run_suite(name, 3)
+
+    @pytest.mark.parametrize("name", ["comult-odd", "comult-even"])
+    def test_an_unproved_low_order_image_is_loud(self, name, monkeypatch):
+        # the B step with the shift q^(2bx) in place of q^(2(bx - y)):
+        # orders 0 and 1 commute only F^0, where y = 0 and both shifts agree,
+        # and from order 2 on no sum is proved, so the anchor order is
+        # never reached; the suite must fail rather than fall back
+        commute = idp._commute_vectors
+
+        def shifted(c, a):
+            return {(x, k, y): (s, i + 2 * y, j, e)
+                    for (x, k, y), (s, i, j, e) in commute(c, a).items()}
+
+        self._fresh_images(monkeypatch)
+        monkeypatch.setattr(idp, "_commute_vectors", shifted)
+        with pytest.raises(AssertionError, match=r"B\^\(2\) is not proved"):
+            run_suite(name, 4)
 
     @pytest.mark.parametrize("name", ["comult-odd", "comult-even"])
     def test_an_unproved_image_falls_back_from_its_order(self, name,

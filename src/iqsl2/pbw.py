@@ -26,9 +26,8 @@ symbols).
 from .coeff import LaurentPoly, Scalar
 from .cyclo import qratio_vector, to_scalar, vmul
 from .errors import RequiresSpecialized
-from .qcomb import qfact
-# re-exported: perfbench's tracer looks the name up on this module
-from .qcomb import qint  # noqa: F401
+# re-exported: perfbench's tracer looks the names up on this module
+from .qcomb import qfact, qint  # noqa: F401
 from .sparse import Sparse, _acc
 
 _SC_ONE = Scalar.one()
@@ -167,16 +166,13 @@ def divided_power(name, n):
         raise ValueError("divided power of negative order")
     if n == 0:
         return UElement.one()
-    inv_fact = Scalar(LaurentPoly.one(), qfact(n))
-    if name == "E":
-        return UElement._raw({(n, 0, 0): inv_fact})
-    if name == "F":
-        return UElement._raw({(0, 0, n): inv_fact})
-    if name == "Echeck":
-        # (E K^-1)^n = q^{-n(n-1)} E^n K^-n, then the varsigma^n prefactor
-        s = Scalar(LaurentPoly.monomial(-n * (n - 1), n), qfact(n))
-        return UElement._raw({(n, -n, 0): s})
-    raise ValueError(f"no divided power for generator {name!r}")
+    key = {"E": (n, 0, 0), "F": (0, 0, n), "Echeck": (n, -n, 0)}.get(name)
+    if key is None:
+        raise ValueError(f"no divided power for generator {name!r}")
+    # Echeck^{(n)} = (q varsigma)^n q^(-n^2) / [n]! E^n K^-n, as in the legs
+    l = n if name == "Echeck" else 0
+    x = vmul(qratio_vector([], range(1, n + 1), l), (1, -l * n, 0, 0))
+    return UElement._raw({key: to_scalar(x)})
 
 
 def u_h():

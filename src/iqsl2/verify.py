@@ -55,8 +55,9 @@ the closed formulas against independent computations:
     distinguished specialization.
 ``positivity``
     Integrality and positivity of all structure constants at the
-    distinguished specialization, and per-monomial sign profiles of
-    weight-evaluated coproduct legs.
+    distinguished specialization, written as the table writes its rows
+    (``_table_row``), and per-monomial sign profiles of weight-evaluated
+    coproduct legs.
 
 In specialized mode every check of the mult and comult suites and the
 reversed-leg checks compare after substituting varsigma = q^-1, by one
@@ -881,19 +882,21 @@ def _suite_positivity(bound, mode):
     checks = []
     weight_bound = min(bound, 6)
 
+    # the table's row of each distinct tuple of ratios at varsigma = q^-1
+    rows = {}
     for parity in PARITIES:
         for m in range(bound + 1):
             for n in range(bound + 1 - m):
                 bad = []
-                for d, s in sorted(mult_closed(parity, m, n).items()):
-                    sp = s.specialize_varsigma()
-                    try:
-                        lp = sp.to_laurent()
-                    except NotIntegral:
-                        bad.append(f"degree {d}: not integral: {sp}")
-                        continue
-                    if not lp.is_nonneg():
-                        bad.append(f"degree {d}: negative terms: {lp}")
+                for d, t in sorted(_mult_closed_terms(parity, m, n).items()):
+                    key = tuple((s, i - j, 0, e) for s, i, j, e in t)
+                    if key not in rows:
+                        rows[key] = _table_row(key) or (None, True, True)
+                    text, integral, positive = rows[key]
+                    if not integral:
+                        bad.append(f"degree {d}: not integral: {text}")
+                    elif not positive:
+                        bad.append(f"degree {d}: negative terms: {text}")
                 checks.append(
                     CheckResult("structure-positivity", (parity, m, n),
                                 not bad, "; ".join(bad) if bad else None)
@@ -1048,7 +1051,8 @@ def table_rows(family, max_total_degree):
 
 def _table_row(terms):
     """(coefficient, integral, positive) of the sum of the nonzero ratios
-    ``terms``, one or two, as ``table_rows`` reports it; None when the sum
+    ``terms``, one or two, as ``table_rows`` reports it and
+    structure-positivity reads it at varsigma = q^-1; None when the sum
     vanishes. Scalars decide only a sum that ``sum_row`` does not prove,
     which is not 0."""
     if len(terms) == 1:

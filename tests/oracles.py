@@ -1,9 +1,9 @@
 """Constructions that only the tests use: conversions of term dicts and
 Scalars to cyclotomic exponent vectors, the inverse of a vector, the
-Scalar of a ratio of quantum integers, the lines of the golden files, the
-PBW normal form by the defining relations alone, the h-binomials as
-products of their factors, and the canonical text of terms written one
-part at a time.
+structure-positivity rule on Scalars, the Scalar of a ratio of quantum
+integers, the lines of the golden files, the PBW normal form by the
+defining relations alone, the h-binomials as products of their factors,
+and the canonical text of terms written one part at a time.
 
 Not a test module: the tests import it by name.
 """
@@ -12,6 +12,7 @@ from iqsl2 import pbw, tensor
 from iqsl2._kernel_py import _pack
 from iqsl2.coeff import LaurentPoly, Scalar
 from iqsl2.cyclo import _prove, qratio_vector, to_scalar, vmul
+from iqsl2.errors import NotIntegral
 from iqsl2.idp import EV, mult_closed
 from iqsl2.qcomb import qint
 from iqsl2.sparse import _acc
@@ -49,6 +50,24 @@ def from_scalars(t, dmax):
             return None
         out[key] = vmul(num, vinv(den))
     return out
+
+
+def structure_positivity(p, m, n):
+    """The witness of the check structure-positivity (p, m, n), None when
+    it passes, by the Scalar rule: every coefficient of ``mult_closed`` at
+    varsigma = q^-1 is a Laurent polynomial with nonnegative coefficients.
+    The suite reads the table's rows on vectors and is compared with it."""
+    bad = []
+    for d, s in sorted(mult_closed(p, m, n).items()):
+        sp = s.specialize_varsigma()
+        try:
+            lp = sp.to_laurent()
+        except NotIntegral:
+            bad.append(f"degree {d}: not integral: {sp}")
+            continue
+        if not lp.is_nonneg():
+            bad.append(f"degree {d}: negative terms: {lp}")
+    return "; ".join(bad) if bad else None
 
 
 def qratio(nums, dens):

@@ -184,6 +184,16 @@ class TestDividedPowers:
                     rhs = divided_power(name, m + n).scale(sc(qbinom(m + n, n)))
                     assert lhs == rhs
 
+    def test_text_is_byte_identical(self):
+        # sha256 of the texts, one a line, as produced from the Scalar
+        # 1 / [n]! with the factorial qfact(n)
+        h = hashlib.sha256()
+        for name in ("E", "F", "Echeck"):
+            for n in range(25):
+                h.update(f"{name} {n} {divided_power(name, n)}\n".encode())
+        assert h.hexdigest() == (
+            "a22f76d16be7b8f822fa2a18b13b435ffea77f50ccb8ae8432394d04d82ae4b5")
+
     def test_negative_order_rejected(self):
         with pytest.raises(ValueError):
             divided_power("E", -1)

@@ -31,7 +31,7 @@ from iqsl2.verify import (
     run_suite,
     table_rows,
 )
-from oracles import golden_comult_lines, golden_mult_lines
+from oracles import golden_comult_lines, golden_mult_lines, structure_positivity
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
 
@@ -1455,3 +1455,82 @@ class TestPositivity:
                 ("weight-sign-profile", ("odd", 2, 2, 1),
                  "E^0*F^0:? E^0*F^2:+ E^1*F^1:+ E^2*F^0:+"),
             ]
+
+    # (offsets entry, corrupted offsets) -> (failing checks, witnesses with
+    # a not-integral fault, with a negative-terms fault, sums that
+    # sum_row leaves to Scalars, digest) of positivity 10; the counts and
+    # digests as produced by the Scalar rule alone
+    CORRUPTED = {
+        (("ev", 1, 0), (1, 3, 2)): (
+            10, 9, 3, 0,
+            "c11e86209da8530281fa6b7374912e720c1c9df8972bb66d85c5b8c683a7b0b1"),
+        (("odd", 1, 1), (1, 3, 3)): (
+            15, 15, 0, 5,
+            "11d139e8f69086f02fa4024e08267e9b5c3c85196114c62cae50ea8067c3f949"),
+    }
+
+    @pytest.mark.parametrize("entry,offsets", sorted(CORRUPTED))
+    def test_corrupted_offsets_keep_their_witnesses(self, entry, offsets,
+                                                    monkeypatch):
+        unproved = []
+        sum_row = verify.sum_row
+
+        def spy(terms):
+            row = sum_row(terms)
+            if row is None:
+                unproved.append(terms)
+            return row
+
+        monkeypatch.setattr(verify, "sum_row", spy)
+        monkeypatch.setitem(idp._MULT_OFFSETS, entry, offsets)
+        iqsl2.clear_caches()
+        report = TestComultVectors._report("positivity", 10)
+        bad = [c["witness"] for c in report["checks"] if not c["pass"]]
+        assert (len(bad), sum("not integral" in w for w in bad),
+                sum("negative terms" in w for w in bad), len(unproved),
+                _digest(report)) == self.CORRUPTED[entry, offsets]
+
+    @pytest.mark.parametrize("corruption", [None, *sorted(CORRUPTED)])
+    def test_structure_positivity_is_the_scalar_rule(self, corruption,
+                                                     monkeypatch):
+        # every verdict and witness, clean at bound 24 and corrupted at 10
+        if corruption is not None:
+            monkeypatch.setitem(idp._MULT_OFFSETS, *corruption)
+        bound = 10 if corruption else 24
+        checks = [c for c in run_suite("positivity", bound).checks
+                  if c.id == "structure-positivity"]
+        assert len(checks) == (bound + 1) * (bound + 2)
+        for c in checks:
+            witness = structure_positivity(*c.params)
+            assert (c.passed, c.witness) == (witness is None, witness)
+
+
+class TestFallbacks:
+    """At its default bound, in both modes, every suite decides its checks
+    without a fallback construction: the Scalar sides of the mult and
+    comult checks, the recursive divided powers and the closed Scalar
+    structure constants never run, and the plain substitution only checks
+    the image of order ``_ANCHOR``."""
+
+    FALLBACKS = ("mult_direct", "idp_recursive", "comult_theorem",
+                 "comult_direct", "mult_closed")
+
+    def test_no_suite_takes_a_fallback(self, monkeypatch):
+        iqsl2.clear_caches()
+        for name in self.FALLBACKS:
+            def stub(*args, _name=name):
+                raise AssertionError(f"fallback {_name}{args}")
+
+            # verify imports these names by value
+            monkeypatch.setattr(idp, name, stub)
+            monkeypatch.setattr(verify, name, stub)
+        to_pbw = idp.idp_to_pbw
+
+        def anchor_only(x):
+            assert x.degree() == idp._ANCHOR
+            return to_pbw(x)
+
+        monkeypatch.setattr(idp, "idp_to_pbw", anchor_only)
+        for mode in verify.VARSIGMA_MODES:
+            for name in SUITES:
+                assert run_suite(name, varsigma_mode=mode).passed, (name, mode)

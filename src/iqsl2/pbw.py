@@ -164,11 +164,11 @@ def divided_power(name, n):
     """E^{(n)}, F^{(n)}, or Echeck^{(n)} = (varsigma E K^-1)^n / [n]!."""
     if n < 0:
         raise ValueError("divided power of negative order")
-    if n == 0:
-        return UElement.one()
     key = {"E": (n, 0, 0), "F": (0, 0, n), "Echeck": (n, -n, 0)}.get(name)
     if key is None:
         raise ValueError(f"no divided power for generator {name!r}")
+    if n == 0:
+        return UElement.one()
     # Echeck^{(n)} = (q varsigma)^n q^(-n^2) / [n]! E^n K^-n, as in the legs
     l = n if name == "Echeck" else 0
     x = vmul(qratio_vector([], range(1, n + 1), l), (1, -l * n, 0, 0))

@@ -72,7 +72,8 @@ Reports are deterministic: identical invocations produce identical check
 lists (the wall-time field is the only exception).  Every failing check
 carries a serialized witness (the difference element) sufficient to
 reproduce the failure independently.  ``SuiteReport.write_json`` streams
-a report to a file check by check, in the bytes of
+a report to a file in chunks of checks, each check written through a
+template built once per kind of check, in the bytes of
 ``json.dumps(report.to_json_dict(), ensure_ascii=False, indent=2)`` plus a
 newline, so its memory does not grow with the number of checks.  The
 resource ceiling for element suites, tables and expansion is the
@@ -88,13 +89,14 @@ import os
 import random
 import time
 from collections import namedtuple
-from itertools import product
+from itertools import chain, product
 from json.encoder import encode_basestring
+from operator import itemgetter
 from types import SimpleNamespace
 
 from ._kernel_py import _pack
 from .coeff import LaurentPoly, Scalar
-from .cyclo import _width, sum_row, to_row, to_scalar
+from .cyclo import sum_row, to_row, to_scalar
 from .errors import NegativeInput, NotIntegral, ResourceLimit, UnknownSuite
 from .idp import (
     EV,
@@ -162,7 +164,8 @@ def _check_ceiling(what, value):
 
 class CheckResult(namedtuple("CheckResult", "id params passed witness",
                              defaults=(None,))):
-    """One verified identity instance."""
+    """One verified identity instance: a str id, a tuple of params, a bool
+    verdict and a str witness or None."""
 
     __slots__ = ()
 
@@ -237,8 +240,16 @@ class SuiteReport:
         return buf.getvalue()[:-1]
 
     def write_json(self, fh):
-        """Write :meth:`to_json` and a newline to the text file ``fh``, one
-        check at a time, so that no copy of the report is held in memory."""
+        """Write :meth:`to_json` and a newline to the text file ``fh`` in
+        chunks of ``_CHUNK`` checks, so that no copy of the report is held
+        in memory.
+
+        Each check is written through a %-template built once per (id,
+        number of params, pass, witness or none). When every param of the
+        report is a plain int (``type(v) is int``, so no bool) its slots
+        are ``%d``; otherwise they are ``%s``, filled with the text of
+        ``_json_scalar``.
+        """
         write = fh.write
         write(f'{{\n  "suite": {encode_basestring(self.suite)},\n'
               '  "parameters": ')
@@ -249,25 +260,45 @@ class SuiteReport:
         else:
             write("{}")
         write(',\n  "checks": [')
+        checks = self.checks
+        plain = set(map(type, chain.from_iterable(
+            map(itemgetter(1), checks)))) <= {int}
+        slot = "%d" if plain else "%s"
+        templates = {}
         sep = "\n"
-        for cid, params, passed, witness in self.checks:
-            if params:
-                params_text = ("[\n        "
-                               + ",\n        ".join(map(_json_scalar, params))
-                               + "\n      ]")
-            else:
-                params_text = "[]"
-            if witness is None:
-                witness_text = ""
-            else:
-                witness_text = (',\n      "witness": '
-                                + encode_basestring(witness))
-            write(f'{sep}    {{\n      "id": {encode_basestring(cid)},\n'
-                  f'      "params": {params_text},\n'
-                  f'      "pass": {_json_scalar(passed)}{witness_text}\n    }}')
+        for start in range(0, len(checks), _CHUNK):
+            parts = []
+            for cid, params, passed, witness in checks[start:start + _CHUNK]:
+                key = cid, len(params), passed, witness is None
+                template = templates.get(key)
+                if template is None:
+                    template = templates[key] = _check_template(*key, slot)
+                if not plain:
+                    params = tuple(map(_json_scalar, params))
+                if witness is not None:
+                    params = (*params, encode_basestring(witness))
+                parts.append(template % params)
+            write(sep + ",\n".join(parts))
             sep = ",\n"
-        write("\n  ]" if self.checks else "]")
+        write("\n  ]" if checks else "]")
         write(f',\n  "wall_time_s": {_json_scalar(self.wall_time_s)}\n}}\n')
+
+
+# checks per write of ``SuiteReport.write_json``; the text of one chunk is
+# all it holds, about 0.12 MB at 256 on the default qidentities report
+_CHUNK = 256
+
+
+def _check_template(cid, arity, passed, bare, slot):
+    """The %-template of one check of ``SuiteReport.write_json``: ``arity``
+    param slots ``slot``, then a ``%s`` for the witness text unless
+    ``bare``."""
+    params = ("[\n        " + ",\n        ".join([slot] * arity) + "\n      ]"
+              if arity else "[]")
+    witness = "" if bare else ',\n      "witness": %s'
+    return ('    {\n      "id": ' + encode_basestring(cid).replace("%", "%%")
+            + ',\n      "params": ' + params
+            + ',\n      "pass": ' + _json_scalar(passed) + witness + "\n    }")
 
 
 _SC_ZERO = Scalar.zero()
@@ -396,15 +427,18 @@ def _kronecker_images(factors):
     S is the largest |q-exponent| of the factors, so each V(p) is the value
     at q = 2^K of the polynomial q^S p, and a product of d images is that
     of q^(d S) times the product; multiplying by the unit raises d by one.
-    N is the largest 1-norm of the factors, and K, a multiple of 16, has
-    2^(K-1) > 4 N^3. The two sides of a qidentities check are signed sums
-    of at most 4 products in all, each of at most 3 factors, lined up to
-    one d by the unit, so the image of lhs - rhs is the value at 2^K of
-    the polynomial q^(d S) (lhs - rhs), whose coefficients are at most
-    4 N^3 (||fg||_inf <= ||f||_1 ||g||_1). Those coefficients are its
-    balanced base-2^K digits, so equal images mean equal sides. S, N and K
+    N is the largest 1-norm of the factors, and K is the least width with
+    2^(K-1) > 4 N^3 (19 at the default grids). The two sides of a
+    qidentities check are signed sums of at most 4 products in all, each
+    of at most 3 factors, lined up to one d by the unit, so the image of
+    lhs - rhs is the value at 2^K of the polynomial q^(d S) (lhs - rhs),
+    whose coefficients are at most 4 N^3 (||fg||_inf <= ||f||_1
+    ||g||_1). Those coefficients are its balanced base-2^K digits, so
+    equal images mean equal sides. S, N and K
     come from the factors themselves, not from the formula for [n], so
-    that a corrupted factor widens them.
+    that a corrupted factor widens them. K is not rounded up to the shared
+    widths of ``cyclo``, since no image here is unpacked or shared: a
+    wider K only widens every product.
     """
     s = norm = 0
     for p in factors.values():
@@ -413,7 +447,7 @@ def _kronecker_images(factors):
         for i, _, c in p.terms():
             s = max(s, abs(i))
         norm = max(norm, sum(abs(c) for _, _, c in p.terms()))
-    k = _width(4 * norm ** 3)
+    k = (4 * norm ** 3).bit_length() + 1
     images = {key: _pack({i + s: c for i, _, c in p.terms()}, k)
               for key, p in factors.items()}
     return images, 1 << (k * s)
@@ -459,7 +493,10 @@ def _suite_qidentities(bound, mode):
             if fast is not None:
                 lhs, rhs = sides(*fast, *params)
                 if lhs == rhs:
-                    checks.append(CheckResult(cid, params, True))
+                    # the record CheckResult(cid, params, True), built
+                    # without the Python-level namedtuple __new__
+                    checks.append(tuple.__new__(CheckResult,
+                                                (cid, params, True, None)))
                     continue
             if slow is None:
                 slow = polys, polys.products(), polys.products()

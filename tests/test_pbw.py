@@ -198,6 +198,12 @@ class TestDividedPowers:
         with pytest.raises(ValueError):
             divided_power("E", -1)
 
+    @pytest.mark.parametrize("n", [0, 1, 2])
+    def test_unknown_generator_rejected_at_every_order(self, n):
+        # order 0 is checked like any other, not answered with 1
+        with pytest.raises(ValueError, match="no divided power for generator"):
+            divided_power("X", n)
+
 
 class TestCartan:
     def test_h_definition(self):

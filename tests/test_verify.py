@@ -300,6 +300,8 @@ class TestQidentities:
         reran = run_suite("qidentities", bound)
         assert report.parameters == reran.parameters
         assert report.checks == reran.checks
+        # the records built by tuple.__new__ are CheckResults like the rerun's
+        assert set(map(type, report.checks)) == {CheckResult}
         if bound is None:
             report = report.to_json_dict()
             report.pop("wall_time_s")
@@ -334,6 +336,31 @@ class TestQidentities:
         assert _digest([c.to_json_dict() for c in failures]) == (
             "34e50e705d0053f0d12914512bb2d2d491207ed349ee307539f57a890f669c37")
 
+    def test_width_is_the_least_that_the_proof_needs(self, monkeypatch):
+        # K is the least width with 2^(K-1) > 4 N^3, N the largest 1-norm
+        # of the default grids' factors; S is their largest |q-exponent|
+        seen = []
+        kronecker = verify._kronecker_images
+
+        def capture(factors):
+            seen.append(factors)
+            return kronecker(factors)
+
+        monkeypatch.setattr(verify, "_kronecker_images", capture)
+        run_suite("qidentities")
+        (factors,) = seen
+        terms = [list(p.terms()) for p in factors.values()]
+        s = max(abs(i) for t in terms for i, _, _ in t)
+        norm = max(sum(abs(c) for _, _, c in t) for t in terms)
+        images, unit = kronecker(factors)
+        k, rest = divmod(unit.bit_length() - 1, s)
+        assert rest == 0 and unit == 1 << (k * s)
+        assert 2 ** (k - 1) > 4 * norm ** 3 >= 2 ** (k - 2)
+        assert k == 19
+        # V([1]) = 2^(K S) and V([2]) = 2^(K (S - 1)) + 2^(K (S + 1))
+        assert images[1] == unit
+        assert images[2] == (1 << k * (s - 1)) + (1 << k * (s + 1))
+
     def test_varsigma_factor_is_decided_on_laurent_polys(self, monkeypatch):
         # [5] - 1 + varsigma is [5] at varsigma = 1, where an image that
         # dropped varsigma would find every check equal
@@ -359,7 +386,9 @@ _TEXT = st.text(st.one_of(
     st.sampled_from('"\\\t\n\x00\x1f\x7f\u2028⊗'),
     st.characters(exclude_categories=("Cs",)),
 ), max_size=12)
-_PARAM = st.one_of(st.integers(), _TEXT)
+# a bool is an int to isinstance, the trap of an int fast path
+_PARAM = st.one_of(st.integers(), _TEXT, st.booleans(),
+                   st.floats(allow_nan=False, allow_infinity=False))
 
 
 @st.composite
@@ -392,6 +421,27 @@ class TestJsonReport:
         report.write_json(buf)
         assert buf.getvalue() == expected + "\n"
         assert report.to_json() == expected
+
+    @pytest.mark.parametrize("mixed", [False, True])
+    def test_report_of_several_chunks_is_json_dumps(self, mixed):
+        # more than two chunks of checks: int params (the %d templates),
+        # empty params, ids that hold % and failing checks with witnesses;
+        # one mixed param sends the whole report through _json_scalar
+        checks = []
+        for i in range(2 * verify._CHUNK + 77):
+            params = ((i, -i, 2 ** 70 + i), (), (i % 5,))[i % 3]
+            witness = None if i % 7 else f"[{i}] - \"q\" %d\n⊗"
+            checks.append(CheckResult(f"check-{i % 4}%s" if i % 11 else "c",
+                                      params, witness is None, witness))
+        if mixed:
+            checks[300] = CheckResult("check-1%s", (True, 1.5, "ev", 3), True)
+            checks[301] = CheckResult("check-1%s", (False, 0), False, "w")
+        report = SuiteReport("qidentities", {"pair_grid": 20}, checks, 0.25)
+        expected = json.dumps(report.to_json_dict(), ensure_ascii=False,
+                              indent=2)
+        buf = io.StringIO()
+        report.write_json(buf)
+        assert buf.getvalue() == expected + "\n"
 
     def test_largest_report_streams_in_constant_memory(self):
         # the whole-text encoder peaked at 22.6 MB on this report

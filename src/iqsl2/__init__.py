@@ -118,6 +118,7 @@ _MEMOS = [
     (cyclo, "_CYCLOTOMIC_CACHE"),
     (cyclo, "_DIVISOR_MASKS"),
     (cyclo, "_PHI_VALUES"),
+    (cyclo, "_REST_CACHE"),
     (coeff, "_QPOW"),
 ]
 
@@ -131,8 +132,10 @@ def clear_caches():
     vectors of the terms of F^c E^a, of the images of the closed divided
     powers, of the powers of the coproducts of E and F and of the
     h-binomials (``pbw._HBINOM_VEC_CACHE``), cyclotomic polynomials, their
-    values and the cyclotomic factors of quantum integers, q-powers and
-    quantum integers, factorials and binomials. They only grow, by the
+    values, the cyclotomic factors of quantum integers, the products of
+    cyclotomic factors that the checked sums evaluate, with their norms and
+    values (``cyclo._REST_CACHE``), q-powers and quantum integers,
+    factorials and binomials. They only grow, by the
     orders a process has asked for; clearing them frees that memory and
     changes no result. ``cache_info`` reports their sizes.
     """

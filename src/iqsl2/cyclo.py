@@ -54,7 +54,16 @@ Phi_d^(g_d) are polynomials with coefficients below 2^(k-1) and equal
 values at 2^k, so they are equal. Any other outcome returns None: nothing
 is guessed, and the caller decides with Scalars. The Phi_d tried are those
 up to the caller's bound and those that any term carries, cancelled terms
-included.
+included. The rest of a live term over the least exponents,
+prod_d Phi_d^(e_(t,d) - E_d), recurs from sum to sum, so its packed
+exponents key a memo of its part of M and its values
+prod_d Phi_d(4^k)^(e_(t,d) - E_d) at the widths k it was evaluated at.
+
+A sum is not needed where a term is compared with a vector as it is: the
+coproduct check (``idp._comult_agrees``) takes away the direct vector of a
+key when a term of the assembly equals it as a packed tuple, which is
+exact for the products of at most four born vectors that both sides are,
+and sums only the other terms of a key with the direct vector left there.
 """
 
 from itertools import repeat
@@ -407,6 +416,33 @@ def _width(bound):
     return -(-(bound.bit_length() + 1) // 16) * 16
 
 
+# the packed rests r >= 0 of the live terms of a sum over their least
+# exponents (``vsum``), keyed by r: (prod ||Phi_d||_1^e, {k: prod
+# Phi_d(4^k)^e}) over its nonzero fields (d, e), at the widths k it was
+# evaluated at. The sums of a check share few rests, evaluated at few
+# widths; the fields are read again for a new width, so that the memo
+# stays small where the rests recur less (the mult suites)
+_REST_CACHE = {}
+
+
+def _rest(r):
+    """The memo entry of the packed rest r (``_REST_CACHE``), with no value
+    yet."""
+    norm = 1
+    for d, e in _words(r):
+        norm *= _cyclotomic(d)[1] ** e
+    entry = _REST_CACHE[r] = norm, {}
+    return entry
+
+
+def _rest_value(r, k):
+    """prod Phi_d(4^k)^e over the nonzero fields (d, e) of the rest r."""
+    v = 1
+    for d, e in _words(r):
+        v *= _phi_value(d, k) ** e
+    return v
+
+
 def _prove(value_at, bound, shift, j, exps, ds):
     """The vector q^shift varsigma^j prod_d Phi_d(q^2)^(exps_d) N, or 0, or
     None (see the module docstring), for a polynomial N in q with
@@ -486,27 +522,25 @@ def vsum(terms, dmax):
             f"a cyclotomic exponent of a sum reaches {4 * _EMAX}, beyond the"
             " packed fields; lower the order")
     # each live term over the least exponents, its fields in [0, 2^15):
-    # the (d, e) pairs of its nonzero fields, lowest first, and its part
-    # of the bound
+    # its packed rest, its part of the bound and its memoized values
+    # (``_REST_CACHE``)
     rests = []
     bound = 0
     lo = min(i for _, i, _ in live)
     off = h - low
     for c, i, exps in live:
-        rest = _words(exps + off)
-        b = abs(c)
-        for d, e in rest:
-            b *= _cyclotomic(d)[1] ** e
-        bound += b
-        rests.append((c, i - lo, rest))
+        r = exps + off
+        norm, values = _REST_CACHE.get(r) or _rest(r)
+        bound += abs(c) * norm
+        rests.append((c, i - lo, r, values))
 
     def value_at(k):
         val = 0
-        for c, i, rest in rests:
-            x = c << (k * i)
-            for d, e in rest:
-                x *= _phi_value(d, k) ** e
-            val += x
+        for c, i, r, values in rests:
+            v = values.get(k)
+            if v is None:
+                v = values[k] = _rest_value(r, k)
+            val += c * v << (k * i)
         return val
 
     ds = range(1, dmax + 1)

@@ -68,13 +68,15 @@ B^2 - q varsigma [idx]^2 at a time with one checked sum per monomial per
 factor (``_pbw_vectors``), the legs term by term in closed form
 (``_leg_vectors``). Their Scalars, and so their text, are ``to_scalar`` of
 these vectors (``_pbw_closed``, ``s_component``). ``_comult_agrees``
-decides the coproduct theorem on the same vectors, with the coproduct
-monomial by monomial (``tensor.delta_vectors``) and one checked sum per key
-of the assembly. The plain substitution ``idp_to_pbw``, by products in
-the PBW basis, is the second construction of the images: the vector image
-of order ``_ANCHOR`` must equal it, and it gives the image of an order
-above ``_ANCHOR`` that the vectors do not prove (an unproved order up to
-``_ANCHOR`` raises). Both read the commutation formula of ``pbw``, so the
+decides the coproduct theorem on the same vectors, against the coproduct
+monomial by monomial (``tensor.delta_vectors``) as the assembly is built:
+a term equal to the direct vector of its key takes that vector away, and
+one checked sum per key proves the other terms, less any direct vector
+left there, to sum to 0. The plain substitution ``idp_to_pbw``, by
+products in the PBW basis, is the second construction of the images: the
+vector image of order ``_ANCHOR`` must equal it, and it gives the image of
+an order above ``_ANCHOR`` that the vectors do not prove (an unproved order
+up to ``_ANCHOR`` raises). Both read the commutation formula of ``pbw``, so the
 anchor checks how the B step reads it, not the formula itself. The
 reversed legs, products on vectors by the same rule, are the second
 construction of the legs; both read ``pbw._h_binom_vectors``, at other
@@ -721,29 +723,48 @@ def _pbw_vectors(p, n):
     return r
 
 
-def _theorem_vectors(p, n):
-    """comult_theorem(p, n) as {(m1, m2): vector}, from the vectors of the
-    images and the legs with one checked sum per key; None when a sum of
-    an image or of the assembly is not proved."""
-    terms = {}
-    for r in range(n + 1):
-        image = _pbw_vectors(p, n - r)
-        if image is None:
-            return None
-        leg = _leg_vectors(p, n, r)
-        for m1, x in image.items():
-            for m2, y in leg.items():
-                terms.setdefault((m1, m2), []).append(vmul(x, y))
-    # the coefficients of both sides hold Phi_d with d <= n only
-    return _vsums(terms, n)
-
-
 def _comult_agrees(p, n):
     """True when exponent vectors prove comult_theorem(p, n) ==
     comult_direct(p, n); False when a sum is not proved or the vectors
-    differ, so that the Scalars must decide."""
-    image = _pbw_vectors(p, n)
-    return image is not None and _theorem_vectors(p, n) == delta_vectors(image)
+    differ, so that the Scalars must decide.
+
+    The direct side is the coproduct of the image, monomial by monomial
+    (``tensor.delta_vectors``). Each term image(n-r)[m1] leg(n,r)[m2] of
+    the assembly that equals the direct vector of its key takes that
+    vector away: both are products of at most four born vectors, so equal
+    packed tuples are equal values (``cyclo`` docstring). Only the other
+    terms are kept, and each key of theirs must be proved 0 by one
+    ``vsum`` of its terms less the direct vector still there; a direct
+    vector that no term takes away, or a sum not proved 0, is False.
+    """
+    top = _pbw_vectors(p, n)
+    if top is None:
+        return False
+    direct = delta_vectors(top)
+    get = direct.get
+    left = {}
+    for r in range(n + 1):
+        image = _pbw_vectors(p, n - r)
+        if image is None:
+            return False
+        leg = _leg_vectors(p, n, r).items()
+        for m1, (s, i, j, e) in image.items():
+            for m2, (ys, yi, yj, ye) in leg:
+                key = m1, m2
+                # ``vmul`` written out
+                t = s * ys, i + yi, j + yj, e + ye
+                if get(key) == t:
+                    del direct[key]
+                else:
+                    left.setdefault(key, []).append(t)
+    # the coefficients of both sides hold Phi_d with d <= n only
+    for key, terms in left.items():
+        x = direct.pop(key, 0)
+        if x:
+            terms.append(_neg(x))
+        if not _vanishes(terms, n):
+            return False
+    return not direct
 
 
 def comult_direct(p, n):

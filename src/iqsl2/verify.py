@@ -38,10 +38,12 @@ the closed formulas against independent computations:
     The closed coproduct formulas against the coproduct of the PBW image,
     computed inside the tensor square. Both sides are first built on
     cyclotomic exponent vectors (``idp._comult_agrees``, ``cyclo``): a check
-    passes when every sum is proved and the two sides are equal. Any
-    other outcome reruns that check on Scalars, which decide it and write
-    the witness of a failure, so the report is the one the Scalars alone
-    give.
+    passes when each term of the assembly that equals the direct vector of
+    its key takes it away, the other terms of each key less the direct
+    vector left there are proved to sum to 0, and no direct vector is
+    left. Any other outcome reruns that check on Scalars, which decide it
+    and write the witness of a failure, so the report is the one the
+    Scalars alone give.
 ``fhy-forms``
     The reversed-order coproduct legs (F-powers on the left) against the
     forward legs, term by term.

@@ -1,6 +1,7 @@
 """Constructions that only the tests use: conversions of term dicts and
 Scalars to cyclotomic exponent vectors, the inverse of a vector, the
-structure-positivity rule on Scalars, the Scalar of a ratio of quantum
+assembly of the coproduct theorem on vectors with one checked sum per key,
+the structure-positivity rule on Scalars, the Scalar of a ratio of quantum
 integers, the lines of the golden files, the PBW normal form by the
 defining relations alone, the h-binomials as products of their factors,
 and the canonical text of terms written one part at a time.
@@ -8,7 +9,7 @@ and the canonical text of terms written one part at a time.
 Not a test module: the tests import it by name.
 """
 
-from iqsl2 import pbw, tensor
+from iqsl2 import idp, pbw, tensor
 from iqsl2._kernel_py import _pack
 from iqsl2.coeff import LaurentPoly, Scalar
 from iqsl2.cyclo import _prove, qratio_vector, to_scalar, vmul
@@ -50,6 +51,24 @@ def from_scalars(t, dmax):
             return None
         out[key] = vmul(num, vinv(den))
     return out
+
+
+def theorem_vectors(p, n):
+    """comult_theorem(p, n) as {(m1, m2): vector}, from the vectors of the
+    images and the legs with one checked sum per key; None when a sum of
+    an image or of the assembly is not proved. ``idp._comult_agrees``
+    checks the same assembly against the direct side as it builds it."""
+    terms = {}
+    for r in range(n + 1):
+        image = idp._pbw_vectors(p, n - r)
+        if image is None:
+            return None
+        leg = idp._leg_vectors(p, n, r)
+        for m1, x in image.items():
+            for m2, y in leg.items():
+                terms.setdefault((m1, m2), []).append(vmul(x, y))
+    # the coefficients of both sides hold Phi_d with d <= n only
+    return idp._vsums(terms, n)
 
 
 def structure_positivity(p, m, n):

@@ -24,6 +24,7 @@ from oracles import (
     from_terms,
     h_binom,
     oracle_products,
+    theorem_vectors,
     vinv,
 )
 
@@ -333,6 +334,81 @@ class TestCollectedSum:
         assert dict_vsum([(1, 14, 0, {}), (-1, 0, 0, {}), (1, 0, 0, {7: 1}),
                           (-1, 0, 0, {7: 1})], 2) == (1, 0, 0, {1: 1, 7: 1})
         assert vsum(live, 2) is None
+
+
+class TestRestMemo:
+    """vsum memoizes the rests of its live terms over their least
+    exponents (``cyclo._REST_CACHE``): a warm memo gives what an empty one
+    gives."""
+
+    # 0, vectors, None, ResourceLimit before and after the rests are
+    # taken, and a proof at width 32: (x - 1)^14 (x - 1) + x + 1 - Phi_2
+    # at x = q^2, whose bound passes 2^15
+    SUMS = [
+        ([(1, -2, 0, pack({2: 2})), (-1, -2, 0, pack({3: 1})), (-1, 0, 0, 0)],
+         DMAX),
+        ([(1, 0, 0, pack({3: -1})), (-1, 0, 0, 0)], 2),
+        ([(1, 0, 0, pack({3: 3})), (-1, 0, 0, pack({3: 2}))], 2),
+        ([(1, 0, 0, 0), (1, 0, 0, pack({3: 1}))], 2),
+        ([(1, 14, 0, 0), (-1, 0, 0, 0)], 2),
+        ([(1, 0, 0, pack({5: 2 ** 14})), (-1, 0, 0, 0)], 3),
+        ([(1, 2, 0, pack({1: 4095, 4: 3})), (-1, 0, 0, pack({1: 4095, 4: 3}))],
+         2),
+        ([(1, 30, 0, 0), (-1, 0, 0, 0)], 15),
+        ([(1, 2, 0, pack({1: 14})), (-1, 0, 0, pack({1: 14})), (1, 2, 0, 0),
+          (1, 0, 0, 0), (-1, 0, 0, pack({2: 1}))], 2),
+    ]
+
+    @staticmethod
+    def _outcome(terms, dmax):
+        try:
+            return vsum(terms, dmax)
+        except ResourceLimit:
+            return ResourceLimit
+
+    def _compare(self, sums, monkeypatch):
+        monkeypatch.setattr(cyclo, "_REST_CACHE", {})
+        cold = []
+        for terms, dmax in sums:
+            cyclo._REST_CACHE.clear()
+            cold.append(self._outcome(terms, dmax))
+        for _ in range(2):
+            assert [self._outcome(t, d) for t, d in sums] == cold
+        return cold
+
+    def test_every_outcome(self, monkeypatch):
+        outcomes = self._compare(self.SUMS, monkeypatch)
+        assert outcomes == [0, (-1, 2, 0, pack({2: 1, 3: -1})),
+                            (1, 2, 0, pack({2: 1, 3: 2})), None, None,
+                            ResourceLimit, ResourceLimit,
+                            (1, 0, 0, pack({1: 1, 3: 1, 5: 1, 15: 1})),
+                            (1, 0, 0, pack({1: 15}))]
+        assert {k for _, values in cyclo._REST_CACHE.values()
+                for k in values} == {16, 32}
+
+    def test_the_sums_of_the_suites(self, monkeypatch):
+        sums = []
+        checked = idp.vsum
+
+        def spy(terms, dmax):
+            sums.append((list(terms), dmax))
+            return checked(terms, dmax)
+
+        monkeypatch.setattr(idp, "vsum", spy)
+        monkeypatch.setattr(idp, "_PBW_VEC_CACHE", {})
+        for p in (idp.EV, idp.ODD):
+            idp._mult_agrees(idp._mult_closed_terms(p, 5, 6), 5, 6,
+                             idp._point_values(p, 11))
+            for n in range(8):
+                assert idp._comult_agrees(p, n)
+        assert len(sums) > 100
+        assert 0 in self._compare(sums, monkeypatch)
+
+    @given(st.lists(vectors(j=1), min_size=2, max_size=4))
+    @settings(max_examples=60, deadline=None)
+    def test_random_sums(self, terms):
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            self._compare([(terms, DMAX)], monkeypatch)
 
 
 class TestFieldBound:
@@ -661,4 +737,4 @@ class TestCoproductVectors:
         for n in range(8):
             theorem = from_scalars(idp.comult_theorem(p, n)._t, n)
             assert theorem is not None
-            assert idp._theorem_vectors(p, n) == theorem
+            assert theorem_vectors(p, n) == theorem

@@ -828,7 +828,7 @@ class TestClearCaches:
         (idp, "_NUMERATOR_CACHE"), (idp, "_CLOSED_CACHE"), (idp, "_REC_CACHE"),
         (idp, "_PBW_CLOSED_CACHE"), (idp, "_PBW_VEC_CACHE"),
         (cyclo, "_CYCLOTOMIC_CACHE"), (cyclo, "_DIVISOR_MASKS"),
-        (cyclo, "_PHI_VALUES"),
+        (cyclo, "_PHI_VALUES"), (cyclo, "_REST_CACHE"),
         (coeff, "_QPOW"),
     )
     LRU = (qcomb.qint, qcomb.qfact, qcomb.qbinom)
@@ -974,7 +974,70 @@ class TestComultVectors:
         monkeypatch.setattr(idp, "vsum", lambda terms, dmax: None)
         monkeypatch.setattr(verify, "comult_theorem", spy)
         assert self._report(name, 8) == expected
-        assert fallbacks == list(range(9))
+        # at orders 0 and 1 every term of the assembly equals the direct
+        # vector of its key, so no sum is taken; from order 2 on some key
+        # needs one, and the stub leaves it unproved
+        assert fallbacks == list(range(2, 9))
+
+    @staticmethod
+    def _cancelling_key(p, n):
+        """A key of the assembly of order n whose terms cancel: the direct
+        side has no vector there."""
+        terms = {}
+        for r in range(n + 1):
+            for m1 in idp._pbw_vectors(p, n - r):
+                for m2 in idp._leg_vectors(p, n, r):
+                    terms[m1, m2] = terms.get((m1, m2), 0) + 1
+        return next(k for k, count in terms.items() if count > 1)
+
+    @classmethod
+    def _tamper(cls, name, direct):
+        """Change the direct vectors of comult-odd order 4: add a key that
+        only the direct side has, put a vector at a key whose terms
+        cancel, so that its leftover sum does not vanish, or multiply the
+        vector of a key of one term by q^2."""
+        if name == "direct-only key":
+            direct[(0, 0, 0), (0, 0, 9)] = (1, 0, 0, 0)
+        elif name == "leftover sum":
+            key = cls._cancelling_key(idp.ODD, 4)
+            assert key not in direct
+            direct[key] = (1, 0, 0, 0)
+        else:
+            key = (0, 0, 4), (0, -4, 0)
+            direct[key] = cyclo.vmul(direct[key], (1, 2, 0, 0))
+
+    @pytest.mark.parametrize("tamper", ["direct-only key", "leftover sum",
+                                        "off by q^2"])
+    def test_a_wrong_direct_side_gives_the_scalar_report(self, tamper,
+                                                         monkeypatch):
+        # the direct side of order 4 is changed alike on vectors and on
+        # Scalars: the vectors must refuse that order, and the report,
+        # witness included, must be the one the Scalars alone write
+        vectors, direct = idp.delta_vectors, verify.comult_direct
+
+        def tampered(image):
+            out = vectors(image)
+            # the image of B^(n) reaches F^n
+            if max(a + c for a, _, c in image) == 4:
+                self._tamper(tamper, out)
+            return out
+
+        def scalar_direct(p, n):
+            if n != 4:
+                return direct(p, n)
+            return TensorElement._raw({
+                k: cyclo.to_scalar(v)
+                for k, v in tampered(idp._pbw_vectors(p, n)).items()})
+
+        monkeypatch.setattr(idp, "delta_vectors", tampered)
+        monkeypatch.setattr(verify, "comult_direct", scalar_direct)
+        assert [n for n in range(6)
+                if not idp._comult_agrees(idp.ODD, n)] == [4]
+        report = self._report("comult-odd", 5)
+        assert [(c["id"], c["params"]) for c in report["checks"]
+                if not c["pass"]] == [("comult-theorem", [4])]
+        monkeypatch.setattr(verify, "_comult_agrees", lambda p, n: False)
+        assert report == self._report("comult-odd", 5)
 
     @staticmethod
     def _fresh_images(monkeypatch):

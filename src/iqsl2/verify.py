@@ -7,14 +7,15 @@ the closed formulas against independent computations:
     Quantum-integer identities checked as exact Laurent-polynomial equalities:
     the pair-sum and pair-product identities, the three-term cross difference,
     the doubling identity, and the degree-six product balance that underpins
-    the odd-family multiplication formula. Each family is written once over
-    the operations of a domain, and each check is first decided on the
-    Kronecker images of its factors, ints at q = 2^K with K wide enough
+    the odd-family multiplication formula. Each family is one generator of
+    its checks over the operations of a domain, forming each factor and
+    product outside the loops it does not read, and is first decided on
+    the Kronecker images of its factors, ints at q = 2^K with K wide enough
     for the factors actually used (``_kronecker_images``), where equal
-    images mean equal sides. A check whose images differ reruns on
-    LaurentPolys, which decide it and write the witness, so the report is
-    the one the LaurentPolys alone give; a factor that carries varsigma
-    sends the whole suite to LaurentPolys.
+    images mean equal sides. A family with a check whose images differ
+    reruns whole on LaurentPolys, which decide each check and write each
+    witness, so the report is the one the LaurentPolys alone give; a factor
+    that carries varsigma sends the whole suite to LaurentPolys.
 ``pbw-core``
     The normal-form engine: associativity and confluence on randomized words,
     divided-power merge rules, the cross-relation between the twisted raising
@@ -91,7 +92,7 @@ import os
 import random
 import time
 from collections import namedtuple
-from itertools import chain, product
+from itertools import chain, repeat
 from json.encoder import encode_basestring
 from operator import itemgetter
 from types import SimpleNamespace
@@ -364,60 +365,95 @@ def _products(factor):
 
 
 def _qidentity_families(g_pair, g_cross, g_balance):
-    """The five identity families as (id, parameter tuples, sides), with
-    ``sides(d, lprod, rprod, *params)`` the (lhs, rhs) of one check in the
-    domain d, lprod and rprod the product memos of its two sides.
+    """The five identity families as (id, checks), with ``checks(d)`` a
+    generator of the (params, lhs, rhs) of every check of the family in the
+    domain d, in grid order: pair-sum ``(n, m) for n in pair for m in pair
+    if m``, pair-product ``product(pair, repeat=2)``, cross-difference
+    ``product(cross, repeat=3)``, doubling ``(n,) for n in pair`` and
+    product-balance ``product(balance, repeat=3)`` (``itertools.product``).
 
     A domain has the operations the checks are written in: ``qint(n)``,
     [n]; ``qint_base(n, m)``, [n] in base q^m; ``products()``, a new
     product memo of one side of an identity; and ``unit``, which lines a
-    side of one factor up with a side of two.
+    side of one factor up with a side of two. Each generator forms a
+    factor or product once, in the outermost loop whose variables it
+    reads.
     """
-    pair = range(-g_pair, g_pair + 1)
-    cross = range(-g_cross, g_cross + 1)
+    # tuples, so that the params of every check share the same int objects
+    pair = tuple(range(-g_pair, g_pair + 1))
+    cross = tuple(range(-g_cross, g_cross + 1))
+    balance = tuple(range(g_balance + 1))
 
     # [n+m] + [n-m] = [n] * [2] in base q^m (undefined at m = 0, where the
     # base collapses to 1)
-    def pair_sum(d, lprod, rprod, n, m):
-        return ((d.qint(n + m) + d.qint(n - m)) * d.unit,
-                d.qint(n) * d.qint_base(2, m))
+    def pair_sum(d):
+        qint, unit = d.qint, d.unit
+        twos = {m: d.qint_base(2, m) for m in pair if m}
+        for n in pair:
+            qn = qint(n)
+            for m, two in twos.items():
+                yield (n, m), (qint(n + m) + qint(n - m)) * unit, qn * two
 
     # [n+m][n-m] = [n]^2 - [m]^2
-    def pair_product(d, lprod, rprod, n, m):
-        return lprod(n + m, n - m), rprod(n, n) - rprod(m, m)
+    def pair_product(d):
+        lprod, rprod = d.products(), d.products()
+        squares = {n: rprod(n, n) for n in pair}
+        for n, sn in squares.items():
+            for m, sm in squares.items():
+                yield (n, m), lprod(n + m, n - m), sn - sm
 
-    # [m][m+n] - [l][l+n] = [m-l][m+l+n]
-    def cross_difference(d, lprod, rprod, m, n, l):
-        return lprod(m, m + n) - lprod(l, l + n), rprod(m - l, m + l + n)
+    # [m][m+n] - [l][l+n] = [m-l][m+l+n]. rows[n] holds [l][l+n] for each
+    # l of ``cross``, so [m][m+n] is its entry at m. The rhs is [a][s-a]
+    # with s = 2m + n and a = m - l: antidiagonals[s] holds it for each a
+    # that an m with |m|, |s - 2m| <= g and an l with |l| <= g reach
+    def cross_difference(d):
+        lprod, rprod = d.products(), d.products()
+        rows = {n: [lprod(l, l + n) for l in cross] for n in cross}
+        g = g_cross
+        antidiagonals = {
+            s: {a: rprod(a, s - a)
+                for a in range(max(-g, (s - g + 1) // 2) - g,
+                               min(g, (s + g) // 2) + g + 1)}
+            for s in range(-3 * g, 3 * g + 1)}
+        for i, m in enumerate(cross):
+            for n in cross:
+                row = rows[n]
+                head = row[i]
+                rhs = antidiagonals[2 * m + n]
+                for l, tail in zip(cross, row):
+                    yield (m, n, l), head - tail, rhs[m - l]
 
     # [2n] = [2] * [n] in base q^2
-    def doubling(d, lprod, rprod, n):
-        return d.qint(2 * n) * d.unit, d.qint(2) * d.qint_base(n, 2)
+    def doubling(d):
+        qint, unit = d.qint, d.unit
+        two = qint(2)
+        for n in pair:
+            yield (n,), qint(2 * n) * unit, two * d.qint_base(n, 2)
 
     # the degree-six balance behind the odd-family product formula; only
     # the squares on the lhs repeat
-    def product_balance(d, lprod, rprod, l, k, a):
-        qint = d.qint
-        lhs = (
-            qint(2 * k + 2 * a - 2 * l + 2)
-            * qint(2 * a - 2 * l + 2)
-            * qint(2 * k - 2 * l + 2)
-            + lprod(2 * k + 2 * a - 2 * l + 3, 2 * k + 2 * a - 2 * l + 3)
-            * qint(2 * l)
-            - lprod(2 * k + 1, 2 * k + 1) * qint(2 * l)
-        )
-        rhs = (qint(2 * a - 2 * l + 2) * qint(2 * k + 2)
-               * qint(2 * k + 2 * a + 2))
-        return lhs, rhs
+    def product_balance(d):
+        qint, lprod = d.qint, d.products()
+        for l in balance:
+            q2l = qint(2 * l)
+            for k in balance:
+                left = qint(2 * k - 2 * l + 2)
+                odd = lprod(2 * k + 1, 2 * k + 1) * q2l
+                right = qint(2 * k + 2)
+                for a in balance:
+                    mid = qint(2 * a - 2 * l + 2)
+                    top = 2 * k + 2 * a - 2 * l
+                    lhs = (qint(top + 2) * mid * left
+                           + lprod(top + 3, top + 3) * q2l - odd)
+                    rhs = mid * right * qint(2 * k + 2 * a + 2)
+                    yield (l, k, a), lhs, rhs
 
     return (
-        ("qint-pair-sum", ((n, m) for n in pair for m in pair if m),
-         pair_sum),
-        ("qint-pair-product", product(pair, repeat=2), pair_product),
-        ("qint-cross-difference", product(cross, repeat=3), cross_difference),
-        ("qint-doubling", ((n,) for n in pair), doubling),
-        ("qint-product-balance", product(range(g_balance + 1), repeat=3),
-         product_balance),
+        ("qint-pair-sum", pair_sum),
+        ("qint-pair-product", pair_product),
+        ("qint-cross-difference", cross_difference),
+        ("qint-doubling", doubling),
+        ("qint-product-balance", product_balance),
     )
 
 
@@ -479,30 +515,30 @@ def _suite_qidentities(bound, mode):
     g_pair = min(20, bound)
     g_cross = min(12, bound)
     g_balance = min(8, bound)
-    # Each check is decided on the int images of its factors, and reruns
-    # on LaurentPolys only where the images differ (or on every check when
-    # a factor carries varsigma): that rerun decides it and writes its
-    # witness, so the report is the one the LaurentPolys alone give.
+    # Each family is decided on the int images of its factors. The first
+    # check whose images differ drops the family's records, and the family
+    # reruns on LaurentPolys (as every family does when a factor carries
+    # varsigma), which decide each check and write each witness, so the
+    # report is the one the LaurentPolys alone give.
     polys = SimpleNamespace(qint=qint, qint_base=qint_base,
                             products=lambda: _products(qint), unit=1)
     images = _qint_images(g_pair, g_cross, g_balance)
     checks = []
-    for cid, grid, sides in _qidentity_families(g_pair, g_cross, g_balance):
-        fast = slow = None
+    for cid, family in _qidentity_families(g_pair, g_cross, g_balance):
         if images is not None:
-            fast = images, images.products(), images.products()
-        for params in grid:
-            if fast is not None:
-                lhs, rhs = sides(*fast, *params)
-                if lhs == rhs:
-                    # the record CheckResult(cid, params, True), built
-                    # without the Python-level namedtuple __new__
-                    checks.append(tuple.__new__(CheckResult,
-                                                (cid, params, True, None)))
-                    continue
-            if slow is None:
-                slow = polys, polys.products(), polys.products()
-            lhs, rhs = sides(*slow, *params)
+            passed = []
+            for params, lhs, rhs in family(images):
+                if lhs != rhs:
+                    break
+                passed.append(params)
+            else:
+                # the records CheckResult(cid, params, True), built in C
+                # without the Python-level namedtuple __new__
+                checks.extend(map(tuple.__new__, repeat(CheckResult),
+                                  zip(repeat(cid), passed, repeat(True),
+                                      repeat(None))))
+                continue
+        for params, lhs, rhs in family(polys):
             _eq_check(checks, cid, params, lhs, rhs)
 
     parameters = {

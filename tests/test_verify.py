@@ -3,6 +3,7 @@
 import csv
 import hashlib
 import io
+import itertools
 import json
 import os
 import pathlib
@@ -201,10 +202,11 @@ def _digest(payload):
 
 
 class TestQidentities:
-    """The suite decides each check on int images of its factors and
-    reruns on LaurentPolys, forming each distinct product once per side of
-    an identity, only where the images differ; its report and its failures
-    stay those of LaurentPolys alone with one product per check."""
+    """The suite decides each identity family on int images of its
+    factors, forming each distinct product once per side of an identity,
+    and reruns the whole family on LaurentPolys when the images of one of
+    its checks differ; its report and its failures stay those of
+    LaurentPolys alone with one product per check."""
 
     def test_report_is_byte_identical(self):
         # the laurent-identities digest of perfbench/expected.json
@@ -265,15 +267,16 @@ class TestQidentities:
 
     def test_suite_forms_few_products(self, monkeypatch):
         # 59,431 kernel products when every check formed its own, 6,855
-        # with one memo per side of each identity, none when the int
-        # images decide every check
+        # with one memo per side of each identity, 6,207 with each factor
+        # and product formed outside the loops it does not read, none when
+        # the int images decide every check
         calls = _kmul_calls(monkeypatch)
         assert len(run_suite("qidentities").checks) == 19716
         assert calls[0] == 0
 
     @staticmethod
     def _rerun_all(monkeypatch):
-        """Make every int comparison differ, so that every check reruns
+        """Make every int comparison differ, so that every family reruns
         on LaurentPolys."""
 
         class Unequal:
@@ -307,6 +310,58 @@ class TestQidentities:
             report.pop("wall_time_s")
             assert _digest(report) == (
                 "7744625f9be9c7be8c6099dca13aa4b27034c68c3d00bf7a096fe618e2e9106e")
+
+    def test_a_fault_reruns_only_its_family(self, monkeypatch):
+        # [3] in base q^2 is read by qint-doubling alone
+        qint_base = verify.qint_base
+
+        def corrupt(n, m):
+            p = qint_base(n, m)
+            if (n, m) == (3, 2):
+                p = p + coeff.LaurentPoly.from_int(1)
+            return p
+
+        monkeypatch.setattr(verify, "qint_base", corrupt)
+        reached = []
+        eq_check = verify._eq_check
+
+        def spy(checks, cid, *args, **kwargs):
+            reached.append(cid)
+            return eq_check(checks, cid, *args, **kwargs)
+
+        monkeypatch.setattr(verify, "_eq_check", spy)
+        report = run_suite("qidentities")
+        # the whole family, and nothing else, reran on LaurentPolys
+        assert reached == ["qint-doubling"] * 41
+        assert [(c.id, c.params) for c in report.failures()] == [
+            ("qint-doubling", (3,))]
+        self._rerun_all(monkeypatch)
+        assert run_suite("qidentities").checks == report.checks
+
+    @pytest.mark.parametrize("bound", [1, 3, None])
+    def test_families_yield_their_grids(self, bound):
+        g_pair, g_cross, g_balance = (min(g, bound or 20)
+                                      for g in (20, 12, 8))
+        pair = range(-g_pair, g_pair + 1)
+        grids = {
+            "qint-pair-sum": [(n, m) for n in pair for m in pair if m],
+            "qint-pair-product": list(itertools.product(pair, repeat=2)),
+            "qint-cross-difference": list(itertools.product(
+                range(-g_cross, g_cross + 1), repeat=3)),
+            "qint-doubling": [(n,) for n in pair],
+            "qint-product-balance": list(itertools.product(
+                range(g_balance + 1), repeat=3)),
+        }
+        images = verify._qint_images(g_pair, g_cross, g_balance)
+        polys = SimpleNamespace(
+            qint=qcomb.qint, qint_base=qcomb.qint_base, unit=1,
+            products=lambda: verify._products(qcomb.qint))
+        families = verify._qidentity_families(g_pair, g_cross, g_balance)
+        assert [cid for cid, _ in families] == list(grids)
+        for cid, checks in families:
+            for domain in images, polys:
+                assert [params for params, _, _ in checks(domain)] == (
+                    grids[cid]), cid
 
     def test_width_comes_from_the_factors(self, monkeypatch):
         # 2^32 - q is 0 at q = 2^32, so images at a fixed K = 32 would miss
